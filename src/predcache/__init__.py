@@ -8,23 +8,29 @@ runner.
 """
 
 from .adversary import AdversaryConfig, AdversaryResult, certify_lower_bound, run_adversary
-from .combine import CombinedResult, FtlCombiner, MwCombiner, mw_update, run_ftl, run_mw
+from .combine import (
+    POLICY_NAMES,
+    CombinedResult,
+    FtlCombiner,
+    MwCombiner,
+    make_policies,
+    mw_update,
+    run_ftl,
+    run_mw,
+    run_policy,
+)
 from .errors import ConfigError, NondeterministicPolicyError, TraceParseError
 from .metrics import (
     BOUND_IDS,
     BoundRecord,
     BoundReport,
-    ErrorSummary,
     SlackPolicy,
     check_bounds,
     count_inversions_fast,
-    count_inversions_naive,
     ell1_loss,
     harmonic,
-    summarize_errors,
 )
 from .policies import (
-    POLICY_NAMES,
     Belady,
     BlindOracle,
     CacheEntry,
@@ -33,8 +39,7 @@ from .policies import (
     Marker,
     Policy,
     RunResult,
-    make_policy,
-    run_policy,
+    simulate,
 )
 from .trace import (
     NoiseSpec,

@@ -32,7 +32,8 @@ from typing import Callable
 
 from .errors import ConfigError, NondeterministicPolicyError
 from .metrics import BoundRecord, ell1_loss
-from .policies import PageId, Policy, make_policy, run_policy
+from .combine import make_policies, run_policy
+from .policies import PageId, Policy
 from .trace import Trace
 
 
@@ -86,7 +87,7 @@ def _factory(policy: str | PolicyFactory, k: int) -> PolicyFactory:
             raise ConfigError("belady needs future arrivals and cannot be driven online")
         if policy == "mw":
             raise ConfigError("the adversary construction targets deterministic policies")
-        return lambda: make_policy(policy, k)
+        return lambda: make_policies((policy,), k)[policy]
     if callable(policy):
         return policy
     raise ConfigError("policy must be a name or a zero-argument factory")

@@ -14,16 +14,19 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import yaml
 
 from .adversary import AdversaryConfig, certify_lower_bound, run_adversary
-from .combine import run_ftl, run_mw
+
+# run_policy, run_ftl and run_mw are not called here; bench/tracing.py wraps
+# them by name on this module.
+from .combine import POLICY_NAMES, make_policies, run_ftl, run_mw, run_policy  # noqa: F401
 from .errors import ConfigError, TraceParseError
-from .metrics import BoundReport, check_bounds, count_inversions_fast, ell1_loss
-from .policies import POLICY_NAMES, run_policy
+from .metrics import BOUND_IDS, BoundReport, check_bounds, count_inversions_fast, ell1_loss
+from .policies import simulate
 from .trace import NoiseSpec, Trace, WorkloadSpec, parse_trace, perturb_predictions, synthesize
 
 CSV_HEADER = (
@@ -83,6 +86,11 @@ class ExperimentConfig:
                 raise ConfigError("cache sizes must be >= 1")
         if self.adversary is not None:
             self.adversary.validate()
+            if not set(self.policies) & set(_ADVERSARY_POLICIES):
+                raise ConfigError(f"the adversary runs only {', '.join(_ADVERSARY_POLICIES)}")
+        for bound_id in self.fatal_bounds:
+            if bound_id not in BOUND_IDS:
+                raise ConfigError(f"unknown bound id {bound_id!r} in fatal_bounds")
 
 
 @dataclass(frozen=True)
@@ -101,36 +109,33 @@ class ResultRow:
     bounds_failed: tuple[str, ...]
 
 
-def _noise_from_mapping(data: dict) -> NoiseSpec:
-    allowed = {"kind", "width", "sigma", "shift", "prob", "limit"}
-    unknown = set(data) - allowed
+def _number(what: str, value, integer: bool = False):
+    """``value`` if it is a number (an integer when ``integer``), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
+def _section(cls, section: str, data):
+    """Build ``cls`` from a config section; its dataclass fields give the keys.
+
+    Fields without a default are required; every value but the ``kind`` string
+    must be a number, an integer where the field is annotated ``int``.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section} must be a mapping, got {data!r}")
+    declared = {f.name: f for f in fields(cls)}
+    unknown = set(data) - set(declared)
     if unknown:
-        raise ConfigError(f"unknown noise keys: {sorted(unknown)}")
-    if "kind" not in data:
-        raise ConfigError("noise entry needs a 'kind'")
-    return NoiseSpec(**data)
-
-
-def _workload_from_mapping(data: dict) -> WorkloadSpec:
-    allowed = {"kind", "universe", "length", "alpha", "cycle", "phase_len"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown workload keys: {sorted(unknown)}")
-    for key in ("kind", "universe", "length"):
-        if key not in data:
-            raise ConfigError(f"workload needs {key!r}")
-    return WorkloadSpec(**data)
-
-
-def _adversary_from_mapping(data: dict) -> AdversaryConfig:
-    allowed = {"k", "j", "num_phases"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown adversary keys: {sorted(unknown)}")
-    for key in ("k", "j"):
-        if key not in data:
-            raise ConfigError(f"adversary needs {key!r}")
-    return AdversaryConfig(**data)
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    for name, f in declared.items():
+        if name not in data:
+            if f.default is MISSING:
+                raise ConfigError(f"{section} needs {name!r}")
+        elif name != "kind":
+            _number(f"{section} {name}", data[name], integer=f.type == "int")
+    return cls(**data)
 
 
 def config_from_mapping(data: dict) -> ExperimentConfig:
@@ -153,14 +158,15 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    ks = data.get("k", [])
-    if isinstance(ks, int):
-        ks = [ks]
+    trace_path, out_path = data.get("trace"), data.get("out", "results.csv")
+    if not isinstance(trace_path, (str, type(None))) or not isinstance(out_path, str):
+        raise ConfigError(f"trace and out must be paths, got {trace_path!r} and {out_path!r}")
     seeds = data.get("seeds", [0])
     if isinstance(seeds, int):
         seeds = list(range(seeds))
+    ks, seeds = (v if isinstance(v, list) else [v] for v in (data.get("k", []), seeds))
     noises = data.get("noise", [])
-    if isinstance(noises, dict):
+    if not isinstance(noises, list):
         noises = [noises]
     workload = data.get("workload")
     if workload is not None and not noises:
@@ -168,14 +174,16 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     adversary = data.get("adversary")
     return ExperimentConfig(
         policies=tuple(data.get("policies", ["lru", "belady", "blind_oracle", "marker"])),
-        ks=tuple(int(k) for k in ks),
-        seeds=tuple(int(s) for s in seeds),
-        workload=_workload_from_mapping(workload) if workload is not None else None,
-        trace_path=data.get("trace"),
-        noises=tuple(_noise_from_mapping(n) for n in noises),
-        epsilon=float(data.get("epsilon", 0.1)),
-        adversary=_adversary_from_mapping(adversary) if adversary is not None else None,
-        out_path=data.get("out", "results.csv"),
+        ks=tuple(_number("k", k, integer=True) for k in ks),
+        seeds=tuple(_number("seeds", s, integer=True) for s in seeds),
+        workload=_section(WorkloadSpec, "workload", workload) if workload is not None else None,
+        trace_path=trace_path,
+        noises=tuple(_section(NoiseSpec, "noise", n) for n in noises),
+        epsilon=float(_number("epsilon", data.get("epsilon", 0.1))),
+        adversary=(
+            _section(AdversaryConfig, "adversary", adversary) if adversary is not None else None
+        ),
+        out_path=out_path,
         fatal_bounds=tuple(data.get("fatal_bounds", [])),
     )
 
@@ -215,15 +223,20 @@ def _cell_trace(
     return synthesize(config.workload, noise, seed)
 
 
-def _policy_cost(name: str, trace: Trace, k: int, epsilon: float, seed: int):
-    """Run one policy; returns (cost, extra expert costs for the bound map)."""
-    if name == "ftl":
-        result = run_ftl("blind_oracle", "lru", trace, k)
-        return result.cost, {"blind_oracle": result.cost_a, "lru": result.cost_b}
-    if name == "mw":
-        result = run_mw("blind_oracle", "marker", trace, k, epsilon, seed)
-        return result.cost, {"blind_oracle": result.cost_a, "marker": result.cost_b}
-    return run_policy(name, trace, k, seed).cost, {}
+def _cell_costs(config: ExperimentConfig, trace: Trace, k: int, seed: int):
+    """Serve the cell in one pass; returns (opt, costs for the rows and bounds).
+
+    Each configured policy maps to its own run; a combiner's expert that is
+    not configured maps to the combiner's copy, so its bounds stay checkable.
+    """
+    names = ("belady", *config.policies)
+    runs = make_policies(names, k, arrivals=trace.arrivals, seed=seed, epsilon=config.epsilon)
+    simulate(trace, runs.values())
+    costs = {name: runs[name].cost for name in config.policies}
+    for run in runs.values():
+        for expert in run.experts:
+            costs.setdefault(expert.name, expert.cost)
+    return runs["belady"].cost, costs
 
 
 def _verdicts(report: BoundReport, policy: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -264,15 +277,9 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 per_seed: dict[str, list[dict]] = {p: [] for p in config.policies}
                 for seed in config.seeds:
                     trace = _cell_trace(config, file_trace, noise, seed)
-                    opt = run_policy("belady", trace, k).cost
+                    opt, costs = _cell_costs(config, trace, k, seed)
                     eta = ell1_loss(trace.arrivals, trace.predictions)
                     inversions = count_inversions_fast(trace.arrivals, trace.predictions)
-                    costs: dict[str, float] = {}
-                    for name in config.policies:
-                        cost, extra = _policy_cost(name, trace, k, config.epsilon, seed)
-                        costs.setdefault(name, cost)
-                        for expert, expert_cost in extra.items():
-                            costs.setdefault(expert, expert_cost)
                     report = check_bounds(
                         costs,
                         opt,

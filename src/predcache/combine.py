@@ -1,9 +1,11 @@
-"""Black-box combiners that merge two eviction policies into one.
+"""Black-box combiners, and the one builder for every named policy run.
 
-Both combiners simulate the two expert policies privately on every request and
-keep their own cache.  On a full-cache miss the combiner evicts a page that
-the currently tracked expert does not hold, so its cache drifts toward that
-expert's cache lazily, one miss at a time.
+A combiner watches two expert policies and keeps its own cache.  It serves
+each expert before itself; since serving is idempotent per request, an expert
+that is also a standalone run (or shared by another combiner) is simulated
+once.  On a full-cache miss the combiner evicts a page that the currently
+tracked expert does not hold, so its cache drifts toward that expert's cache
+lazily, one miss at a time.
 
 ``FtlCombiner`` deterministically follows whichever expert has evicted less so
 far.  ``MwCombiner`` follows expert i with probability proportional to
@@ -15,35 +17,27 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ConfigError
-from .policies import CacheState, PageId, Policy, RunResult, make_policy
+from .policies import (
+    LRU,
+    Belady,
+    BlindOracle,
+    CacheState,
+    Marker,
+    PageId,
+    Policy,
+    RunResult,
+    simulate,
+)
 from .trace import Trace
+
+POLICY_NAMES = ("lru", "belady", "marker", "blind_oracle", "ftl", "mw")
 
 # Below this magnitude both weights are rescaled by a common factor; the
 # ratio, and therefore every probability and coupling draw, is unchanged.
 _RESCALE_FLOOR = 1e-100
-
-
-@dataclass
-class ExpertPair:
-    """Two privately simulated policies with their running eviction counts."""
-
-    expert_a: Policy
-    expert_b: Policy
-    cost_a: int = 0
-    cost_b: int = 0
-
-    def serve(self, t: int, page: PageId, prediction: float) -> tuple[int, int]:
-        """Serve both experts; returns this step's (0/1, 0/1) eviction costs."""
-        ca = 0 if self.expert_a.serve(t, page, prediction) is None else 1
-        cb = 0 if self.expert_b.serve(t, page, prediction) is None else 1
-        self.cost_a += ca
-        self.cost_b += cb
-        return ca, cb
-
-    def cache_of(self, which: str) -> CacheState:
-        return self.expert_a.cache if which == "a" else self.expert_b.cache
 
 
 def _victim_outside(own: CacheState, target: CacheState) -> PageId:
@@ -61,26 +55,29 @@ def _victim_outside(own: CacheState, target: CacheState) -> PageId:
 class FtlCombiner(Policy):
     """Follow the expert with the smaller eviction count.
 
-    The leader is recomputed after both experts serve the current request;
-    ties keep the incumbent, and expert A leads initially.
+    The leader (an index into ``experts``) is recomputed after both experts
+    serve the current request; ties keep the incumbent, and expert 0 leads
+    initially.
     """
 
     name = "ftl"
 
     def __init__(self, expert_a: Policy, expert_b: Policy, k: int):
         super().__init__(k)
-        self.experts = ExpertPair(expert_a, expert_b)
-        self.leader = "a"
+        self.experts = (expert_a, expert_b)
+        self.leader = 0
 
     def _pre_serve(self, t, page, prediction):
-        self.experts.serve(t, page, prediction)
-        if self.experts.cost_a < self.experts.cost_b:
-            self.leader = "a"
-        elif self.experts.cost_b < self.experts.cost_a:
-            self.leader = "b"
+        a, b = self.experts
+        a.serve(t, page, prediction)
+        b.serve(t, page, prediction)
+        if a.cost < b.cost:
+            self.leader = 0
+        elif b.cost < a.cost:
+            self.leader = 1
 
     def _select_victim(self, t, page, prediction):
-        return _victim_outside(self.cache, self.experts.cache_of(self.leader))
+        return _victim_outside(self.cache, self.experts[self.leader].cache)
 
 
 def mw_update(
@@ -96,9 +93,10 @@ def mw_update(
 class MwCombiner(Policy):
     """Randomized combiner driven by multiplicative weights.
 
-    After each request the followed expert is abandoned with probability equal
-    to the fraction of probability mass it just lost, which keeps the chance
-    of following expert i equal to w_i / (w_a + w_b) at all times.
+    After each request the followed expert (an index into ``experts``) is
+    abandoned with probability equal to the fraction of probability mass it
+    just lost, which keeps the chance of following expert i equal to
+    w_i / (w_0 + w_1) at all times.
     """
 
     name = "mw"
@@ -115,18 +113,19 @@ class MwCombiner(Policy):
         if not 0.0 < epsilon < 0.25:
             raise ConfigError(f"epsilon must be in (0, 1/4), got {epsilon}")
         super().__init__(k)
-        self.experts = ExpertPair(expert_a, expert_b)
+        self.experts = (expert_a, expert_b)
         self.epsilon = epsilon
         self.rng = rng
         self.weights = (1.0, 1.0)
-        self.followed = "a" if rng.random() < 0.5 else "b"
+        self.followed = 0 if rng.random() < 0.5 else 1
 
-    def _probability(self, which: str) -> float:
-        wa, wb = self.weights
-        return wa / (wa + wb) if which == "a" else wb / (wa + wb)
+    def _probability(self, which: int) -> float:
+        return self.weights[which] / sum(self.weights)
 
     def _pre_serve(self, t, page, prediction):
-        ca, cb = self.experts.serve(t, page, prediction)
+        a, b = self.experts
+        ca = 0 if a.serve(t, page, prediction) is None else 1
+        cb = 0 if b.serve(t, page, prediction) is None else 1
         prior = self._probability(self.followed)
         self.weights = mw_update(self.weights, self.epsilon, ca, cb)
         wa, wb = self.weights
@@ -135,65 +134,113 @@ class MwCombiner(Policy):
             self.weights = (wa / scale, wb / scale)
         posterior = self._probability(self.followed)
         if posterior < prior and self.rng.random() < (prior - posterior) / prior:
-            self.followed = "b" if self.followed == "a" else "a"
+            self.followed = 1 - self.followed
 
     def _select_victim(self, t, page, prediction):
-        return _victim_outside(self.cache, self.experts.cache_of(self.followed))
+        return _victim_outside(self.cache, self.experts[self.followed].cache)
+
+
+def _child_seeds(seed: int) -> tuple[int, int, int]:
+    """Seeds of mw's two experts and of its own generator, in that order."""
+    root = random.Random(seed)
+    return root.getrandbits(63), root.getrandbits(63), root.getrandbits(63)
+
+
+def make_policies(
+    names: Sequence[str],
+    k: int,
+    *,
+    arrivals: Sequence[int] | None = None,
+    seed: int = 0,
+    epsilon: float | None = None,
+) -> dict[str, Policy]:
+    """Build one instance per distinct run of the named policies.
+
+    ``belady`` needs the trace's arrival vector; ``marker`` consumes the seed;
+    ``mw`` consumes it through child seeds and needs epsilon.  ``ftl`` (the
+    deterministic combination of blind_oracle and lru) wraps the very
+    ``blind_oracle`` and ``lru`` instances returned under those names, built
+    for it when they are not named.  ``mw`` (blind_oracle with marker) wraps
+    that same ``blind_oracle`` plus its own child-seeded Marker, a run distinct
+    from the standalone ``marker``.
+    """
+    shared: dict[str, Policy] = {}
+
+    def base(name: str) -> Policy:
+        if name not in shared:
+            if name == "lru":
+                shared[name] = LRU(k)
+            elif name == "blind_oracle":
+                shared[name] = BlindOracle(k)
+            elif name == "belady":
+                if arrivals is None:
+                    raise ConfigError("belady needs the trace's true arrivals")
+                shared[name] = Belady(k, arrivals)
+            elif name == "marker":
+                shared[name] = Marker(k, random.Random(seed))
+            else:
+                raise ConfigError(f"unknown policy {name!r}")
+        return shared[name]
+
+    runs: dict[str, Policy] = {}
+    for name in names:
+        if name == "ftl":
+            runs[name] = FtlCombiner(base("blind_oracle"), base("lru"), k)
+        elif name == "mw":
+            if epsilon is None:
+                raise ConfigError("mw needs epsilon")
+            # the first child seed belongs to blind_oracle, which ignores it
+            _, marker_seed, mw_seed = _child_seeds(seed)
+            marker = Marker(k, random.Random(marker_seed))
+            runs[name] = MwCombiner(
+                base("blind_oracle"), marker, k, epsilon, random.Random(mw_seed)
+            )
+        else:
+            runs[name] = base(name)
+    return runs
+
+
+def run_policy(policy: str | Policy, trace: Trace, k: int, seed: int = 0) -> RunResult:
+    """Serve every request of the trace and tally evictions.
+
+    ``policy`` is a name from POLICY_NAMES or an already-built (fresh)
+    instance.  The recorded seed is 0 for deterministic policies.
+    """
+    if isinstance(policy, str):
+        policy = make_policies((policy,), k, arrivals=trace.arrivals, seed=seed)[policy]
+    simulate(trace, (policy,))
+    return RunResult(policy.cost, seed if policy.randomized else 0)
 
 
 @dataclass(frozen=True)
 class CombinedResult(RunResult):
-    """RunResult plus the simulated experts' total costs."""
+    """RunResult plus the watched experts' total costs."""
 
     cost_a: int = 0
     cost_b: int = 0
 
 
-def _drive(combiner: Policy, trace: Trace, seed: int) -> CombinedResult:
-    evictions = []
-    for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
-        victim = combiner.serve(t, page, h)
-        if victim is not None:
-            evictions.append((t, victim))
-    return CombinedResult(
-        cost=len(evictions),
-        evictions=tuple(evictions),
-        seed=seed,
-        cost_a=combiner.experts.cost_a,
-        cost_b=combiner.experts.cost_b,
-    )
+def _run_combiner(combiner: Policy, trace: Trace, seed: int) -> CombinedResult:
+    simulate(trace, (combiner,))
+    a, b = combiner.experts
+    return CombinedResult(combiner.cost, seed, a.cost, b.cost)
 
 
 def run_ftl(policy_a: str, policy_b: str, trace: Trace, k: int) -> CombinedResult:
     """Run the follow-the-leader combination of two deterministic policies."""
-    expert_a = make_policy(policy_a, k, arrivals=trace.arrivals)
-    expert_b = make_policy(policy_b, k, arrivals=trace.arrivals)
-    if expert_a.randomized or expert_b.randomized:
+    experts = make_policies((policy_a, policy_b), k, arrivals=trace.arrivals)
+    a, b = experts[policy_a], experts[policy_b]
+    if a.randomized or b.randomized:
         raise ConfigError("ftl requires deterministic experts")
-    return _drive(FtlCombiner(expert_a, expert_b, k), trace, seed=0)
-
-
-def build_mw(
-    policy_a: str,
-    policy_b: str,
-    k: int,
-    *,
-    epsilon: float,
-    seed: int,
-    arrivals=None,
-) -> MwCombiner:
-    """Build the multiplicative-weights combiner with derived child seeds."""
-    root = random.Random(seed)
-    expert_a = make_policy(policy_a, k, arrivals=arrivals, seed=root.getrandbits(63))
-    expert_b = make_policy(policy_b, k, arrivals=arrivals, seed=root.getrandbits(63))
-    return MwCombiner(expert_a, expert_b, k, epsilon, random.Random(root.getrandbits(63)))
+    return _run_combiner(FtlCombiner(a, b, k), trace, 0)
 
 
 def run_mw(
     policy_a: str, policy_b: str, trace: Trace, k: int, epsilon: float, seed: int
 ) -> CombinedResult:
     """Run the multiplicative-weights combination; one seed fixes everything."""
-    combiner = build_mw(
-        policy_a, policy_b, k, epsilon=epsilon, seed=seed, arrivals=trace.arrivals
-    )
-    return _drive(combiner, trace, seed)
+    seed_a, seed_b, mw_seed = _child_seeds(seed)
+    a = make_policies((policy_a,), k, arrivals=trace.arrivals, seed=seed_a)[policy_a]
+    b = make_policies((policy_b,), k, arrivals=trace.arrivals, seed=seed_b)[policy_b]
+    combiner = MwCombiner(a, b, k, epsilon, random.Random(mw_seed))
+    return _run_combiner(combiner, trace, seed)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import ConfigError
-from .trace import Trace
 
 
 def harmonic(k: int) -> float:
@@ -26,24 +25,6 @@ def ell1_loss(arrivals: Sequence[int], predictions: Sequence[float]) -> float:
     if len(arrivals) != len(predictions):
         raise ValueError("arrivals and predictions must have equal length")
     return sum(abs(h - y) for y, h in zip(arrivals, predictions))
-
-
-def count_inversions_naive(arrivals: Sequence[int], predictions: Sequence[float]) -> int:
-    """Inversion count by direct pair enumeration; the O(n^2) reference."""
-    if len(arrivals) != len(predictions):
-        raise ValueError("arrivals and predictions must have equal length")
-    n = len(arrivals)
-    count = 0
-    for i in range(n):
-        yi, hi = arrivals[i], predictions[i]
-        for j in range(i + 1, n):
-            yj, hj = arrivals[j], predictions[j]
-            if yi < yj:
-                if hi >= hj:
-                    count += 1
-            elif yj < yi and hj >= hi:
-                count += 1
-    return count
 
 
 class _Fenwick:
@@ -96,29 +77,6 @@ def count_inversions_fast(arrivals: Sequence[int], predictions: Sequence[float])
         inserted += len(group)
         i = j
     return total
-
-
-@dataclass(frozen=True)
-class ErrorSummary:
-    """Prediction-error measures for one (trace, predictions) pair.
-
-    ``eps_ratio`` is eta / opt_cost, or None when opt_cost is 0 (flagged by
-    ``opt_is_zero``).
-    """
-
-    eta: float
-    inversions: int
-    opt_cost: int
-    eps_ratio: float | None
-    opt_is_zero: bool
-
-
-def summarize_errors(trace: Trace, opt_cost: int) -> ErrorSummary:
-    eta = ell1_loss(trace.arrivals, trace.predictions)
-    inversions = count_inversions_fast(trace.arrivals, trace.predictions)
-    if opt_cost > 0:
-        return ErrorSummary(eta, inversions, opt_cost, eta / opt_cost, False)
-    return ErrorSummary(eta, inversions, opt_cost, None, True)
 
 
 # Identifiers of the checkable bounds, as they appear in reports and CSV output.
@@ -188,12 +146,6 @@ class BoundReport:
     @property
     def all_passed(self) -> bool:
         return all(r.passed for r in self.records)
-
-    def csv_block(self) -> str:
-        lines = ["bound_id,lhs,rhs,slack_used,pass"]
-        for r in self.records:
-            lines.append(f"{r.bound_id},{r.lhs!r},{r.rhs!r},{r.slack_used!r},{int(r.passed)}")
-        return "\n".join(lines) + "\n"
 
 
 def _record(bound_id, lhs, rhs, slack, *, vacuous=False, note="") -> BoundRecord:

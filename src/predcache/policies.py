@@ -1,23 +1,23 @@
-"""Eviction policies behind a single serve() contract.
+"""Eviction policies behind a single serve() contract, and the run loop.
 
 Cost model: serving a resident page or filling an empty slot is free; a miss
 with a full cache forces exactly one eviction, which costs 1.  A policy
-instance holds the mutable cache state for one run and is driven one request
-at a time, so runs for different (trace, seed) cells can execute in parallel
-on separate instances.
+instance holds the mutable cache state and running cost of one run and is
+driven one request at a time by ``simulate``, so runs for different
+(trace, seed) cells can execute in parallel on separate instances.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConfigError
 from .trace import PageId, Trace
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
     page: PageId
     last_request: int
@@ -74,21 +74,35 @@ class RunResult:
     """Outcome of serving a full trace: eviction count is the cost."""
 
     cost: int
-    evictions: tuple[tuple[int, PageId], ...]
     seed: int = 0
 
 
 class Policy:
-    """Base eviction policy; subclasses pick the victim on a full-cache miss."""
+    """Base eviction policy; subclasses pick the victim on a full-cache miss.
+
+    ``cost`` counts this instance's evictions so far.  ``experts`` lists the
+    policies a combiner watches (none for a plain policy).
+    """
 
     name = "base"
     randomized = False
+    experts: tuple[Policy, ...] = ()
 
     def __init__(self, k: int):
         self.cache = CacheState(k)
+        self.cost = 0
+        self._last_t = None
+        self._last_victim = None
 
     def serve(self, t: int, page: PageId, prediction: float) -> PageId | None:
-        """Serve one request; returns the evicted page on a full-cache miss."""
+        """Serve one request; returns the evicted page on a full-cache miss.
+
+        Asked again for the same ``t``, it returns the stored answer without
+        touching the cache, so an expert shared by several combiners (and
+        also run on its own) is served once per request.
+        """
+        if t == self._last_t:
+            return self._last_victim
         self._pre_serve(t, page, prediction)
         evicted = None
         if page in self.cache:
@@ -99,7 +113,10 @@ class Policy:
             evicted = self._select_victim(t, page, prediction)
             self.cache.remove(evicted)
             self.cache.insert(page, t, prediction)
+            self.cost += 1
         self._touched(page)
+        self._last_t = t
+        self._last_victim = evicted
         return evicted
 
     def _pre_serve(self, t: int, page: PageId, prediction: float) -> None:
@@ -187,64 +204,9 @@ class Marker(Policy):
         return self.rng.choice(unmarked).page
 
 
-POLICY_NAMES = ("lru", "belady", "marker", "blind_oracle", "ftl", "mw")
-
-
-def make_policy(
-    name: str,
-    k: int,
-    *,
-    arrivals: Sequence[int] | None = None,
-    seed: int = 0,
-    epsilon: float | None = None,
-) -> Policy:
-    """Instantiate a policy by name.
-
-    ``belady`` needs the trace's arrival vector; ``marker`` and ``mw`` consume
-    the seed; ``mw`` additionally needs epsilon.  ``ftl`` is the deterministic
-    combination of blind_oracle and lru, ``mw`` the randomized combination of
-    blind_oracle and marker.
-    """
-    if name == "lru":
-        return LRU(k)
-    if name == "blind_oracle":
-        return BlindOracle(k)
-    if name == "belady":
-        if arrivals is None:
-            raise ConfigError("belady needs the trace's true arrivals")
-        return Belady(k, arrivals)
-    if name == "marker":
-        return Marker(k, random.Random(seed))
-    if name in ("ftl", "mw"):
-        from . import combine  # deferred: combine builds on this module
-
-        if name == "ftl":
-            return combine.FtlCombiner(BlindOracle(k), LRU(k), k)
-        if epsilon is None:
-            raise ConfigError("mw needs epsilon")
-        return combine.build_mw(
-            "blind_oracle", "marker", k, epsilon=epsilon, seed=seed, arrivals=arrivals
-        )
-    raise ConfigError(f"unknown policy {name!r}")
-
-
-def run_policy(policy: str | Policy, trace: Trace, k: int, seed: int = 0) -> RunResult:
-    """Serve every request of the trace and tally evictions.
-
-    ``policy`` is a name from POLICY_NAMES or an already-built (fresh)
-    instance.  The recorded seed is 0 for deterministic policies.
-    """
-    if isinstance(policy, str):
-        instance = make_policy(policy, k, arrivals=trace.arrivals, seed=seed)
-    else:
-        instance = policy
-    evictions: list[tuple[int, PageId]] = []
+def simulate(trace: Trace, policies: Iterable[Policy]) -> None:
+    """Serve every request of the trace to each policy, once per request."""
+    serves = [policy.serve for policy in policies]
     for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
-        victim = instance.serve(t, page, h)
-        if victim is not None:
-            evictions.append((t, victim))
-    return RunResult(
-        cost=len(evictions),
-        evictions=tuple(evictions),
-        seed=seed if instance.randomized else 0,
-    )
+        for serve in serves:
+            serve(t, page, h)

@@ -18,7 +18,6 @@ from predcache import (
     WorkloadSpec,
     certify_lower_bound,
     count_inversions_fast,
-    count_inversions_naive,
     ell1_loss,
     harmonic,
     next_arrivals,
@@ -28,7 +27,7 @@ from predcache import (
     run_policy,
     synthesize,
 )
-from oracles import brute_force_opt
+from oracles import brute_force_opt, count_inversions_naive
 
 WORKLOADS = [
     WorkloadSpec("uniform", universe=50, length=2000),

@@ -1,6 +1,8 @@
 import statistics
+from pathlib import Path
 
 import pytest
+import yaml
 
 from predcache import ConfigError, NoiseSpec, WorkloadSpec, synthesize, write_trace
 from predcache.cli import (
@@ -16,6 +18,7 @@ from predcache.cli import (
 )
 
 WORKLOAD = {"kind": "uniform", "universe": 12, "length": 150}
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _config(**overrides):
@@ -184,6 +187,23 @@ def test_mw_rows_include_combiner_bounds():
         assert any(b.startswith("ftl_thm2") for b in row.bounds_passed + row.bounds_failed)
 
 
+def test_rows_do_not_depend_on_policy_order():
+    # mw runs its own child-seeded marker; the marker row must still report
+    # the standalone run whatever the order of the policies
+    def rows(order):
+        config = config_from_mapping(
+            {
+                "policies": order,
+                "k": 4,
+                "seeds": [1, 2],
+                "workload": {"kind": "zipf", "universe": 40, "length": 600},
+            }
+        )
+        return sorted(render_csv(run_experiment(config)).splitlines())
+
+    assert rows(["marker", "mw"]) == rows(["mw", "marker"])
+
+
 def test_adversary_rows():
     config = config_from_mapping(
         {
@@ -347,3 +367,47 @@ def test_main_fatal_bound_exit_code(tmp_path, monkeypatch):
         encoding="utf-8",
     )
     assert main(["--config", str(cfg)]) == 3
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"k": "abc"},
+        {"k": 0.5},
+        {"seeds": ["a"]},
+        {"epsilon": "abc"},
+        {"noise": {"kind": "additive_uniform", "width": "x"}},
+        {"adversary": {"k": "x", "j": 1}},
+        {"fatal_bounds": ["nonexistent"]},
+        {"policies": ["mw"], "workload": None, "adversary": {"k": 3, "j": 1}},
+        {"noise": [5]},
+        {"out": 5},
+    ],
+    ids=["k_text", "k_fraction", "seed_text", "epsilon_text", "noise_width_text",
+         "adversary_k_text", "fatal_bound_unknown", "adversary_without_its_policies",
+         "noise_not_a_mapping", "out_not_a_path"],
+)
+def test_main_rejects_malformed_input(tmp_path, capsys, overrides):
+    data = {
+        "policies": ["lru"],
+        "k": [2],
+        "seeds": 1,
+        "workload": {"kind": "uniform", "universe": 8, "length": 20},
+        "out": str(tmp_path / "res.csv"),
+    }
+    data.update(overrides)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert main(["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "res.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["sweep", "file"])
+def test_golden_results_are_byte_identical(tmp_path, monkeypatch, name):
+    # The expected CSVs were written by an earlier revision of the program;
+    # any change to the rows a fixed config produces must be deliberate.
+    monkeypatch.chdir(GOLDEN)
+    out = tmp_path / "out.csv"
+    assert main(["--config", f"{name}.yaml", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.expected.csv").read_bytes()

@@ -12,13 +12,16 @@ from predcache import (
     NoiseSpec,
     Trace,
     WorkloadSpec,
+    make_policies,
     mw_update,
     next_arrivals,
     run_ftl,
     run_mw,
     run_policy,
+    simulate,
     synthesize,
 )
+from oracles import serve_all
 
 
 def _trace(requests, predictions=None):
@@ -47,16 +50,18 @@ def _sample_traces():
 
 
 def test_leader_follows_strict_minimum_and_ties_keep_incumbent():
-    ftl = FtlCombiner(LRU(2), LRU(2), 2)
-    ftl.experts.cost_a, ftl.experts.cost_b = 5, 7
+    a, b = LRU(2), LRU(2)
+    ftl = FtlCombiner(a, b, 2)
+    a.cost, b.cost = 5, 7
     ftl._pre_serve(1, "x", 0.0)  # serving updates both experts equally (cold fill)
-    assert ftl.leader == "a"
+    assert ftl.leader == 0
 
-    ftl = FtlCombiner(LRU(2), LRU(2), 2)
-    ftl.leader = "b"
-    ftl.experts.cost_a, ftl.experts.cost_b = 3, 3
+    a, b = LRU(2), LRU(2)
+    ftl = FtlCombiner(a, b, 2)
+    ftl.leader = 1
+    a.cost, b.cost = 3, 3
     ftl._pre_serve(1, "x", 0.0)
-    assert ftl.leader == "b"
+    assert ftl.leader == 1
 
 
 def test_ftl_evicts_outside_leader_cache():
@@ -64,7 +69,7 @@ def test_ftl_evicts_outside_leader_cache():
     # craft: own cache {a,b}; leader cache {b,c}; miss on d
     ftl.cache.insert("a", 1, 0.0)
     ftl.cache.insert("b", 2, 0.0)
-    leader = ftl.experts.expert_a.cache
+    leader = ftl.experts[0].cache
     leader.insert("b", 2, 0.0)
     leader.insert("c", 3, 0.0)
     assert ftl._select_victim(4, "d", 0.0) == "a"
@@ -77,7 +82,9 @@ def test_identical_experts_reproduce_the_expert_exactly():
     combined = run_ftl("lru", "lru", trace, k=5)
     alone = run_policy("lru", trace, k=5)
     assert combined.cost == alone.cost == combined.cost_a == combined.cost_b
-    assert combined.evictions == alone.evictions
+    assert serve_all(FtlCombiner(LRU(5), LRU(5), 5), trace.requests, trace.predictions) == (
+        serve_all(LRU(5), trace.requests, trace.predictions)
+    )
 
 
 @pytest.mark.parametrize("k", [2, 5, 9])
@@ -156,7 +163,7 @@ def test_mw_weights_positive_nonincreasing_and_probabilities_normalized():
         wa, wb = combiner.weights
         assert wa > 0 and wb > 0
         assert wa <= prev[0] and wb <= prev[1]
-        assert abs(combiner._probability("a") + combiner._probability("b") - 1.0) <= 1e-12
+        assert abs(combiner._probability(0) + combiner._probability(1) - 1.0) <= 1e-12
         prev = combiner.weights
 
 
@@ -182,8 +189,13 @@ def test_mw_deterministic_for_fixed_seed():
     a = run_mw("blind_oracle", "marker", trace, 5, 0.1, seed=17)
     b = run_mw("blind_oracle", "marker", trace, 5, 0.1, seed=17)
     assert a == b
-    c = run_mw("blind_oracle", "marker", trace, 5, 0.1, seed=18)
-    assert (a.cost, a.evictions) != (c.cost, c.evictions)
+
+    def victims(seed):
+        mw = make_policies(("mw",), 5, seed=seed, epsilon=0.1)["mw"]
+        return serve_all(mw, trace.requests, trace.predictions)
+
+    assert victims(17) == victims(17)
+    assert victims(17) != victims(18)
 
 
 def test_mw_tracks_a_perfect_expert():
@@ -207,3 +219,36 @@ def test_mw_weight_rescale_keeps_running():
     trace = _trace(requests, [0.0] * len(requests))
     result = run_mw("blind_oracle", "marker", trace, 3, 0.2, seed=1)
     assert result.cost > 0
+
+
+# ---------------------------------------------------------------- builder
+
+
+def test_make_policies_shares_experts_with_standalone_rows():
+    runs = make_policies(
+        ("lru", "belady", "blind_oracle", "marker", "ftl", "mw"),
+        4,
+        arrivals=(2, 3, 4),
+        seed=7,
+        epsilon=0.1,
+    )
+    assert runs["ftl"].experts[0] is runs["blind_oracle"]
+    assert runs["ftl"].experts[1] is runs["lru"]
+    assert runs["mw"].experts[0] is runs["blind_oracle"]
+    # mw's marker is its own child-seeded run, not the standalone marker row
+    assert runs["mw"].experts[1] is not runs["marker"]
+
+
+def test_shared_experts_match_standalone_runs():
+    trace = synthesize(
+        WorkloadSpec("zipf", universe=30, length=400, alpha=1.0),
+        NoiseSpec("additive_uniform", width=4.0),
+        seed=5,
+    )
+    runs = make_policies(("ftl", "mw"), 4, seed=3, epsilon=0.1)
+    simulate(trace, runs.values())
+    shared = runs["ftl"].experts[0]
+    assert runs["mw"].experts[0] is shared
+    assert shared.cost == run_policy("blind_oracle", trace, 4).cost
+    assert runs["ftl"].cost == run_ftl("blind_oracle", "lru", trace, 4).cost
+    assert runs["mw"].cost == run_mw("blind_oracle", "marker", trace, 4, 0.1, seed=3).cost

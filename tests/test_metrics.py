@@ -8,17 +8,14 @@ from predcache import (
     ConfigError,
     NoiseSpec,
     SlackPolicy,
-    WorkloadSpec,
     check_bounds,
     count_inversions_fast,
-    count_inversions_naive,
     ell1_loss,
     harmonic,
     next_arrivals,
     perturb_predictions,
-    summarize_errors,
-    synthesize,
 )
+from oracles import count_inversions_naive
 
 
 def test_harmonic():
@@ -100,21 +97,6 @@ def test_zero_loss_means_zero_inversions():
     assert count_inversions_fast(y, h) == 0
 
 
-def test_summarize_errors():
-    trace = synthesize(
-        WorkloadSpec("uniform", universe=10, length=100),
-        NoiseSpec("additive_uniform", width=2.0),
-        seed=1,
-    )
-    summary = summarize_errors(trace, opt_cost=10)
-    assert summary.eta > 0
-    assert summary.eps_ratio == summary.eta / 10
-    assert not summary.opt_is_zero
-
-    zero = summarize_errors(trace, opt_cost=0)
-    assert zero.eps_ratio is None and zero.opt_is_zero
-
-
 # ---------------------------------------------------------------- check_bounds
 
 
@@ -189,13 +171,6 @@ def test_slack_policy_is_visible_in_records():
     record = report.get("lru_k")
     assert record.slack_used == 6.0
     assert record.rhs == 3 * 2 + 6.0
-
-
-def test_csv_block_shape():
-    report = check_bounds({"lru": 4}, opt=2, eta=1.0, inversions=1, k=2)
-    lines = report.csv_block().strip().splitlines()
-    assert lines[0] == "bound_id,lhs,rhs,slack_used,pass"
-    assert len(lines) == 1 + len(report.records)
 
 
 def test_random_cross_check_fast_vs_naive_larger():

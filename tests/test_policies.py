@@ -12,12 +12,12 @@ from predcache import (
     NoiseSpec,
     Trace,
     WorkloadSpec,
-    make_policy,
+    make_policies,
     next_arrivals,
     run_policy,
     synthesize,
 )
-from oracles import brute_force_opt
+from oracles import brute_force_opt, serve_all
 
 pages = st.lists(st.sampled_from("abcde"), min_size=1, max_size=14)
 
@@ -28,19 +28,12 @@ def _trace(requests, predictions=None):
     return Trace.from_requests(list(requests), predictions)
 
 
-def _serve_all(policy, requests, predictions):
-    evicted = []
-    for t, (page, h) in enumerate(zip(requests, predictions), start=1):
-        evicted.append(policy.serve(t, page, h))
-    return evicted
-
-
 # ---------------------------------------------------------------- serve contract
 
 
 def test_hit_keeps_cache_and_updates_entry():
     p = LRU(2)
-    assert _serve_all(p, "ab", [10.0, 20.0]) == [None, None]
+    assert serve_all(p, "ab", [10.0, 20.0]) == [None, None]
     assert p.serve(3, "a", 30.0) is None
     assert set(p.cache.pages) == {"a", "b"}
     entry = p.cache.get("a")
@@ -56,7 +49,7 @@ def test_cold_fill_does_not_evict():
 
 def test_full_miss_evicts_exactly_one():
     p = LRU(2)
-    _serve_all(p, "ab", [1.0, 2.0])
+    serve_all(p, "ab", [1.0, 2.0])
     victim = p.serve(3, "c", 3.0)
     assert victim in {"a", "b"}
     assert len(p.cache) == 2
@@ -73,30 +66,40 @@ def test_capacity_must_be_positive():
 
 def test_blind_oracle_evicts_furthest_prediction():
     p = BlindOracle(2)
-    _serve_all(p, "ab", [10.0, 5.0])
+    serve_all(p, "ab", [10.0, 5.0])
     assert p.serve(3, "c", 1.0) == "a"
 
 
 def test_blind_oracle_breaks_ties_by_least_recent():
     p = BlindOracle(2)
-    _serve_all(p, "ab", [5.0, 5.0])
+    serve_all(p, "ab", [5.0, 5.0])
     assert p.serve(3, "c", 1.0) == "a"
 
     p = BlindOracle(3)
-    _serve_all(p, "abc", [3.0, 7.0, 7.0])
+    serve_all(p, "abc", [3.0, 7.0, 7.0])
     assert p.serve(4, "d", 1.0) == "b"
+
+
+def test_repeated_request_index_returns_the_stored_answer():
+    # a shared expert is asked once per combiner; only the first call serves
+    p = LRU(1)
+    p.serve(1, "a", 0.0)
+    assert p.serve(2, "b", 0.0) == "a"
+    assert p.serve(2, "b", 0.0) == "a"
+    assert p.cost == 1
+    assert set(p.cache.pages) == {"b"}
 
 
 def test_lru_evicts_least_recent():
     p = LRU(2)
-    _serve_all(p, "ab", [0.0, 0.0])
+    serve_all(p, "ab", [0.0, 0.0])
     assert p.serve(3, "c", 0.0) == "a"
 
     p = LRU(3)
-    assert _serve_all(p, "abcad", [0.0] * 5)[-1] == "b"
+    assert serve_all(p, "abcad", [0.0] * 5)[-1] == "b"
 
     p = LRU(2)
-    assert _serve_all(p, "abac", [0.0] * 4)[-1] == "b"
+    assert serve_all(p, "abac", [0.0] * 4)[-1] == "b"
 
 
 def test_belady_runs():
@@ -130,7 +133,7 @@ def test_marker_phase_reset_draws_from_previous_phase():
     seen = set()
     for seed in range(20):
         p = Marker(2, random.Random(seed))
-        evicted = _serve_all(p, "abc", [0.0] * 3)
+        evicted = serve_all(p, "abc", [0.0] * 3)
         assert evicted[:2] == [None, None]
         assert evicted[2] in {"a", "b"}
         seen.add(evicted[2])
@@ -140,14 +143,14 @@ def test_marker_phase_reset_draws_from_previous_phase():
 
 def test_marker_single_unmarked_page_is_forced():
     p = Marker(2, random.Random(0))
-    _serve_all(p, "ab", [0.0, 0.0])
+    serve_all(p, "ab", [0.0, 0.0])
     p.marks = {"b"}
     assert p.serve(3, "c", 0.0) == "a"
 
 
 def test_marker_requested_page_ends_marked():
     p = Marker(3, random.Random(1))
-    _serve_all(p, "abcb", [0.0] * 4)
+    serve_all(p, "abcb", [0.0] * 4)
     assert "b" in p.marks
 
 
@@ -156,8 +159,12 @@ def test_marker_deterministic_for_fixed_seed():
     a = run_policy("marker", trace, k=4, seed=42)
     b = run_policy("marker", trace, k=4, seed=42)
     assert a == b
-    c = run_policy("marker", trace, k=4, seed=43)
-    assert a.evictions != c.evictions
+
+    def victims(seed):
+        return serve_all(Marker(4, random.Random(seed)), trace.requests, trace.predictions)
+
+    assert victims(42) == victims(42)
+    assert victims(42) != victims(43)
 
 
 # ---------------------------------------------------------------- run_policy
@@ -188,14 +195,16 @@ def test_cost_equals_eviction_count():
         NoiseSpec("additive_uniform", width=3.0),
         seed=5,
     )
-    result = run_policy("blind_oracle", trace, k=4)
-    assert result.cost == len(result.evictions)
+    policy = BlindOracle(4)
+    victims = serve_all(policy, trace.requests, trace.predictions)
+    assert policy.cost == sum(v is not None for v in victims)
+    assert run_policy("blind_oracle", trace, k=4).cost == policy.cost
 
 
 @settings(max_examples=100, deadline=None)
 @given(pages, st.integers(1, 3), st.integers(0, 5))
 def test_capacity_and_eviction_invariants(requests, k, seed):
-    policy = make_policy("marker", k, seed=seed)
+    policy = make_policies(("marker",), k, seed=seed)["marker"]
     distinct = set()
     for t, page in enumerate(requests, start=1):
         was_resident = page in policy.cache
@@ -212,11 +221,11 @@ def test_capacity_and_eviction_invariants(requests, k, seed):
 
 def test_make_policy_validation():
     with pytest.raises(ConfigError):
-        make_policy("belady", 2)
+        make_policies(("belady",), 2)
     with pytest.raises(ConfigError):
-        make_policy("mw", 2)
+        make_policies(("mw",), 2)
     with pytest.raises(ConfigError):
-        make_policy("unknown", 2)
+        make_policies(("unknown",), 2)
 
 
 def test_belady_uses_arrival_of_last_request():
@@ -224,5 +233,5 @@ def test_belady_uses_arrival_of_last_request():
     # b (never returns); b must go
     trace = _trace("abca")
     policy = Belady(2, trace.arrivals)
-    evictions = _serve_all(policy, trace.requests, trace.predictions)
+    evictions = serve_all(policy, trace.requests, trace.predictions)
     assert evictions == [None, None, "b", None]
