@@ -1,0 +1,45 @@
+"""Serve-loop throughput per policy, in requests per second at k = 8, 64, 512.
+
+Every policy serves one fixed zipf trace (4096 pages, alpha 1, additive
+uniform noise of width 64, LENGTH requests) alone, built by
+``make_policies`` and run by ``simulate`` as the CLI runs it; a combiner's
+time includes serving its experts.  Each cell is the best of REPEATS runs.
+The last column is the k=8 rate over the k=512 rate: how much a policy slows
+down as the cache grows.  Prints a markdown table.
+
+Usage: python scripts/serve_rate.py
+"""
+
+from time import perf_counter
+
+from predcache import POLICY_NAMES, NoiseSpec, WorkloadSpec, make_policies, simulate, synthesize
+
+KS = (8, 64, 512)
+LENGTH = 20000
+REPEATS = 3
+
+
+def main() -> None:
+    trace = synthesize(
+        WorkloadSpec("zipf", universe=4096, length=LENGTH, alpha=1.0),
+        NoiseSpec("additive_uniform", width=64.0),
+        seed=1,
+    )
+    print("| policy | " + " | ".join(f"k={k}" for k in KS) + " | k=8 / k=512 |")
+    print("|---" * (len(KS) + 2) + "|")
+    for name in POLICY_NAMES:
+        rates = []
+        for k in KS:
+            best = float("inf")
+            for _ in range(REPEATS):
+                start = perf_counter()
+                runs = make_policies((name,), k, arrivals=trace.arrivals, seed=1, epsilon=0.1)
+                simulate(trace, runs.values())
+                best = min(best, perf_counter() - start)
+            rates.append(trace.n / best)
+        cells = " | ".join(f"{rate / 1000:.0f}k" for rate in rates)
+        print(f"| {name} | {cells} | {rates[0] / rates[-1]:.2f} |")
+
+
+if __name__ == "__main__":
+    main()

@@ -33,8 +33,6 @@ from .metrics import (
 from .policies import (
     Belady,
     BlindOracle,
-    CacheEntry,
-    CacheState,
     LRU,
     Marker,
     Policy,

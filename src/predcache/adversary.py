@@ -110,7 +110,7 @@ def run_adversary(policy: str | PolicyFactory, config: AdversaryConfig) -> Adver
     config.validate()
     factory = _factory(policy, config.k)
     instance = factory()
-    if instance.cache.capacity != config.k:
+    if instance.k != config.k:
         raise ConfigError("policy cache capacity must equal the adversary's k")
 
     k, j = config.k, config.j

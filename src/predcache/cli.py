@@ -67,6 +67,8 @@ class ExperimentConfig:
         for name in self.policies:
             if name not in POLICY_NAMES:
                 raise ConfigError(f"unknown policy {name!r}")
+        if len(set(self.policies)) != len(self.policies):
+            raise ConfigError(f"policies must not repeat, got {list(self.policies)}")
         if "mw" in self.policies and not 0.0 < self.epsilon < 0.25:
             raise ConfigError("mw requires epsilon in (0, 1/4)")
         if self.workload is not None and self.trace_path is not None:
@@ -162,18 +164,25 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     if not isinstance(trace_path, (str, type(None))) or not isinstance(out_path, str):
         raise ConfigError(f"trace and out must be paths, got {trace_path!r} and {out_path!r}")
     seeds = data.get("seeds", [0])
-    if isinstance(seeds, int):
+    if isinstance(seeds, int) and not isinstance(seeds, bool):
         seeds = list(range(seeds))
-    ks, seeds = (v if isinstance(v, list) else [v] for v in (data.get("k", []), seeds))
-    noises = data.get("noise", [])
-    if not isinstance(noises, list):
-        noises = [noises]
+    # a single value stands for a one-element list
+    ks, seeds, noises, policies, fatal_bounds = (
+        v if isinstance(v, list) else [v]
+        for v in (
+            data.get("k", []),
+            seeds,
+            data.get("noise", []),
+            data.get("policies", ["lru", "belady", "blind_oracle", "marker"]),
+            data.get("fatal_bounds", []),
+        )
+    )
     workload = data.get("workload")
     if workload is not None and not noises:
         noises = [{"kind": "perfect"}]
     adversary = data.get("adversary")
     return ExperimentConfig(
-        policies=tuple(data.get("policies", ["lru", "belady", "blind_oracle", "marker"])),
+        policies=tuple(policies),
         ks=tuple(_number("k", k, integer=True) for k in ks),
         seeds=tuple(_number("seeds", s, integer=True) for s in seeds),
         workload=_section(WorkloadSpec, "workload", workload) if workload is not None else None,
@@ -184,7 +193,7 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
             _section(AdversaryConfig, "adversary", adversary) if adversary is not None else None
         ),
         out_path=out_path,
-        fatal_bounds=tuple(data.get("fatal_bounds", [])),
+        fatal_bounds=tuple(fatal_bounds),
     )
 
 

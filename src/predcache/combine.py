@@ -24,7 +24,6 @@ from .policies import (
     LRU,
     Belady,
     BlindOracle,
-    CacheState,
     Marker,
     PageId,
     Policy,
@@ -40,16 +39,19 @@ POLICY_NAMES = ("lru", "belady", "marker", "blind_oracle", "ftl", "mw")
 _RESCALE_FLOOR = 1e-100
 
 
-def _victim_outside(own: CacheState, target: CacheState) -> PageId:
+def _victim_outside(own: dict[PageId, int], target: dict[PageId, int]) -> PageId:
     """Least recently used page of ``own`` absent from ``target``.
 
-    When both caches are full a candidate always exists (the target holds the
-    page just requested, which ``own`` missed); the fallback to plain LRU only
-    matters if the target cache is still filling.
+    ``own`` is walked least recent first, so the cost is the number of pages
+    passed that ``target`` also holds.  When both caches are full a candidate
+    always exists (the target holds the page just requested, which ``own``
+    missed); the fallback to plain LRU only matters if the target cache is
+    still filling.
     """
-    outside = [e for e in own.entries() if e.page not in target]
-    pool = outside or list(own.entries())
-    return min(pool, key=lambda e: e.last_request).page
+    for page in own:
+        if page not in target:
+            return page
+    return next(iter(own))
 
 
 class FtlCombiner(Policy):

@@ -27,54 +27,41 @@ def ell1_loss(arrivals: Sequence[int], predictions: Sequence[float]) -> float:
     return sum(abs(h - y) for y, h in zip(arrivals, predictions))
 
 
-class _Fenwick:
-    """Binary indexed tree counting insertions by rank (1-based)."""
-
-    __slots__ = ("size", "tree")
-
-    def __init__(self, size: int):
-        self.size = size
-        self.tree = [0] * (size + 1)
-
-    def add(self, i: int) -> None:
-        while i <= self.size:
-            self.tree[i] += 1
-            i += i & -i
-
-    def prefix(self, i: int) -> int:
-        total = 0
-        while i > 0:
-            total += self.tree[i]
-            i -= i & -i
-        return total
-
-
 def count_inversions_fast(arrivals: Sequence[int], predictions: Sequence[float]) -> int:
     """Inversion count in O(n log n): sweep in arrival order, counting earlier
-    elements with prediction rank >= the current one.  Elements sharing an
-    arrival value are queried before any of them is inserted, since pairs need
-    strictly increasing arrivals."""
+    elements with prediction rank >= the current one in a Fenwick tree over
+    the ranks.  Elements sharing an arrival value are queried before any of
+    them is inserted, since pairs need strictly increasing arrivals."""
     if len(arrivals) != len(predictions):
         raise ValueError("arrivals and predictions must have equal length")
     n = len(arrivals)
     if n < 2:
         return 0
     rank = {h: r for r, h in enumerate(sorted(set(predictions)), start=1)}
-    order = sorted(range(n), key=lambda i: arrivals[i])
-    bit = _Fenwick(len(rank))
+    ranks = [rank[h] for h in predictions]
+    order = sorted(range(n), key=arrivals.__getitem__)
+    size = len(rank)
+    tree = [0] * (size + 1)
     total = 0
-    inserted = 0
     i = 0
     while i < n:
+        y = arrivals[order[i]]
         j = i
-        while j < n and arrivals[order[j]] == arrivals[order[i]]:
+        while j < n and arrivals[order[j]] == y:
             j += 1
-        group = order[i:j]
-        for idx in group:
-            total += inserted - bit.prefix(rank[predictions[idx]] - 1)
-        for idx in group:
-            bit.add(rank[predictions[idx]])
-        inserted += len(group)
+        # i elements are inserted; subtract those ranked below each query
+        for idx in order[i:j]:
+            r = ranks[idx] - 1
+            below = 0
+            while r > 0:
+                below += tree[r]
+                r -= r & -r
+            total += i - below
+        for idx in order[i:j]:
+            r = ranks[idx]
+            while r <= size:
+                tree[r] += 1
+                r += r & -r
         i = j
     return total
 

@@ -10,63 +10,13 @@ driven one request at a time by ``simulate``, so runs for different
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from .errors import ConfigError
 from .trace import PageId, Trace
-
-
-@dataclass(slots=True)
-class CacheEntry:
-    page: PageId
-    last_request: int
-    prediction: float
-
-
-class CacheState:
-    """At most ``capacity`` entries with distinct pages."""
-
-    __slots__ = ("capacity", "_entries")
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ConfigError("cache capacity must be >= 1")
-        self.capacity = capacity
-        self._entries: dict[PageId, CacheEntry] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, page: PageId) -> bool:
-        return page in self._entries
-
-    @property
-    def full(self) -> bool:
-        return len(self._entries) >= self.capacity
-
-    @property
-    def pages(self):
-        return self._entries.keys()
-
-    def entries(self):
-        return self._entries.values()
-
-    def get(self, page: PageId) -> CacheEntry | None:
-        return self._entries.get(page)
-
-    def insert(self, page: PageId, t: int, prediction: float) -> None:
-        if self.full:
-            raise RuntimeError("insert into full cache")
-        self._entries[page] = CacheEntry(page, t, prediction)
-
-    def touch(self, page: PageId, t: int, prediction: float) -> None:
-        entry = self._entries[page]
-        entry.last_request = t
-        entry.prediction = prediction
-
-    def remove(self, page: PageId) -> None:
-        del self._entries[page]
 
 
 @dataclass(frozen=True)
@@ -80,8 +30,10 @@ class RunResult:
 class Policy:
     """Base eviction policy; subclasses pick the victim on a full-cache miss.
 
-    ``cost`` counts this instance's evictions so far.  ``experts`` lists the
-    policies a combiner watches (none for a plain policy).
+    ``cache`` maps each resident page to its last request index, least recent
+    first: a hit moves the page to the end.  ``cost`` counts this instance's
+    evictions so far.  ``experts`` lists the policies a combiner watches (none
+    for a plain policy).
     """
 
     name = "base"
@@ -89,7 +41,10 @@ class Policy:
     experts: tuple[Policy, ...] = ()
 
     def __init__(self, k: int):
-        self.cache = CacheState(k)
+        if k < 1:
+            raise ConfigError("cache capacity must be >= 1")
+        self.k = k
+        self.cache: dict[PageId, int] = {}
         self.cost = 0
         self._last_t = None
         self._last_victim = None
@@ -104,61 +59,89 @@ class Policy:
         if t == self._last_t:
             return self._last_victim
         self._pre_serve(t, page, prediction)
+        cache = self.cache
         evicted = None
-        if page in self.cache:
-            self.cache.touch(page, t, prediction)
-        elif not self.cache.full:
-            self.cache.insert(page, t, prediction)
-        else:
+        if page in cache:
+            del cache[page]
+        elif len(cache) >= self.k:
             evicted = self._select_victim(t, page, prediction)
-            self.cache.remove(evicted)
-            self.cache.insert(page, t, prediction)
+            del cache[evicted]
             self.cost += 1
-        self._touched(page)
+        cache[page] = t
+        self._touched(t, page, prediction)
         self._last_t = t
         self._last_victim = evicted
         return evicted
 
     def _pre_serve(self, t: int, page: PageId, prediction: float) -> None:
-        """Hook run before the cache is consulted (used by combiners)."""
+        """Hook run before the cache is consulted (used by combiners and Marker)."""
 
-    def _touched(self, page: PageId) -> None:
-        """Hook run after the requested page is resident (used by Marker)."""
+    def _touched(self, t: int, page: PageId, prediction: float) -> None:
+        """Hook run after the requested page is resident (used by the key heaps)."""
 
     def _select_victim(self, t: int, page: PageId, prediction: float) -> PageId:
         raise NotImplementedError
 
 
 class LRU(Policy):
-    """Evict the resident page with the smallest last-request index."""
+    """Evict the resident page with the smallest last-request index: the first."""
 
     name = "lru"
 
     def _select_victim(self, t, page, prediction):
-        return min(self.cache.entries(), key=lambda e: e.last_request).page
+        return next(iter(self.cache))
 
 
-class BlindOracle(Policy):
+class _LargestKey(Policy):
+    """Evict the resident page with the largest key; ties go to the least recent.
+
+    Every serve pushes ``(-key, t, page)`` onto a min-heap.  An item is stale
+    once its page is requested again or evicted (``cache.get(page) != t``);
+    stale items are skipped when they surface, and the heap is rebuilt from
+    its live items (one per resident page) once it holds more than 2k, so a
+    victim costs O(log k) amortized.
+    """
+
+    def __init__(self, k: int):
+        super().__init__(k)
+        self._heap: list[tuple[float, int, PageId]] = []
+
+    def _push(self, t: int, page: PageId, key: float) -> None:
+        heap = self._heap
+        heappush(heap, (-key, t, page))
+        if len(heap) > 2 * self.k:
+            cache = self.cache
+            heap[:] = [item for item in heap if cache.get(item[2]) == item[1]]
+            heapify(heap)
+
+    def _select_victim(self, t, page, prediction):
+        heap, cache = self._heap, self.cache
+        while True:
+            _, last, victim = heappop(heap)
+            if cache.get(victim) == last:
+                return victim
+
+
+class BlindOracle(_LargestKey):
     """Evict the page whose stored prediction is furthest in the future.
 
-    Each entry keeps only the prediction issued at its own last request; stale
+    A page keeps only the prediction issued at its own last request; stale
     values (pointing into the past) are compared at face value.  Ties on the
     prediction go to the least recently requested page.
     """
 
     name = "blind_oracle"
 
-    def _select_victim(self, t, page, prediction):
-        return max(self.cache.entries(), key=lambda e: (e.prediction, -e.last_request)).page
+    def _touched(self, t, page, prediction):
+        self._push(t, page, prediction)
 
 
-class Belady(Policy):
+class Belady(_LargestKey):
     """Offline optimal: evict the page actually requested furthest in the future.
 
-    Needs the trace's true arrival vector.  Because entries refresh on every
-    hit, the arrival recorded at an entry's last request is exactly the page's
-    next request after the current time.  Pages never requested again tie at
-    n+1 and fall back to least-recently-used.
+    Needs the trace's true arrival vector.  The arrival recorded at a page's
+    last request is exactly its next request after the current time.  Pages
+    never requested again tie at n+1 and fall back to least-recently-used.
     """
 
     name = "belady"
@@ -167,11 +150,8 @@ class Belady(Policy):
         super().__init__(k)
         self.arrivals = arrivals
 
-    def _select_victim(self, t, page, prediction):
-        return max(
-            self.cache.entries(),
-            key=lambda e: (self.arrivals[e.last_request - 1], -e.last_request),
-        ).page
+    def _touched(self, t, page, prediction):
+        self._push(t, page, self.arrivals[t - 1])
 
 
 class Marker(Policy):
@@ -179,8 +159,9 @@ class Marker(Policy):
 
     Requested pages end marked.  When a full-cache miss finds every cached
     page marked, all marks are cleared (a new phase) before the random draw.
-    Victim candidates are ordered by last-request index so the draw depends
-    only on the seed, not on hash ordering.
+    ``unmarked`` lists the unmarked pages by last-request index (the cache's
+    order at the phase start, less the pages requested or evicted since), so
+    the draw depends only on the seed, not on hash ordering.
     """
 
     name = "marker"
@@ -189,19 +170,26 @@ class Marker(Policy):
     def __init__(self, k: int, rng: random.Random):
         super().__init__(k)
         self.rng = rng
-        self.marks: set[PageId] = set()
+        self.unmarked: list[PageId] = []
+        self._phase_start = 0  # resident pages last requested before it are unmarked
 
-    def _touched(self, page):
-        self.marks.add(page)
+    def _remove_unmarked(self, last: int) -> None:
+        # Every unmarked page is still resident under its last request, and
+        # ``unmarked`` is in that order, so it is found by bisection.
+        del self.unmarked[bisect_left(self.unmarked, last, key=self.cache.__getitem__)]
+
+    def _pre_serve(self, t, page, prediction):
+        last = self.cache.get(page)
+        if last is not None and last < self._phase_start:
+            self._remove_unmarked(last)
 
     def _select_victim(self, t, page, prediction):
-        if len(self.marks) == len(self.cache):
-            self.marks.clear()
-        unmarked = sorted(
-            (e for e in self.cache.entries() if e.page not in self.marks),
-            key=lambda e: e.last_request,
-        )
-        return self.rng.choice(unmarked).page
+        if not self.unmarked:
+            self._phase_start = t
+            self.unmarked = list(self.cache)
+        victim = self.rng.choice(self.unmarked)
+        self._remove_unmarked(self.cache[victim])
+        return victim
 
 
 def simulate(trace: Trace, policies: Iterable[Policy]) -> None:

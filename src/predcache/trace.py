@@ -287,5 +287,7 @@ def write_trace(trace: Trace) -> str:
     for i, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
         if "," in page:
             raise ValueError(f"page token {page!r} contains a comma")
+        if page.splitlines() != [page]:
+            raise ValueError(f"page token {page!r} is empty or spans a line boundary")
         rows.append(f"{i},{page},{h!r}")
     return "\n".join(rows) + "\n"

@@ -3,11 +3,13 @@
 Everything here is deliberately brute force and shares no code with the
 package: next arrivals by forward scan, the inversion count by pair
 enumeration, the offline optimum by exhaustive enumeration of eviction
-choices, and a plain serve loop that records every request's victim.
+choices, a plain serve loop that records every request's victim, and the
+O(k) reference victim rules of every policy.
 """
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 
@@ -73,3 +75,157 @@ def serve_all(policy, requests, predictions) -> list:
         policy.serve(t, page, h)
         for t, (page, h) in enumerate(zip(requests, predictions), start=1)
     ]
+
+
+# ---------------------------------------------------------------- reference policies
+#
+# The O(k) victim rules, each a scan over every resident page, over a cache
+# of page -> (last request, prediction).  They follow the package's serve
+# contract and seeding, so a package policy and its reference must evict the
+# same page on every request.
+
+
+class RefPolicy:
+    randomized = False
+    experts = ()
+
+    def __init__(self, k):
+        self.k = k
+        self.entries = {}
+        self.cost = 0
+        self._last = (None, None)
+
+    def serve(self, t, page, h):
+        if t == self._last[0]:
+            return self._last[1]
+        self.pre_serve(t, page, h)
+        victim = None
+        if page not in self.entries and len(self.entries) >= self.k:
+            victim = self.victim(t, page, h)
+            del self.entries[victim]
+            self.cost += 1
+        self.entries[page] = (t, h)
+        self.touched(page)
+        self._last = (t, victim)
+        return victim
+
+    def pre_serve(self, t, page, h):
+        pass
+
+    def touched(self, page):
+        pass
+
+
+class RefLRU(RefPolicy):
+    def victim(self, t, page, h):
+        return min(self.entries, key=lambda p: self.entries[p][0])
+
+
+class RefBlindOracle(RefPolicy):
+    def victim(self, t, page, h):
+        return max(self.entries, key=lambda p: (self.entries[p][1], -self.entries[p][0]))
+
+
+class RefBelady(RefPolicy):
+    def __init__(self, k, arrivals):
+        super().__init__(k)
+        self.arrivals = arrivals
+
+    def victim(self, t, page, h):
+        return max(
+            self.entries,
+            key=lambda p: (self.arrivals[self.entries[p][0] - 1], -self.entries[p][0]),
+        )
+
+
+class RefMarker(RefPolicy):
+    randomized = True
+
+    def __init__(self, k, rng):
+        super().__init__(k)
+        self.rng = rng
+        self.marks = set()
+
+    def touched(self, page):
+        self.marks.add(page)
+
+    def victim(self, t, page, h):
+        if len(self.marks) == len(self.entries):
+            self.marks.clear()
+        unmarked = sorted(
+            (p for p in self.entries if p not in self.marks),
+            key=lambda p: self.entries[p][0],
+        )
+        return self.rng.choice(unmarked)
+
+
+def ref_victim_outside(own, target):
+    """Least recent page of ``own`` absent from ``target``, else plain LRU."""
+    outside = [p for p in own if p not in target] or list(own)
+    return min(outside, key=lambda p: own[p][0])
+
+
+class RefFtl(RefPolicy):
+    def __init__(self, a, b, k):
+        super().__init__(k)
+        self.experts = (a, b)
+        self.leader = 0
+
+    def pre_serve(self, t, page, h):
+        a, b = self.experts
+        a.serve(t, page, h)
+        b.serve(t, page, h)
+        if a.cost != b.cost:
+            self.leader = 0 if a.cost < b.cost else 1
+
+    def victim(self, t, page, h):
+        return ref_victim_outside(self.entries, self.experts[self.leader].entries)
+
+
+class RefMw(RefPolicy):
+    randomized = True
+
+    def __init__(self, a, b, k, epsilon, rng):
+        super().__init__(k)
+        self.experts = (a, b)
+        self.epsilon = epsilon
+        self.rng = rng
+        self.weights = [1.0, 1.0]
+        self.followed = 0 if rng.random() < 0.5 else 1
+
+    def pre_serve(self, t, page, h):
+        w = self.weights
+        prior = w[self.followed] / sum(w)
+        for i, expert in enumerate(self.experts):
+            if expert.serve(t, page, h) is not None:
+                w[i] *= 1.0 - self.epsilon
+        if max(w) < 1e-100:
+            scale = max(w)
+            w[0], w[1] = w[0] / scale, w[1] / scale
+        posterior = w[self.followed] / sum(w)
+        if posterior < prior and self.rng.random() < (prior - posterior) / prior:
+            self.followed = 1 - self.followed
+
+    def victim(self, t, page, h):
+        return ref_victim_outside(self.entries, self.experts[self.followed].entries)
+
+
+def ref_policy(name, k, arrivals, seed=0, epsilon=0.1):
+    """The reference run of ``name``, seeded as the package seeds it."""
+    if name == "lru":
+        return RefLRU(k)
+    if name == "blind_oracle":
+        return RefBlindOracle(k)
+    if name == "belady":
+        return RefBelady(k, arrivals)
+    if name == "marker":
+        return RefMarker(k, random.Random(seed))
+    if name == "ftl":
+        return RefFtl(RefBlindOracle(k), RefLRU(k), k)
+    if name == "mw":
+        # mw's children: blind_oracle's seed (unused), its marker's, its own
+        root = random.Random(seed)
+        _, marker_seed, mw_seed = (root.getrandbits(63) for _ in range(3))
+        marker = RefMarker(k, random.Random(marker_seed))
+        return RefMw(RefBlindOracle(k), marker, k, epsilon, random.Random(mw_seed))
+    raise ValueError(name)

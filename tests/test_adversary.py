@@ -123,8 +123,8 @@ class _FlipFlop(LRU):
         self.flavor = type(self).instances % 2
 
     def _select_victim(self, t, page, prediction):
-        entries = sorted(self.cache.entries(), key=lambda e: e.last_request)
-        return entries[0].page if self.flavor else entries[-1].page
+        pages = list(self.cache)  # least recent first
+        return pages[0] if self.flavor else pages[-1]
 
 
 def test_nondeterministic_policy_detected():
@@ -136,8 +136,7 @@ class _Q0Hoarder(LRU):
     """LRU that refuses to evict Q0, forcing the fallback branch."""
 
     def _select_victim(self, t, page, prediction):
-        candidates = [e for e in self.cache.entries() if e.page != "Q0"]
-        return min(candidates, key=lambda e: e.last_request).page
+        return next(page for page in self.cache if page != "Q0")
 
 
 def test_fallback_requests_an_absent_p_page():

@@ -43,6 +43,14 @@ def test_defaults_and_scalars_normalize():
     assert config.noises == (NoiseSpec("perfect"),)
     assert config.policies == ("lru", "belady", "blind_oracle", "marker")
 
+    # a single string is a one-element list, not a sequence of characters
+    config = config_from_mapping(
+        {"workload": dict(WORKLOAD), "k": 4, "policies": "lru", "fatal_bounds": "lemma1"}
+    )
+    assert config.policies == ("lru",)
+    assert config.fatal_bounds == ("lemma1",)
+    config.validate()
+
 
 @pytest.mark.parametrize(
     "data",
@@ -382,10 +390,16 @@ def test_main_fatal_bound_exit_code(tmp_path, monkeypatch):
         {"policies": ["mw"], "workload": None, "adversary": {"k": 3, "j": 1}},
         {"noise": [5]},
         {"out": 5},
+        {"policies": ["lru", "lru"]},
+        {"policies": None},
+        {"policies": "nope"},
+        {"fatal_bounds": "nope"},
+        {"seeds": True},
     ],
     ids=["k_text", "k_fraction", "seed_text", "epsilon_text", "noise_width_text",
          "adversary_k_text", "fatal_bound_unknown", "adversary_without_its_policies",
-         "noise_not_a_mapping", "out_not_a_path"],
+         "noise_not_a_mapping", "out_not_a_path", "policy_repeated", "policies_null",
+         "policy_scalar_unknown", "fatal_bound_scalar_unknown", "seeds_bool"],
 )
 def test_main_rejects_malformed_input(tmp_path, capsys, overrides):
     data = {
@@ -403,7 +417,15 @@ def test_main_rejects_malformed_input(tmp_path, capsys, overrides):
     assert not (tmp_path / "res.csv").exists()
 
 
-@pytest.mark.parametrize("name", ["sweep", "file"])
+def test_main_rejects_a_repeated_policy_flag(tmp_path, capsys):
+    out = tmp_path / "res.csv"
+    argv = ["--policy", "lru", "--policy", "lru", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("configuration error: policies must not repeat")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["sweep", "file", "uniform"])
 def test_golden_results_are_byte_identical(tmp_path, monkeypatch, name):
     # The expected CSVs were written by an earlier revision of the program;
     # any change to the rows a fixed config produces must be deliberate.

@@ -67,12 +67,15 @@ def test_leader_follows_strict_minimum_and_ties_keep_incumbent():
 def test_ftl_evicts_outside_leader_cache():
     ftl = FtlCombiner(LRU(2), LRU(2), 2)
     # craft: own cache {a,b}; leader cache {b,c}; miss on d
-    ftl.cache.insert("a", 1, 0.0)
-    ftl.cache.insert("b", 2, 0.0)
-    leader = ftl.experts[0].cache
-    leader.insert("b", 2, 0.0)
-    leader.insert("c", 3, 0.0)
+    ftl.cache.update(a=1, b=2)
+    ftl.experts[0].cache.update(b=2, c=3)
     assert ftl._select_victim(4, "d", 0.0) == "a"
+    # the least recent own page is held by the leader, so the next one goes
+    ftl.cache = {"b": 1, "a": 2}
+    assert ftl._select_victim(4, "d", 0.0) == "a"
+    # the leader holds every own page (still filling): plain LRU
+    ftl.experts[0].cache = {"b": 2, "a": 3}
+    assert ftl._select_victim(4, "d", 0.0) == "b"
 
 
 def test_identical_experts_reproduce_the_expert_exactly():

@@ -10,6 +10,7 @@ from predcache import (
     LRU,
     Marker,
     NoiseSpec,
+    POLICY_NAMES,
     Trace,
     WorkloadSpec,
     make_policies,
@@ -17,7 +18,7 @@ from predcache import (
     run_policy,
     synthesize,
 )
-from oracles import brute_force_opt, serve_all
+from oracles import brute_force_opt, ref_policy, serve_all
 
 pages = st.lists(st.sampled_from("abcde"), min_size=1, max_size=14)
 
@@ -32,19 +33,20 @@ def _trace(requests, predictions=None):
 
 
 def test_hit_keeps_cache_and_updates_entry():
-    p = LRU(2)
+    p = BlindOracle(2)
     assert serve_all(p, "ab", [10.0, 20.0]) == [None, None]
     assert p.serve(3, "a", 30.0) is None
-    assert set(p.cache.pages) == {"a", "b"}
-    entry = p.cache.get("a")
-    assert (entry.last_request, entry.prediction) == (3, 30.0)
+    # the hit moves a to the most recent end with its new last request
+    assert list(p.cache.items()) == [("b", 2), ("a", 3)]
+    # and a's prediction is now 30, beyond b's 20 (with the old 10, b would go)
+    assert p.serve(4, "c", 1.0) == "a"
 
 
 def test_cold_fill_does_not_evict():
     p = LRU(2)
     p.serve(1, "a", 1.0)
     assert p.serve(2, "b", 2.0) is None
-    assert set(p.cache.pages) == {"a", "b"}
+    assert list(p.cache.items()) == [("a", 1), ("b", 2)]
 
 
 def test_full_miss_evicts_exactly_one():
@@ -53,7 +55,8 @@ def test_full_miss_evicts_exactly_one():
     victim = p.serve(3, "c", 3.0)
     assert victim in {"a", "b"}
     assert len(p.cache) == 2
-    assert "c" in p.cache
+    assert victim not in p.cache
+    assert p.cache["c"] == 3
 
 
 def test_capacity_must_be_positive():
@@ -87,7 +90,7 @@ def test_repeated_request_index_returns_the_stored_answer():
     assert p.serve(2, "b", 0.0) == "a"
     assert p.serve(2, "b", 0.0) == "a"
     assert p.cost == 1
-    assert set(p.cache.pages) == {"b"}
+    assert p.cache == {"b": 2}
 
 
 def test_lru_evicts_least_recent():
@@ -137,21 +140,35 @@ def test_marker_phase_reset_draws_from_previous_phase():
         assert evicted[:2] == [None, None]
         assert evicted[2] in {"a", "b"}
         seen.add(evicted[2])
-        assert p.marks == {"c"}  # fresh phase: only the new page marked
+        # fresh phase: only the new page marked; the survivor is unmarked
+        assert p.unmarked == [({"a", "b"} - {evicted[2]}).pop()]
+        assert set(p.cache) - set(p.unmarked) == {"c"}
     assert seen == {"a", "b"}  # both outcomes occur across seeds
 
 
 def test_marker_single_unmarked_page_is_forced():
-    p = Marker(2, random.Random(0))
-    serve_all(p, "ab", [0.0, 0.0])
-    p.marks = {"b"}
-    assert p.serve(3, "c", 0.0) == "a"
+    for seed in range(10):
+        p = Marker(3, random.Random(seed))
+        # d opens a phase and evicts one of a, b, c; a hit marks the first
+        # survivor, so exactly one page is left unmarked
+        victim = serve_all(p, "abcd", [0.0] * 4)[-1]
+        first, last = [page for page in "abc" if page != victim]
+        p.serve(5, first, 0.0)
+        assert p.unmarked == [last]
+        assert p.serve(6, "e", 0.0) == last
 
 
 def test_marker_requested_page_ends_marked():
     p = Marker(3, random.Random(1))
     serve_all(p, "abcb", [0.0] * 4)
-    assert "b" in p.marks
+    assert "b" in p.cache and p.unmarked == []
+    for seed in range(10):
+        p = Marker(3, random.Random(seed))
+        serve_all(p, "abcd", [0.0] * 4)  # new phase: two of a, b, c unmarked
+        page = p.unmarked[1]
+        p.serve(5, page, 0.0)
+        assert page in p.cache and page not in p.unmarked
+        assert len(p.unmarked) == 1
 
 
 def test_marker_deterministic_for_fixed_seed():
@@ -204,19 +221,67 @@ def test_cost_equals_eviction_count():
 @settings(max_examples=100, deadline=None)
 @given(pages, st.integers(1, 3), st.integers(0, 5))
 def test_capacity_and_eviction_invariants(requests, k, seed):
-    policy = make_policies(("marker",), k, seed=seed)["marker"]
-    distinct = set()
-    for t, page in enumerate(requests, start=1):
-        was_resident = page in policy.cache
-        was_full = policy.cache.full
-        victim = policy.serve(t, page, 0.0)
-        distinct.add(page)
-        assert len(policy.cache) <= k
-        assert len(policy.cache) == min(k, len(distinct))
-        if victim is not None:
-            assert not was_resident and was_full
-        else:
-            assert was_resident or not was_full
+    trace = _trace(requests)
+    costs = {}
+    for name in POLICY_NAMES:
+        # built alone, so no expert is shared with a run served earlier
+        policy = make_policies((name,), k, arrivals=trace.arrivals, seed=seed, epsilon=0.1)[name]
+        distinct = set()
+        for t, page in enumerate(requests, start=1):
+            was_resident = page in policy.cache
+            was_full = len(policy.cache) == k
+            victim = policy.serve(t, page, trace.predictions[t - 1])
+            distinct.add(page)
+            assert len(policy.cache) <= k, name
+            assert len(policy.cache) == min(k, len(distinct)), name
+            assert policy.cache[page] == t, name
+            assert list(policy.cache.values()) == sorted(policy.cache.values()), name
+            if victim is not None:
+                assert not was_resident and was_full, name
+                assert victim not in policy.cache, name
+            else:
+                assert was_resident or not was_full, name
+        costs[name] = policy.cost
+    # belady is the offline optimum: no policy evicts less on the same trace
+    assert all(costs["belady"] <= cost for cost in costs.values())
+
+
+# ---------------------------------------------------------------- differential
+
+
+def _assert_same_victims(trace, k, seed=0):
+    for name in POLICY_NAMES:
+        policy = make_policies((name,), k, arrivals=trace.arrivals, seed=seed, epsilon=0.1)[name]
+        reference = ref_policy(name, k, trace.arrivals, seed=seed, epsilon=0.1)
+        got = serve_all(policy, trace.requests, trace.predictions)
+        assert got == serve_all(reference, trace.requests, trace.predictions), name
+
+
+@st.composite
+def tie_heavy_traces(draw):
+    """At most 6 pages and predictions from a few integers, so keys tie often."""
+    requests = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=40))
+    n = len(requests)
+    predictions = draw(
+        st.lists(st.sampled_from([0, 1, 2, 3, n + 1]), min_size=n, max_size=n)
+    )
+    return Trace.from_requests(requests, predictions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_traces(), st.integers(1, 5), st.integers(0, 3))
+def test_victims_match_the_reference_rules(trace, k, seed):
+    _assert_same_victims(trace, k, seed)
+
+
+@pytest.mark.parametrize("k", [16, 64])
+def test_victims_match_the_reference_rules_at_larger_k(k):
+    # long enough for many heap rebuilds and long marking phases
+    for seed in range(3):
+        rng = random.Random(seed)
+        requests = [f"p{rng.randrange(2 * k)}" for _ in range(40 * k)]
+        predictions = [rng.choice([1, 5, 9, len(requests) + 1]) for _ in requests]
+        _assert_same_victims(Trace.from_requests(requests, predictions), k, seed)
 
 
 def test_make_policy_validation():

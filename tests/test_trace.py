@@ -212,6 +212,23 @@ def test_write_rejects_commas_in_pages():
         write_trace(trace)
 
 
+@pytest.mark.parametrize("page", ["", "a\nb", "a\r\nb", "a\rb", "a\u2028b", "\x0c", "b\x85"])
+def test_write_rejects_pages_that_cannot_be_read_back(page):
+    trace = Trace.from_requests(["a", page], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        write_trace(trace)
+
+
+@given(st.lists(st.text(max_size=4), min_size=1, max_size=5))
+def test_written_pages_always_read_back(requests):
+    trace = Trace.from_requests(requests, [1.0] * len(requests))
+    try:
+        text = write_trace(trace)
+    except ValueError:
+        return  # refused tokens never reach a file
+    assert parse_trace(text) == trace
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_round_trip_random_traces(seed):
     rng = random.Random(seed)
