@@ -3,9 +3,9 @@
 A combiner watches two expert policies and keeps its own cache.  It serves
 each expert before itself; since serving is idempotent per request, an expert
 that is also a standalone run (or shared by another combiner) is simulated
-once.  On a full-cache miss the combiner evicts a page that the currently
-tracked expert does not hold, so its cache drifts toward that expert's cache
-lazily, one miss at a time.
+once.  On a full-cache miss the combiner evicts its least recent page that the
+currently tracked expert does not hold, so its cache drifts toward that
+expert's cache lazily, one miss at a time.
 
 ``FtlCombiner`` deterministically follows whichever expert has evicted less so
 far.  ``MwCombiner`` follows expert i with probability proportional to
@@ -28,6 +28,8 @@ from .policies import (
     PageId,
     Policy,
     RunResult,
+    pop_live,
+    push_live,
     simulate,
 )
 from .trace import Trace
@@ -39,22 +41,26 @@ POLICY_NAMES = ("lru", "belady", "marker", "blind_oracle", "ftl", "mw")
 _RESCALE_FLOOR = 1e-100
 
 
-def _victim_outside(own: dict[PageId, int], target: dict[PageId, int]) -> PageId:
-    """Least recently used page of ``own`` absent from ``target``.
+class _Combiner(Policy):
+    """Two experts of the combiner's ``k``, and the own pages each one lacks.
 
-    ``own`` is walked least recent first, so the cost is the number of pages
-    passed that ``target`` also holds.  When both caches are full a candidate
-    always exists (the target holds the page just requested, which ``own``
-    missed); the fallback to plain LRU only matters if the target cache is
-    still filling.
+    ``_outside[i]`` is a ``push_live`` heap, keyed by own last request, of the
+    own pages expert i does not hold.  Pages enter a cache only when requested
+    and experts serve first, so an own page leaves expert i's cache exactly as
+    expert i's victim, which ``_pre_serve`` pushes (inline in each combiner: a
+    shared helper costs a call on every request).  A combiner must therefore
+    be served on every request its experts are served.
     """
-    for page in own:
-        if page not in target:
-            return page
-    return next(iter(own))
+
+    def __init__(self, expert_a: Policy, expert_b: Policy, k: int):
+        super().__init__(k)
+        if expert_a.k != k or expert_b.k != k:
+            raise ConfigError(f"combiner experts need k={k}, got {expert_a.k}, {expert_b.k}")
+        self.experts = (expert_a, expert_b)
+        self._outside: tuple[list, list] = ([], [])
 
 
-class FtlCombiner(Policy):
+class FtlCombiner(_Combiner):
     """Follow the expert with the smaller eviction count.
 
     The leader (an index into ``experts``) is recomputed after both experts
@@ -65,21 +71,25 @@ class FtlCombiner(Policy):
     name = "ftl"
 
     def __init__(self, expert_a: Policy, expert_b: Policy, k: int):
-        super().__init__(k)
-        self.experts = (expert_a, expert_b)
+        super().__init__(expert_a, expert_b, k)
         self.leader = 0
 
     def _pre_serve(self, t, page, prediction):
         a, b = self.experts
-        a.serve(t, page, prediction)
-        b.serve(t, page, prediction)
+        victim_a = a.serve(t, page, prediction)
+        victim_b = b.serve(t, page, prediction)
+        own = self.cache
+        if victim_a in own:
+            push_live(self._outside[0], (own[victim_a], own[victim_a], victim_a), own, 2 * self.k)
+        if victim_b in own:
+            push_live(self._outside[1], (own[victim_b], own[victim_b], victim_b), own, 2 * self.k)
         if a.cost < b.cost:
             self.leader = 0
         elif b.cost < a.cost:
             self.leader = 1
 
     def _select_victim(self, t, page, prediction):
-        return _victim_outside(self.cache, self.experts[self.leader].cache)
+        return pop_live(self._outside[self.leader], self.cache)
 
 
 def mw_update(
@@ -92,7 +102,7 @@ def mw_update(
     return wa * (1.0 - epsilon) ** cost_a, wb * (1.0 - epsilon) ** cost_b
 
 
-class MwCombiner(Policy):
+class MwCombiner(_Combiner):
     """Randomized combiner driven by multiplicative weights.
 
     After each request the followed expert (an index into ``experts``) is
@@ -114,32 +124,36 @@ class MwCombiner(Policy):
     ):
         if not 0.0 < epsilon < 0.25:
             raise ConfigError(f"epsilon must be in (0, 1/4), got {epsilon}")
-        super().__init__(k)
-        self.experts = (expert_a, expert_b)
+        super().__init__(expert_a, expert_b, k)
         self.epsilon = epsilon
         self.rng = rng
         self.weights = (1.0, 1.0)
         self.followed = 0 if rng.random() < 0.5 else 1
 
-    def _probability(self, which: int) -> float:
-        return self.weights[which] / sum(self.weights)
-
     def _pre_serve(self, t, page, prediction):
         a, b = self.experts
-        ca = 0 if a.serve(t, page, prediction) is None else 1
-        cb = 0 if b.serve(t, page, prediction) is None else 1
-        prior = self._probability(self.followed)
-        self.weights = mw_update(self.weights, self.epsilon, ca, cb)
+        victim_a = a.serve(t, page, prediction)
+        victim_b = b.serve(t, page, prediction)
+        if victim_a is None and victim_b is None:
+            return  # weights times 1.0 and no draw: nothing would change
+        own = self.cache
+        if victim_a in own:
+            push_live(self._outside[0], (own[victim_a], own[victim_a], victim_a), own, 2 * self.k)
+        if victim_b in own:
+            push_live(self._outside[1], (own[victim_b], own[victim_b], victim_b), own, 2 * self.k)
+        prior = self.weights[self.followed] / sum(self.weights)
+        costs = int(victim_a is not None), int(victim_b is not None)
+        self.weights = mw_update(self.weights, self.epsilon, *costs)
         wa, wb = self.weights
         if max(wa, wb) < _RESCALE_FLOOR:
             scale = max(wa, wb)
             self.weights = (wa / scale, wb / scale)
-        posterior = self._probability(self.followed)
+        posterior = self.weights[self.followed] / sum(self.weights)
         if posterior < prior and self.rng.random() < (prior - posterior) / prior:
             self.followed = 1 - self.followed
 
     def _select_victim(self, t, page, prediction):
-        return _victim_outside(self.cache, self.experts[self.followed].cache)
+        return pop_live(self._outside[self.followed], self.cache)
 
 
 def _child_seeds(seed: int) -> tuple[int, int, int]:

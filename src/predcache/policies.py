@@ -92,34 +92,39 @@ class LRU(Policy):
         return next(iter(self.cache))
 
 
+def push_live(heap: list, item: tuple, cache: dict[PageId, int], limit: int) -> None:
+    """Push ``(key, last, page)``, live while ``cache.get(page) == last``.
+
+    Stale items are skipped when popped.  Past ``limit`` (at least twice the
+    live count) the heap keeps only its live items: O(log k) amortized.
+    """
+    heappush(heap, item)
+    if len(heap) > limit:
+        heap[:] = [item for item in heap if cache.get(item[2]) == item[1]]
+        heapify(heap)
+
+
+def pop_live(heap: list, cache: dict[PageId, int]) -> PageId:
+    """Remove the smallest live item of a heap fed by ``push_live``; its page."""
+    while True:
+        _, last, page = heappop(heap)
+        if cache.get(page) == last:
+            return page
+
+
 class _LargestKey(Policy):
     """Evict the resident page with the largest key; ties go to the least recent.
 
-    Every serve pushes ``(-key, t, page)`` onto a min-heap.  An item is stale
-    once its page is requested again or evicted (``cache.get(page) != t``);
-    stale items are skipped when they surface, and the heap is rebuilt from
-    its live items (one per resident page) once it holds more than 2k, so a
-    victim costs O(log k) amortized.
+    Every serve pushes ``(-key, t, page)`` with ``push_live``; the item goes
+    stale once its page is requested again or evicted.
     """
 
     def __init__(self, k: int):
         super().__init__(k)
         self._heap: list[tuple[float, int, PageId]] = []
 
-    def _push(self, t: int, page: PageId, key: float) -> None:
-        heap = self._heap
-        heappush(heap, (-key, t, page))
-        if len(heap) > 2 * self.k:
-            cache = self.cache
-            heap[:] = [item for item in heap if cache.get(item[2]) == item[1]]
-            heapify(heap)
-
     def _select_victim(self, t, page, prediction):
-        heap, cache = self._heap, self.cache
-        while True:
-            _, last, victim = heappop(heap)
-            if cache.get(victim) == last:
-                return victim
+        return pop_live(self._heap, self.cache)
 
 
 class BlindOracle(_LargestKey):
@@ -133,7 +138,7 @@ class BlindOracle(_LargestKey):
     name = "blind_oracle"
 
     def _touched(self, t, page, prediction):
-        self._push(t, page, prediction)
+        push_live(self._heap, (-prediction, t, page), self.cache, 2 * self.k)
 
 
 class Belady(_LargestKey):
@@ -151,7 +156,7 @@ class Belady(_LargestKey):
         self.arrivals = arrivals
 
     def _touched(self, t, page, prediction):
-        self._push(t, page, self.arrivals[t - 1])
+        push_live(self._heap, (-self.arrivals[t - 1], t, page), self.cache, 2 * self.k)
 
 
 class Marker(Policy):

@@ -160,9 +160,12 @@ class RefMarker(RefPolicy):
 
 
 def ref_victim_outside(own, target):
-    """Least recent page of ``own`` absent from ``target``, else plain LRU."""
-    outside = [p for p in own if p not in target] or list(own)
-    return min(outside, key=lambda p: own[p][0])
+    """Least recent page of ``own`` absent from ``target``.
+
+    Both caches hold the same number of pages and only ``target`` holds the
+    page just requested, so a candidate exists.
+    """
+    return min((p for p in own if p not in target), key=lambda p: own[p][0])
 
 
 class RefFtl(RefPolicy):

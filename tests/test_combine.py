@@ -65,17 +65,26 @@ def test_leader_follows_strict_minimum_and_ties_keep_incumbent():
 
 
 def test_ftl_evicts_outside_leader_cache():
-    ftl = FtlCombiner(LRU(2), LRU(2), 2)
-    # craft: own cache {a,b}; leader cache {b,c}; miss on d
-    ftl.cache.update(a=1, b=2)
-    ftl.experts[0].cache.update(b=2, c=3)
-    assert ftl._select_victim(4, "d", 0.0) == "a"
-    # the least recent own page is held by the leader, so the next one goes
-    ftl.cache = {"b": 1, "a": 2}
-    assert ftl._select_victim(4, "d", 0.0) == "a"
-    # the leader holds every own page (still filling): plain LRU
-    ftl.experts[0].cache = {"b": 2, "a": 3}
-    assert ftl._select_victim(4, "d", 0.0) == "b"
+    # blind_oracle leads throughout: lru evicts as often, and a tie keeps the
+    # incumbent.  Predictions a=10, b=3, c=9.
+    leader, other = BlindOracle(2), LRU(2)
+    ftl = FtlCombiner(leader, other, 2)
+    assert serve_all(ftl, "ab", [10.0, 3.0]) == [None, None]
+    # own {a, b}, leader evicts a for c: own's least recent page a is outside
+    assert ftl.serve(3, "c", 9.0) == "a"
+    assert ftl.leader == 0 and list(leader.cache) == ["b", "c"]
+    # own [b, c], leader evicts c for d: the least recent b is still held by
+    # the leader, so it is passed over for c
+    assert ftl.serve(4, "d", 1.0) == "c"
+    assert ftl.leader == 0 and list(leader.cache) == ["b", "d"]
+    assert other.cost == leader.cost == 2 and list(other.cache) == ["c", "d"]
+
+
+def test_combiners_refuse_experts_of_another_capacity():
+    with pytest.raises(ConfigError):
+        FtlCombiner(LRU(3), LRU(2), 2)
+    with pytest.raises(ConfigError):
+        MwCombiner(LRU(2), BlindOracle(4), 2, 0.1, random.Random(0))
 
 
 def test_identical_experts_reproduce_the_expert_exactly():
@@ -166,7 +175,7 @@ def test_mw_weights_positive_nonincreasing_and_probabilities_normalized():
         wa, wb = combiner.weights
         assert wa > 0 and wb > 0
         assert wa <= prev[0] and wb <= prev[1]
-        assert abs(combiner._probability(0) + combiner._probability(1) - 1.0) <= 1e-12
+        assert abs(wa / (wa + wb) + wb / (wa + wb) - 1.0) <= 1e-12
         prev = combiner.weights
 
 

@@ -7,8 +7,10 @@ from predcache import (
     Belady,
     BlindOracle,
     ConfigError,
+    FtlCombiner,
     LRU,
     Marker,
+    MwCombiner,
     NoiseSpec,
     POLICY_NAMES,
     Trace,
@@ -18,7 +20,16 @@ from predcache import (
     run_policy,
     synthesize,
 )
-from oracles import brute_force_opt, ref_policy, serve_all
+from oracles import (
+    RefBelady,
+    RefFtl,
+    RefLRU,
+    RefMarker,
+    RefMw,
+    brute_force_opt,
+    ref_policy,
+    serve_all,
+)
 
 pages = st.lists(st.sampled_from("abcde"), min_size=1, max_size=14)
 
@@ -249,12 +260,47 @@ def test_capacity_and_eviction_invariants(requests, k, seed):
 # ---------------------------------------------------------------- differential
 
 
+def _serve_together(runs, trace):
+    """Serve every run per request in dict order, as the CLI does; each run's victims.
+
+    A run that is also another's expert answers the second serve of a request
+    from its stored answer.  Combiner heaps are checked after every serve:
+    rebuilt once past 2k, they never hold more.
+    """
+    victims = {name: [] for name in runs}
+    for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
+        for name, run in runs.items():
+            victims[name].append(run.serve(t, page, h))
+            for heap in getattr(run, "_outside", ()):
+                assert len(heap) <= 2 * run.k, name
+    return victims
+
+
 def _assert_same_victims(trace, k, seed=0):
-    for name in POLICY_NAMES:
-        policy = make_policies((name,), k, arrivals=trace.arrivals, seed=seed, epsilon=0.1)[name]
-        reference = ref_policy(name, k, trace.arrivals, seed=seed, epsilon=0.1)
-        got = serve_all(policy, trace.requests, trace.predictions)
-        assert got == serve_all(reference, trace.requests, trace.predictions), name
+    # each policy built alone, then all six from one builder call in both
+    # name orders, so shared experts also answer from their stored answer
+    for names in [(name,) for name in POLICY_NAMES] + [POLICY_NAMES, POLICY_NAMES[::-1]]:
+        runs = make_policies(names, k, arrivals=trace.arrivals, seed=seed, epsilon=0.1)
+        got = _serve_together(runs, trace)
+        for name in names:
+            reference = ref_policy(name, k, trace.arrivals, seed=seed, epsilon=0.1)
+            assert got[name] == serve_all(reference, trace.requests, trace.predictions), name
+    # combiners over other expert pairs
+    arrivals = trace.arrivals
+    pairs = {
+        "ftl(belady, marker)": (
+            FtlCombiner(Belady(k, arrivals), Marker(k, random.Random(seed)), k),
+            RefFtl(RefBelady(k, arrivals), RefMarker(k, random.Random(seed)), k),
+        ),
+        "mw(lru, belady)": (
+            MwCombiner(LRU(k), Belady(k, arrivals), k, 0.1, random.Random(seed)),
+            RefMw(RefLRU(k), RefBelady(k, arrivals), k, 0.1, random.Random(seed)),
+        ),
+        "ftl(lru, lru)": (FtlCombiner(LRU(k), LRU(k), k), RefFtl(RefLRU(k), RefLRU(k), k)),
+    }
+    got = _serve_together({name: pair[0] for name, pair in pairs.items()}, trace)
+    for name, (_, reference) in pairs.items():
+        assert got[name] == serve_all(reference, trace.requests, trace.predictions), name
 
 
 @st.composite
