@@ -2,10 +2,13 @@
 
 Every policy serves one fixed zipf trace (4096 pages, alpha 1, additive
 uniform noise of width 64, LENGTH requests) alone, built by
-``make_policies`` and run by ``simulate`` as the CLI runs it; a combiner's
-time includes serving its experts.  Each cell is the best of REPEATS runs.
-The last column is the k=8 rate over the k=512 rate: how much a policy slows
-down as the cache grows.  Prints a markdown table.
+``make_policies`` and run by ``simulate``; a combiner's time includes
+serving its experts.  The ``all`` row serves all six policies from one
+``make_policies`` call in one ``simulate`` pass, as the CLI serves them, so
+shared experts answer the combiners from their stored answers.  Each cell is
+the best of REPEATS runs.  The last column is the k=8 rate over the k=512
+rate: how much a policy slows down as the cache grows.  Prints a markdown
+table.
 
 Usage: python scripts/serve_rate.py
 """
@@ -27,13 +30,14 @@ def main() -> None:
     )
     print("| policy | " + " | ".join(f"k={k}" for k in KS) + " | k=8 / k=512 |")
     print("|---" * (len(KS) + 2) + "|")
-    for name in POLICY_NAMES:
+    rows = [(name, (name,)) for name in POLICY_NAMES] + [("all", POLICY_NAMES)]
+    for name, names in rows:
         rates = []
         for k in KS:
             best = float("inf")
             for _ in range(REPEATS):
                 start = perf_counter()
-                runs = make_policies((name,), k, arrivals=trace.arrivals, seed=1, epsilon=0.1)
+                runs = make_policies(names, k, arrivals=trace.arrivals, seed=1, epsilon=0.1)
                 simulate(trace, runs.values())
                 best = min(best, perf_counter() - start)
             rates.append(trace.n / best)

@@ -14,7 +14,6 @@ from .combine import (
     FtlCombiner,
     MwCombiner,
     make_policies,
-    mw_update,
     run_ftl,
     run_mw,
     run_policy,

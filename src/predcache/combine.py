@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Sequence
 
 from .errors import ConfigError
@@ -28,8 +29,8 @@ from .policies import (
     PageId,
     Policy,
     RunResult,
+    keep_live,
     pop_live,
-    push_live,
     simulate,
 )
 from .trace import Trace
@@ -44,12 +45,13 @@ _RESCALE_FLOOR = 1e-100
 class _Combiner(Policy):
     """Two experts of the combiner's ``k``, and the own pages each one lacks.
 
-    ``_outside[i]`` is a ``push_live`` heap, keyed by own last request, of the
-    own pages expert i does not hold.  Pages enter a cache only when requested
-    and experts serve first, so an own page leaves expert i's cache exactly as
-    expert i's victim, which ``_pre_serve`` pushes (inline in each combiner: a
-    shared helper costs a call on every request).  A combiner must therefore
-    be served on every request its experts are served.
+    ``_outside[i]`` is a ``(last, last, page)`` heap (see ``pop_live``), keyed
+    by own last request, of the own pages expert i does not hold.  Pages enter
+    a cache only when requested and experts serve first, so an own page leaves
+    expert i's cache exactly as expert i's victim, which each combiner's
+    ``serve`` pushes.  A combiner must therefore be served on every request
+    its experts are served.  Each combiner writes its whole ``serve`` out: a
+    shared helper or hook costs a call on every request.
     """
 
     def __init__(self, expert_a: Policy, expert_b: Policy, k: int):
@@ -74,41 +76,50 @@ class FtlCombiner(_Combiner):
         super().__init__(expert_a, expert_b, k)
         self.leader = 0
 
-    def _pre_serve(self, t, page, prediction):
+    def serve(self, t, page, prediction):
+        if t == self._last_t:
+            return self._last_victim
         a, b = self.experts
         victim_a = a.serve(t, page, prediction)
         victim_b = b.serve(t, page, prediction)
         own = self.cache
-        if victim_a in own:
-            push_live(self._outside[0], (own[victim_a], own[victim_a], victim_a), own, 2 * self.k)
-        if victim_b in own:
-            push_live(self._outside[1], (own[victim_b], own[victim_b], victim_b), own, 2 * self.k)
+        last = own.get(victim_a)
+        if last is not None:
+            heap = self._outside[0]
+            heappush(heap, (last, last, victim_a))
+            if len(heap) > 2 * self.k:
+                keep_live(heap, own)
+        last = own.get(victim_b)
+        if last is not None:
+            heap = self._outside[1]
+            heappush(heap, (last, last, victim_b))
+            if len(heap) > 2 * self.k:
+                keep_live(heap, own)
         if a.cost < b.cost:
             self.leader = 0
         elif b.cost < a.cost:
             self.leader = 1
-
-    def _select_victim(self, t, page, prediction):
-        return pop_live(self._outside[self.leader], self.cache)
-
-
-def mw_update(
-    weights: tuple[float, float], epsilon: float, cost_a: int, cost_b: int
-) -> tuple[float, float]:
-    """One multiplicative-weights step: w_i' = w_i * (1-epsilon)**cost_i."""
-    if cost_a not in (0, 1) or cost_b not in (0, 1):
-        raise ValueError("per-step expert costs must be 0 or 1")
-    wa, wb = weights
-    return wa * (1.0 - epsilon) ** cost_a, wb * (1.0 - epsilon) ** cost_b
+        evicted = None
+        if page in own:
+            del own[page]
+        elif len(own) >= self.k:
+            evicted = pop_live(self._outside[self.leader], own)
+            del own[evicted]
+            self.cost += 1
+        own[page] = t
+        self._last_t = t
+        self._last_victim = evicted
+        return evicted
 
 
 class MwCombiner(_Combiner):
     """Randomized combiner driven by multiplicative weights.
 
-    After each request the followed expert (an index into ``experts``) is
-    abandoned with probability equal to the fraction of probability mass it
-    just lost, which keeps the chance of following expert i equal to
-    w_i / (w_0 + w_1) at all times.
+    Each request multiplies expert i's weight by (1-epsilon)**cost_i, cost_i
+    being 1 if the expert evicted.  The followed expert (an index into
+    ``experts``) is then abandoned with probability equal to the fraction of
+    probability mass it just lost, which keeps the chance of following expert
+    i equal to w_i / (w_0 + w_1) at all times.
     """
 
     name = "mw"
@@ -130,30 +141,53 @@ class MwCombiner(_Combiner):
         self.weights = (1.0, 1.0)
         self.followed = 0 if rng.random() < 0.5 else 1
 
-    def _pre_serve(self, t, page, prediction):
+    def serve(self, t, page, prediction):
+        if t == self._last_t:
+            return self._last_victim
         a, b = self.experts
         victim_a = a.serve(t, page, prediction)
         victim_b = b.serve(t, page, prediction)
-        if victim_a is None and victim_b is None:
-            return  # weights times 1.0 and no draw: nothing would change
         own = self.cache
-        if victim_a in own:
-            push_live(self._outside[0], (own[victim_a], own[victim_a], victim_a), own, 2 * self.k)
-        if victim_b in own:
-            push_live(self._outside[1], (own[victim_b], own[victim_b], victim_b), own, 2 * self.k)
-        prior = self.weights[self.followed] / sum(self.weights)
-        costs = int(victim_a is not None), int(victim_b is not None)
-        self.weights = mw_update(self.weights, self.epsilon, *costs)
-        wa, wb = self.weights
-        if max(wa, wb) < _RESCALE_FLOOR:
-            scale = max(wa, wb)
-            self.weights = (wa / scale, wb / scale)
-        posterior = self.weights[self.followed] / sum(self.weights)
-        if posterior < prior and self.rng.random() < (prior - posterior) / prior:
-            self.followed = 1 - self.followed
-
-    def _select_victim(self, t, page, prediction):
-        return pop_live(self._outside[self.followed], self.cache)
+        # when neither expert evicts, the weights are multiplied by 1.0 and no
+        # draw is taken: nothing would change
+        if victim_a is not None or victim_b is not None:
+            last = own.get(victim_a)
+            if last is not None:
+                heap = self._outside[0]
+                heappush(heap, (last, last, victim_a))
+                if len(heap) > 2 * self.k:
+                    keep_live(heap, own)
+            last = own.get(victim_b)
+            if last is not None:
+                heap = self._outside[1]
+                heappush(heap, (last, last, victim_b))
+                if len(heap) > 2 * self.k:
+                    keep_live(heap, own)
+            wa, wb = self.weights
+            followed = self.followed
+            prior = (wb if followed else wa) / (wa + wb)
+            if victim_a is not None:
+                wa *= 1.0 - self.epsilon
+            if victim_b is not None:
+                wb *= 1.0 - self.epsilon
+            if wa < _RESCALE_FLOOR and wb < _RESCALE_FLOOR:
+                scale = max(wa, wb)
+                wa, wb = wa / scale, wb / scale
+            self.weights = (wa, wb)
+            posterior = (wb if followed else wa) / (wa + wb)
+            if posterior < prior and self.rng.random() < (prior - posterior) / prior:
+                self.followed = 1 - followed
+        evicted = None
+        if page in own:
+            del own[page]
+        elif len(own) >= self.k:
+            evicted = pop_live(self._outside[self.followed], own)
+            del own[evicted]
+            self.cost += 1
+        own[page] = t
+        self._last_t = t
+        self._last_victim = evicted
+        return evicted
 
 
 def _child_seeds(seed: int) -> tuple[int, int, int]:

@@ -33,7 +33,9 @@ class Policy:
     ``cache`` maps each resident page to its last request index, least recent
     first: a hit moves the page to the end.  ``cost`` counts this instance's
     evictions so far.  ``experts`` lists the policies a combiner watches (none
-    for a plain policy).
+    for a plain policy).  A policy with per-request work beyond the victim
+    rule overrides ``serve`` whole, keeping its stored-answer rule and
+    bookkeeping: a hook would cost a call on every request.
     """
 
     name = "base"
@@ -58,7 +60,6 @@ class Policy:
         """
         if t == self._last_t:
             return self._last_victim
-        self._pre_serve(t, page, prediction)
         cache = self.cache
         evicted = None
         if page in cache:
@@ -68,16 +69,9 @@ class Policy:
             del cache[evicted]
             self.cost += 1
         cache[page] = t
-        self._touched(t, page, prediction)
         self._last_t = t
         self._last_victim = evicted
         return evicted
-
-    def _pre_serve(self, t: int, page: PageId, prediction: float) -> None:
-        """Hook run before the cache is consulted (used by combiners and Marker)."""
-
-    def _touched(self, t: int, page: PageId, prediction: float) -> None:
-        """Hook run after the requested page is resident (used by the key heaps)."""
 
     def _select_victim(self, t: int, page: PageId, prediction: float) -> PageId:
         raise NotImplementedError
@@ -92,20 +86,19 @@ class LRU(Policy):
         return next(iter(self.cache))
 
 
-def push_live(heap: list, item: tuple, cache: dict[PageId, int], limit: int) -> None:
-    """Push ``(key, last, page)``, live while ``cache.get(page) == last``.
+def keep_live(heap: list, cache: dict[PageId, int]) -> None:
+    """Keep only the live items of a ``(key, last, page)`` heap, in place.
 
-    Stale items are skipped when popped.  Past ``limit`` (at least twice the
-    live count) the heap keeps only its live items: O(log k) amortized.
+    An item is live while ``cache.get(page) == last``; stale ones are skipped
+    when popped.  Called once a heap holds more than 2k items (at least twice
+    its live count), which keeps pushes O(log k) amortized.
     """
-    heappush(heap, item)
-    if len(heap) > limit:
-        heap[:] = [item for item in heap if cache.get(item[2]) == item[1]]
-        heapify(heap)
+    heap[:] = [item for item in heap if cache.get(item[2]) == item[1]]
+    heapify(heap)
 
 
 def pop_live(heap: list, cache: dict[PageId, int]) -> PageId:
-    """Remove the smallest live item of a heap fed by ``push_live``; its page."""
+    """Remove the smallest live item of a ``(key, last, page)`` heap; its page."""
     while True:
         _, last, page = heappop(heap)
         if cache.get(page) == last:
@@ -115,16 +108,37 @@ def pop_live(heap: list, cache: dict[PageId, int]) -> PageId:
 class _LargestKey(Policy):
     """Evict the resident page with the largest key; ties go to the least recent.
 
-    Every serve pushes ``(-key, t, page)`` with ``push_live``; the item goes
-    stale once its page is requested again or evicted.
+    Every serve pushes ``(-key, t, page)`` onto ``_heap``, inline; the item
+    goes stale once its page is requested again or evicted.  The key is the
+    request's prediction, or ``arrivals[t - 1]`` when ``arrivals`` is set.
     """
+
+    arrivals: Sequence[int] | None = None
 
     def __init__(self, k: int):
         super().__init__(k)
         self._heap: list[tuple[float, int, PageId]] = []
 
-    def _select_victim(self, t, page, prediction):
-        return pop_live(self._heap, self.cache)
+    def serve(self, t, page, prediction):
+        if t == self._last_t:
+            return self._last_victim
+        cache = self.cache
+        heap = self._heap
+        evicted = None
+        if page in cache:
+            del cache[page]
+        elif len(cache) >= self.k:
+            evicted = pop_live(heap, cache)
+            del cache[evicted]
+            self.cost += 1
+        cache[page] = t
+        arrivals = self.arrivals
+        heappush(heap, (-(prediction if arrivals is None else arrivals[t - 1]), t, page))
+        if len(heap) > 2 * self.k:
+            keep_live(heap, cache)
+        self._last_t = t
+        self._last_victim = evicted
+        return evicted
 
 
 class BlindOracle(_LargestKey):
@@ -136,9 +150,6 @@ class BlindOracle(_LargestKey):
     """
 
     name = "blind_oracle"
-
-    def _touched(self, t, page, prediction):
-        push_live(self._heap, (-prediction, t, page), self.cache, 2 * self.k)
 
 
 class Belady(_LargestKey):
@@ -154,9 +165,6 @@ class Belady(_LargestKey):
     def __init__(self, k: int, arrivals: Sequence[int]):
         super().__init__(k)
         self.arrivals = arrivals
-
-    def _touched(self, t, page, prediction):
-        push_live(self._heap, (-self.arrivals[t - 1], t, page), self.cache, 2 * self.k)
 
 
 class Marker(Policy):
@@ -183,18 +191,28 @@ class Marker(Policy):
         # ``unmarked`` is in that order, so it is found by bisection.
         del self.unmarked[bisect_left(self.unmarked, last, key=self.cache.__getitem__)]
 
-    def _pre_serve(self, t, page, prediction):
-        last = self.cache.get(page)
-        if last is not None and last < self._phase_start:
-            self._remove_unmarked(last)
-
-    def _select_victim(self, t, page, prediction):
-        if not self.unmarked:
-            self._phase_start = t
-            self.unmarked = list(self.cache)
-        victim = self.rng.choice(self.unmarked)
-        self._remove_unmarked(self.cache[victim])
-        return victim
+    def serve(self, t, page, prediction):
+        if t == self._last_t:
+            return self._last_victim
+        cache = self.cache
+        evicted = None
+        last = cache.get(page)
+        if last is not None:
+            if last < self._phase_start:
+                self._remove_unmarked(last)
+            del cache[page]
+        elif len(cache) >= self.k:
+            if not self.unmarked:
+                self._phase_start = t
+                self.unmarked = list(cache)
+            evicted = self.rng.choice(self.unmarked)
+            self._remove_unmarked(cache[evicted])
+            del cache[evicted]
+            self.cost += 1
+        cache[page] = t
+        self._last_t = t
+        self._last_victim = evicted
+        return evicted
 
 
 def simulate(trace: Trace, policies: Iterable[Policy]) -> None:

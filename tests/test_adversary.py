@@ -10,6 +10,7 @@ from predcache import (
     run_policy,
 )
 from predcache.adversary import _fallback_page
+from oracles import serve_all
 
 
 def test_config_validation():
@@ -151,6 +152,9 @@ def test_fallback_requests_an_absent_p_page():
     }
     assert step3_pages <= {"P1", "P2", "P3"}
     assert all(p.alg_cost >= 3 for p in result.phases)
+    # the hoarder's victim rule was the one served: replayed, it never evicts Q0
+    victims = serve_all(_Q0Hoarder(3), result.trace.requests, result.trace.predictions)
+    assert "Q0" in result.trace.requests and "Q0" not in victims
 
 
 def test_fallback_page_helper_defaults_to_first():

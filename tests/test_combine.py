@@ -13,7 +13,6 @@ from predcache import (
     Trace,
     WorkloadSpec,
     make_policies,
-    mw_update,
     next_arrivals,
     run_ftl,
     run_mw,
@@ -50,17 +49,20 @@ def _sample_traces():
 
 
 def test_leader_follows_strict_minimum_and_ties_keep_incumbent():
+    # a cold-fill serve costs neither expert anything, so the costs set here
+    # are the ones the leader is recomputed from
     a, b = LRU(2), LRU(2)
     ftl = FtlCombiner(a, b, 2)
+    ftl.leader = 1
     a.cost, b.cost = 5, 7
-    ftl._pre_serve(1, "x", 0.0)  # serving updates both experts equally (cold fill)
+    assert ftl.serve(1, "x", 0.0) is None
     assert ftl.leader == 0
 
     a, b = LRU(2), LRU(2)
     ftl = FtlCombiner(a, b, 2)
     ftl.leader = 1
     a.cost, b.cost = 3, 3
-    ftl._pre_serve(1, "x", 0.0)
+    assert ftl.serve(1, "x", 0.0) is None
     assert ftl.leader == 1
 
 
@@ -135,21 +137,18 @@ def test_ftl_rejects_randomized_experts():
 # ---------------------------------------------------------------- MW update rule
 
 
-def test_mw_update_examples():
-    assert mw_update((1.0, 1.0), 0.1, 0, 0) == (1.0, 1.0)
-
-    wa, wb = mw_update((1.0, 1.0), 0.1, 1, 0)
-    assert (wa, wb) == (0.9, 1.0)
+def test_mw_weights_step_by_step():
+    # k=2, predictions a=5, b=9, c=1: at c both experts evict (blind_oracle
+    # drops b, lru drops a); at b only blind_oracle misses
+    combiner = MwCombiner(BlindOracle(2), LRU(2), 2, 0.1, random.Random(0))
+    serve_all(combiner, "ab", [5.0, 9.0])
+    assert combiner.weights == (1.0, 1.0)
+    combiner.serve(3, "c", 1.0)
+    assert combiner.weights == (0.9, 0.9)
+    combiner.serve(4, "b", 1.0)
+    wa, wb = combiner.weights
+    assert (wa, wb) == (0.9 * 0.9, 0.9)
     assert wa / (wa + wb) == pytest.approx(0.9 / 1.9)
-
-    before = (0.3, 0.6)
-    after = mw_update(before, 0.1, 1, 1)
-    assert after[0] / sum(after) == pytest.approx(before[0] / sum(before))
-
-
-def test_mw_update_rejects_non_unit_costs():
-    with pytest.raises(ValueError):
-        mw_update((1.0, 1.0), 0.1, 2, 0)
 
 
 def test_mw_epsilon_range_enforced():

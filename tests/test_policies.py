@@ -104,6 +104,29 @@ def test_repeated_request_index_returns_the_stored_answer():
     assert p.cache == {"b": 2}
 
 
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_every_policy_answers_a_repeated_index_from_its_store(name):
+    # each policy writes its own serve, so each keeps the rule: a repeat of
+    # the last index, even for another page, changes nothing
+    trace = synthesize(
+        WorkloadSpec("uniform", universe=6, length=200),
+        NoiseSpec("additive_uniform", width=3.0),
+        seed=4,
+    )
+    policy = make_policies((name,), 3, arrivals=trace.arrivals, seed=4, epsilon=0.1)[name]
+
+    def state():
+        runs = (policy, *policy.experts)
+        return [(repr(vars(run)), run.rng.getstate() if run.randomized else None) for run in runs]
+
+    for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
+        victim = policy.serve(t, page, h)
+        before = state()
+        assert policy.serve(t, "absent", 0.0) == victim
+        assert state() == before
+    assert policy.cost > 0
+
+
 def test_lru_evicts_least_recent():
     p = LRU(2)
     serve_all(p, "ab", [0.0, 0.0])
@@ -264,14 +287,18 @@ def _serve_together(runs, trace):
     """Serve every run per request in dict order, as the CLI does; each run's victims.
 
     A run that is also another's expert answers the second serve of a request
-    from its stored answer.  Combiner heaps are checked after every serve:
-    rebuilt once past 2k, they never hold more.
+    from its stored answer.  The key heaps of blind_oracle and belady and the
+    combiners' heaps are checked after every serve: rebuilt once past 2k,
+    they never hold more.
     """
     victims = {name: [] for name in runs}
     for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
         for name, run in runs.items():
             victims[name].append(run.serve(t, page, h))
-            for heap in getattr(run, "_outside", ()):
+            heaps = getattr(run, "_outside", ()) + tuple(
+                expert._heap for expert in (run, *run.experts) if hasattr(expert, "_heap")
+            )
+            for heap in heaps:
                 assert len(heap) <= 2 * run.k, name
     return victims
 
