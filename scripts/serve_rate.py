@@ -10,24 +10,59 @@ the best of REPEATS runs.  The last column is the k=8 rate over the k=512
 rate: how much a policy slows down as the cache grows.  Prints a markdown
 table.
 
+A second table gives ``count_inversions_fast`` in ms, best of REPEATS, on
+the same trace and on three WORST_LENGTH-request cases over one zipf trace:
+predictions redrawn by ``random_replace`` with probability 1, predictions
+reversed (h = -y, so every pair with distinct arrivals is inverted), and all
+predictions equal.
+
 Usage: python scripts/serve_rate.py
 """
 
 from time import perf_counter
 
-from predcache import POLICY_NAMES, NoiseSpec, WorkloadSpec, make_policies, simulate, synthesize
+from predcache import (
+    POLICY_NAMES,
+    NoiseSpec,
+    WorkloadSpec,
+    count_inversions_fast,
+    make_policies,
+    simulate,
+    synthesize,
+)
 
 KS = (8, 64, 512)
 LENGTH = 20000
+WORST_LENGTH = 50000
 REPEATS = 3
 
 
+def _zipf(length: int, noise: NoiseSpec):
+    return synthesize(WorkloadSpec("zipf", universe=4096, length=length, alpha=1.0), noise, seed=1)
+
+
+def inversion_table(trace) -> None:
+    worst = _zipf(WORST_LENGTH, NoiseSpec("random_replace", prob=1.0, limit=float(WORST_LENGTH)))
+    y = worst.arrivals
+    cases = [
+        ("zipf, additive_uniform(64)", trace.arrivals, trace.predictions),
+        ("zipf, random_replace(1)", y, worst.predictions),
+        ("zipf, reversed", y, tuple(-float(v) for v in y)),
+        ("zipf, all equal", y, (0.0,) * len(y)),
+    ]
+    print("| count_inversions_fast | n | ms |")
+    print("|---|---|---|")
+    for label, arrivals, predictions in cases:
+        best = float("inf")
+        for _ in range(REPEATS):
+            start = perf_counter()
+            count_inversions_fast(arrivals, predictions)
+            best = min(best, perf_counter() - start)
+        print(f"| {label} | {len(arrivals)} | {best * 1000:.1f} |")
+
+
 def main() -> None:
-    trace = synthesize(
-        WorkloadSpec("zipf", universe=4096, length=LENGTH, alpha=1.0),
-        NoiseSpec("additive_uniform", width=64.0),
-        seed=1,
-    )
+    trace = _zipf(LENGTH, NoiseSpec("additive_uniform", width=64.0))
     print("| policy | " + " | ".join(f"k={k}" for k in KS) + " | k=8 / k=512 |")
     print("|---" * (len(KS) + 2) + "|")
     rows = [(name, (name,)) for name in POLICY_NAMES] + [("all", POLICY_NAMES)]
@@ -43,6 +78,8 @@ def main() -> None:
             rates.append(trace.n / best)
         cells = " | ".join(f"{rate / 1000:.0f}k" for rate in rates)
         print(f"| {name} | {cells} | {rates[0] / rates[-1]:.2f} |")
+    print()
+    inversion_table(trace)
 
 
 if __name__ == "__main__":

@@ -200,7 +200,7 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
 def load_config(path: str) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = yaml.safe_load(text)
@@ -270,7 +270,11 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     file_trace = None
     trace_id = ""
     if config.trace_path is not None:
-        file_trace = parse_trace(Path(config.trace_path).read_text(encoding="utf-8"))
+        try:
+            text = Path(config.trace_path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"trace {config.trace_path} is not UTF-8: {exc}") from exc
+        file_trace = parse_trace(text)
         trace_id = Path(config.trace_path).stem
     elif config.workload is not None:
         trace_id = config.workload.label

@@ -1,10 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately brute force and shares no code with the
+Everything here is deliberately simple and shares no code with the
 package: next arrivals by forward scan, the inversion count by pair
-enumeration, the offline optimum by exhaustive enumeration of eviction
-choices, a plain serve loop that records every request's victim, and the
-O(k) reference victim rules of every policy.
+enumeration and by a Fenwick tree over prediction ranks, the offline optimum
+by exhaustive enumeration of eviction choices, a plain serve loop that
+records every request's victim, and the O(k) reference victim rules of every
+policy.
 """
 
 from __future__ import annotations
@@ -67,6 +68,46 @@ def count_inversions_naive(arrivals, predictions) -> int:
             elif yj < yi and hj >= hi:
                 count += 1
     return count
+
+
+def count_inversions_fenwick(arrivals, predictions) -> int:
+    """Inversion count in O(n log n), the reference for large instances: sweep
+    in arrival order, counting earlier elements with prediction rank >= the
+    current one in a Fenwick tree over the ranks.  Elements sharing an
+    arrival value are queried before any of them is inserted, since pairs
+    need strictly increasing arrivals."""
+    if len(arrivals) != len(predictions):
+        raise ValueError("arrivals and predictions must have equal length")
+    n = len(arrivals)
+    if n < 2:
+        return 0
+    rank = {h: r for r, h in enumerate(sorted(set(predictions)), start=1)}
+    ranks = [rank[h] for h in predictions]
+    order = sorted(range(n), key=arrivals.__getitem__)
+    size = len(rank)
+    tree = [0] * (size + 1)
+    total = 0
+    i = 0
+    while i < n:
+        y = arrivals[order[i]]
+        j = i
+        while j < n and arrivals[order[j]] == y:
+            j += 1
+        # i elements are inserted; subtract those ranked below each query
+        for idx in order[i:j]:
+            r = ranks[idx] - 1
+            below = 0
+            while r > 0:
+                below += tree[r]
+                r -= r & -r
+            total += i - below
+        for idx in order[i:j]:
+            r = ranks[idx]
+            while r <= size:
+                tree[r] += 1
+                r += r & -r
+        i = j
+    return total
 
 
 def serve_all(policy, requests, predictions) -> list:

@@ -425,6 +425,22 @@ def test_main_rejects_a_repeated_policy_flag(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_rejects_a_trace_that_is_not_utf8(tmp_path, capsys):
+    trace, out = tmp_path / "bad.csv", tmp_path / "res.csv"
+    trace.write_bytes(b"t,page,h\n1,\xff\xfe,3\n")
+    assert main(["--trace", str(trace), "--policy", "lru", "--k", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"configuration error: trace {trace} is not UTF-8")
+    assert not out.exists()
+
+
+def test_main_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    cfg, out = tmp_path / "bad.yaml", tmp_path / "res.csv"
+    cfg.write_bytes(b"policies: [lru]\nk: [2]\n# \xff\xfe\n")
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"configuration error: cannot read config {cfg}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["sweep", "file", "uniform"])
 def test_golden_results_are_byte_identical(tmp_path, monkeypatch, name):
     # The expected CSVs were written by an earlier revision of the program;

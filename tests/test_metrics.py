@@ -1,21 +1,38 @@
 import math
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from predcache import (
+    AdversaryConfig,
     ConfigError,
     NoiseSpec,
     SlackPolicy,
+    WorkloadSpec,
     check_bounds,
     count_inversions_fast,
     ell1_loss,
     harmonic,
     next_arrivals,
     perturb_predictions,
+    run_adversary,
+    synthesize,
 )
-from oracles import count_inversions_naive
+from predcache import metrics
+from oracles import count_inversions_fenwick, count_inversions_naive
+
+# The package's block width, then blocks of 1, 2 and 4 positions, so that
+# small instances cross many block boundaries.
+BLOCK_BITS = (metrics._BLOCK_BITS, 0, 1, 2)
+
+
+def _assert_fast_matches_naive(y, h):
+    expected = count_inversions_naive(y, h)
+    for bits in BLOCK_BITS:
+        with patch.object(metrics, "_BLOCK_BITS", bits):
+            assert count_inversions_fast(y, h) == expected, bits
 
 
 def test_harmonic():
@@ -50,9 +67,14 @@ def test_fast_matches_naive_on_examples():
         ([2, 3, 4], [3.0, 3.0, 4.0]),
         ([5, 5, 5], [1.0, 2.0, 3.0]),  # tied arrivals contribute nothing
         ([1], [9.0]),
+        ([], []),
+        # n = 300: equal predictions, reversed predictions, equal arrivals
+        (list(range(1, 301)), [5.0] * 300),
+        (list(range(1, 301)), [float(301 - v) for v in range(1, 301)]),
+        ([7] * 300, [float(v % 13) for v in range(300)]),
     ]
     for y, h in cases:
-        assert count_inversions_fast(y, h) == count_inversions_naive(y, h)
+        _assert_fast_matches_naive(y, h)
 
 
 @settings(max_examples=300, deadline=None)
@@ -65,7 +87,42 @@ def test_fast_matches_naive_on_random_instances(data):
             st.floats(0, 30, allow_nan=False, allow_infinity=False), min_size=n, max_size=n
         )
     )
-    assert count_inversions_fast(y, h) == count_inversions_naive(y, h)
+    _assert_fast_matches_naive(y, h)
+
+
+def _zipf_trace(noise):
+    spec = WorkloadSpec("zipf", universe=4096, length=20_000, alpha=1.0)
+    trace = synthesize(spec, noise, seed=3)
+    return trace.arrivals, trace.predictions
+
+
+def _heavy_ties():
+    rng = random.Random(11)
+    y = [rng.randint(1, 50) for _ in range(5_000)]
+    h = [rng.choice((0.0, 2.5, 3.0, 40.0, 51.0)) for _ in range(5_000)]
+    return y, h
+
+
+def _adversary_trace():
+    trace = run_adversary("blind_oracle", AdversaryConfig(k=8, j=7, num_phases=300)).trace
+    return trace.arrivals, trace.predictions
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        lambda: _zipf_trace(NoiseSpec("perfect")),
+        lambda: _zipf_trace(NoiseSpec("additive_uniform", width=8.0)),
+        lambda: _zipf_trace(NoiseSpec("random_replace", prob=1.0, limit=20_000.0)),
+        _adversary_trace,
+        _heavy_ties,
+    ],
+    ids=["zipf_perfect", "zipf_additive_uniform", "zipf_random_replace", "adversary",
+         "heavy_ties"],
+)
+def test_fast_matches_fenwick_across_many_blocks(instance):
+    y, h = instance()
+    assert count_inversions_fast(y, h) == count_inversions_fenwick(y, h)
 
 
 @settings(max_examples=150, deadline=None)
@@ -179,4 +236,4 @@ def test_random_cross_check_fast_vs_naive_larger():
         n = rng.randint(1, 200)
         y = [rng.randint(1, n + 1) for _ in range(n)]
         h = [rng.uniform(0, n + 2) for _ in range(n)]
-        assert count_inversions_fast(y, h) == count_inversions_naive(y, h)
+        _assert_fast_matches_naive(y, h)
