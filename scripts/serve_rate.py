@@ -5,10 +5,12 @@ uniform noise of width 64, LENGTH requests) alone, built by
 ``make_policies`` and run by ``simulate``; a combiner's time includes
 serving its experts.  The ``all`` row serves all six policies from one
 ``make_policies`` call in one ``simulate`` pass, as the CLI serves them, so
-shared experts answer the combiners from their stored answers.  Each cell is
-the best of REPEATS runs.  The last column is the k=8 rate over the k=512
-rate: how much a policy slows down as the cache grows.  Prints a markdown
-table.
+each shared expert is served once.  Each cell is the best of REPEATS runs.
+The k=8 / k=512 column is the k=8 rate over the k=512 rate: how much a
+policy slows down as the cache grows.  The ``online`` column drives the same
+policy at k=8 through ``serve``, one call per request, as the adversary
+drives it (not defined for ``all``, whose experts are shared).  Prints a
+markdown table.
 
 A second table gives ``count_inversions_fast`` in ms, best of REPEATS, on
 the same trace and on three WORST_LENGTH-request cases over one zipf trace:
@@ -37,6 +39,16 @@ WORST_LENGTH = 50000
 REPEATS = 3
 
 
+def _best_s(run_once) -> float:
+    """Best wall time of REPEATS calls, in seconds."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = perf_counter()
+        run_once()
+        best = min(best, perf_counter() - start)
+    return best
+
+
 def _zipf(length: int, noise: NoiseSpec):
     return synthesize(WorkloadSpec("zipf", universe=4096, length=length, alpha=1.0), noise, seed=1)
 
@@ -53,31 +65,35 @@ def inversion_table(trace) -> None:
     print("| count_inversions_fast | n | ms |")
     print("|---|---|---|")
     for label, arrivals, predictions in cases:
-        best = float("inf")
-        for _ in range(REPEATS):
-            start = perf_counter()
-            count_inversions_fast(arrivals, predictions)
-            best = min(best, perf_counter() - start)
+        best = _best_s(lambda: count_inversions_fast(arrivals, predictions))
         print(f"| {label} | {len(arrivals)} | {best * 1000:.1f} |")
 
 
 def main() -> None:
     trace = _zipf(LENGTH, NoiseSpec("additive_uniform", width=64.0))
-    print("| policy | " + " | ".join(f"k={k}" for k in KS) + " | k=8 / k=512 |")
-    print("|---" * (len(KS) + 2) + "|")
+    requests = list(enumerate(zip(trace.requests, trace.predictions), start=1))
+
+    def build(names, k):
+        return make_policies(names, k, arrivals=trace.arrivals, seed=1, epsilon=0.1)
+
+    def batch(names, k):
+        simulate(trace, build(names, k).values())
+
+    def online(name):
+        serve = build((name,), KS[0])[name].serve
+        for t, (page, h) in requests:
+            serve(t, page, h)
+
+    print("| policy | " + " | ".join(f"k={k}" for k in KS) + " | k=8 / k=512 | online, k=8 |")
+    print("|---" * (len(KS) + 3) + "|")
     rows = [(name, (name,)) for name in POLICY_NAMES] + [("all", POLICY_NAMES)]
     for name, names in rows:
-        rates = []
-        for k in KS:
-            best = float("inf")
-            for _ in range(REPEATS):
-                start = perf_counter()
-                runs = make_policies(names, k, arrivals=trace.arrivals, seed=1, epsilon=0.1)
-                simulate(trace, runs.values())
-                best = min(best, perf_counter() - start)
-            rates.append(trace.n / best)
+        rates = [trace.n / _best_s(lambda: batch(names, k)) for k in KS]
         cells = " | ".join(f"{rate / 1000:.0f}k" for rate in rates)
-        print(f"| {name} | {cells} | {rates[0] / rates[-1]:.2f} |")
+        served = "n/a"
+        if name != "all":
+            served = f"{trace.n / _best_s(lambda: online(name)) / 1000:.0f}k"
+        print(f"| {name} | {cells} | {rates[0] / rates[-1]:.2f} | {served} |")
     print()
     inversion_table(trace)
 

@@ -146,6 +146,8 @@ def run_adversary(policy: str | PolicyFactory, config: AdversaryConfig) -> Adver
                 f"evictions diverged on replay at request {t}; "
                 "the adversary construction requires a deterministic policy"
             )
+    instance.close()
+    replay.close()
 
     phases = []
     for p in range(config.num_phases):

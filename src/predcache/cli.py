@@ -263,7 +263,10 @@ def _verdicts(report: BoundReport, policy: str) -> tuple[tuple[str, ...], tuple[
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
-    """Run the configured sweep; rows come back in deterministic order."""
+    """Run the configured sweep; rows come back in deterministic order.
+
+    Each (noise, seed) trace is built and measured once, then served at every k.
+    """
     config.validate()
     rows: list[ResultRow] = []
 
@@ -284,21 +287,21 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
         noises = (None,)
 
     if file_trace is not None or config.workload is not None:
-        for k in config.ks:
-            for noise in noises:
-                noise_id = noise.label if noise is not None else "file"
-                per_seed: dict[str, list[dict]] = {p: [] for p in config.policies}
-                for seed in config.seeds:
-                    trace = _cell_trace(config, file_trace, noise, seed)
-                    opt, costs = _cell_costs(config, trace, k, seed)
+        measured = None
+        for noise in noises:
+            noise_id = noise.label if noise is not None else "file"
+            cells: dict[int, list] = {k: [] for k in config.ks}
+            for seed in config.seeds:
+                trace = _cell_trace(config, file_trace, noise, seed)
+                if trace is not measured:  # a file trace without noise serves every seed
+                    measured = trace
                     eta = ell1_loss(trace.arrivals, trace.predictions)
                     inversions = count_inversions_fast(trace.arrivals, trace.predictions)
+                for k in config.ks:
+                    opt, costs = _cell_costs(config, trace, k, seed)
+                    cells[k].append((opt, eta, inversions, costs))
                     report = check_bounds(
-                        costs,
-                        opt,
-                        eta,
-                        inversions,
-                        k,
+                        costs, opt, eta, inversions, k,
                         epsilon=config.epsilon if "mw" in costs else None,
                     )
                     eps_ratio = eta / opt if opt > 0 else None
@@ -311,13 +314,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                                 passed, failed,
                             )
                         )
-                        per_seed[name].append(
-                            {"cost": costs[name], "opt": opt, "eta": eta,
-                                 "inversions": inversions, "all": dict(costs)}
-                        )
-                rows.extend(
-                    _aggregate_rows(config, trace_id, k, noise_id, per_seed)
-                )
+            for k in config.ks:
+                rows.extend(_aggregate_rows(config, trace_id, k, noise_id, cells[k]))
 
     if config.adversary is not None:
         rows.extend(_adversary_rows(config))
@@ -326,29 +324,30 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
-def _aggregate_rows(config, trace_id, k, noise_id, per_seed) -> list[ResultRow]:
-    """Mean-over-seeds rows for the randomized policies (seed column 'agg')."""
+def _aggregate_rows(config, trace_id, k, noise_id, cells) -> list[ResultRow]:
+    """Mean-over-seeds rows for the randomized policies (seed column 'agg').
+
+    ``cells`` holds one ``(opt, eta, inversions, costs)`` per seed.
+    """
     out = []
+    if len(config.seeds) < 2:
+        return out
+    opt, eta, inversions = (statistics.fmean(cell[i] for cell in cells) for i in range(3))
     for name in config.policies:
-        if name not in ("marker", "mw") or len(config.seeds) < 2:
+        if name not in ("marker", "mw"):
             continue
-        cells = per_seed[name]
-        means = {key: statistics.fmean(c[key] for c in cells)
-                 for key in ("cost", "opt", "eta", "inversions")}
-        costs = {name: means["cost"]}
-        for expert in ("blind_oracle", "lru", "marker"):
-            if all(expert in c["all"] for c in cells):
-                costs.setdefault(expert, statistics.fmean(c["all"][expert] for c in cells))
+        costs = {}
+        for policy in (name, "blind_oracle", "lru", "marker"):
+            if policy not in costs and all(policy in cell[3] for cell in cells):
+                costs[policy] = statistics.fmean(cell[3][policy] for cell in cells)
         report = check_bounds(
-            costs, means["opt"], means["eta"], means["inversions"], k,
-            epsilon=config.epsilon if name == "mw" else None,
+            costs, opt, eta, inversions, k, epsilon=config.epsilon if name == "mw" else None
         )
         passed, failed = _verdicts(report, name)
         out.append(
             ResultRow(
-                trace_id, k, noise_id, None, name,
-                means["cost"], means["opt"], means["eta"], means["inversions"],
-                means["eta"] / means["opt"] if means["opt"] > 0 else None, passed, failed,
+                trace_id, k, noise_id, None, name, costs[name], opt, eta, inversions,
+                eta / opt if opt > 0 else None, passed, failed,
             )
         )
     return out

@@ -1,11 +1,13 @@
 """Black-box combiners, and the one builder for every named policy run.
 
-A combiner watches two expert policies and keeps its own cache.  It serves
-each expert before itself; since serving is idempotent per request, an expert
-that is also a standalone run (or shared by another combiner) is simulated
-once.  On a full-cache miss the combiner evicts its least recent page that the
-currently tracked expert does not hold, so its cache drifts toward that
-expert's cache lazily, one miss at a time.
+A combiner watches two expert policies and keeps its own cache.  It reads
+only which page each expert evicts, so ``simulate`` serves every expert over
+the whole trace first and hands the combiner the experts' victim lists; an
+expert shared by several combiners (or also a standalone run) is served
+once.  Online, a combiner's ``serve`` serves its own experts first.  On a
+full-cache miss the combiner evicts its least recent page that the currently
+tracked expert does not hold, so its cache drifts toward that expert's cache
+lazily, one miss at a time.
 
 ``FtlCombiner`` deterministically follows whichever expert has evicted less so
 far.  ``MwCombiner`` follows expert i with probability proportional to
@@ -26,7 +28,6 @@ from .policies import (
     Belady,
     BlindOracle,
     Marker,
-    PageId,
     Policy,
     RunResult,
     keep_live,
@@ -45,71 +46,81 @@ _RESCALE_FLOOR = 1e-100
 class _Combiner(Policy):
     """Two experts of the combiner's ``k``, and the own pages each one lacks.
 
-    ``_outside[i]`` is a ``(last, last, page)`` heap (see ``pop_live``), keyed
-    by own last request, of the own pages expert i does not hold.  Pages enter
-    a cache only when requested and experts serve first, so an own page leaves
-    expert i's cache exactly as expert i's victim, which each combiner's
-    ``serve`` pushes.  A combiner must therefore be served on every request
-    its experts are served.  Each combiner writes its whole ``serve`` out: a
-    shared helper or hook costs a call on every request.
+    The body is sent ``(t, page, victim_a, victim_b)``: the experts' victims
+    for request t, from which it counts each expert's cost.  ``_outside[i]``
+    is a ``(last, last, page)`` heap (see ``pop_live``), keyed by own last
+    request, of the own pages expert i does not hold.  Pages enter a cache
+    only when requested and experts serve first, so an own page leaves expert
+    i's cache exactly as expert i's victim, which the body pushes.  A combiner
+    must therefore see every request its experts serve.
     """
 
     def __init__(self, expert_a: Policy, expert_b: Policy, k: int):
-        super().__init__(k)
         if expert_a.k != k or expert_b.k != k:
             raise ConfigError(f"combiner experts need k={k}, got {expert_a.k}, {expert_b.k}")
         self.experts = (expert_a, expert_b)
         self._outside: tuple[list, list] = ([], [])
+        super().__init__(k)
+
+    def serve(self, t, page, prediction):
+        """Serve request t to both experts (once if they are one run), then to self."""
+        a, b = self.experts
+        victim_a = a.serve(t, page, prediction)
+        victim_b = victim_a if b is a else b.serve(t, page, prediction)
+        return self._steps.send((t, page, victim_a, victim_b))
 
 
 class FtlCombiner(_Combiner):
     """Follow the expert with the smaller eviction count.
 
-    The leader (an index into ``experts``) is recomputed after both experts
-    serve the current request; ties keep the incumbent, and expert 0 leads
-    initially.
+    The leader (an index into ``experts``) is recomputed from the experts'
+    evictions since the combiner started, after both experts serve the
+    current request; ties keep the incumbent, and expert 0 leads initially.
     """
 
     name = "ftl"
 
     def __init__(self, expert_a: Policy, expert_b: Policy, k: int):
-        super().__init__(expert_a, expert_b, k)
         self.leader = 0
+        super().__init__(expert_a, expert_b, k)
 
-    def serve(self, t, page, prediction):
-        if t == self._last_t:
-            return self._last_victim
-        a, b = self.experts
-        victim_a = a.serve(t, page, prediction)
-        victim_b = b.serve(t, page, prediction)
-        own = self.cache
-        last = own.get(victim_a)
-        if last is not None:
-            heap = self._outside[0]
-            heappush(heap, (last, last, victim_a))
-            if len(heap) > 2 * self.k:
-                keep_live(heap, own)
-        last = own.get(victim_b)
-        if last is not None:
-            heap = self._outside[1]
-            heappush(heap, (last, last, victim_b))
-            if len(heap) > 2 * self.k:
-                keep_live(heap, own)
-        if a.cost < b.cost:
-            self.leader = 0
-        elif b.cost < a.cost:
-            self.leader = 1
+    def _steps(self):
+        own, k = self.cache, self.k
+        limit = 2 * k
+        outside_a, outside_b = self._outside
+        cost_a = cost_b = 0
+        leader = self.leader
+        outside = self._outside[leader]
         evicted = None
-        if page in own:
-            del own[page]
-        elif len(own) >= self.k:
-            evicted = pop_live(self._outside[self.leader], own)
-            del own[evicted]
-            self.cost += 1
-        own[page] = t
-        self._last_t = t
-        self._last_victim = evicted
-        return evicted
+        while True:
+            t, page, victim_a, victim_b = yield evicted
+            if victim_a is not None or victim_b is not None:
+                if victim_a is not None:
+                    cost_a += 1
+                    last = own.get(victim_a)
+                    if last is not None:
+                        heappush(outside_a, (last, last, victim_a))
+                        if len(outside_a) > limit:
+                            keep_live(outside_a, own)
+                if victim_b is not None:
+                    cost_b += 1
+                    last = own.get(victim_b)
+                    if last is not None:
+                        heappush(outside_b, (last, last, victim_b))
+                        if len(outside_b) > limit:
+                            keep_live(outside_b, own)
+                best = 0 if cost_a < cost_b else 1 if cost_b < cost_a else leader
+                if best != leader:
+                    leader = self.leader = best
+                    outside = self._outside[leader]
+            evicted = None
+            if page in own:
+                del own[page]
+            elif len(own) >= k:
+                evicted = pop_live(outside, own)
+                del own[evicted]
+                self.cost += 1
+            own[page] = t
 
 
 class MwCombiner(_Combiner):
@@ -135,59 +146,57 @@ class MwCombiner(_Combiner):
     ):
         if not 0.0 < epsilon < 0.25:
             raise ConfigError(f"epsilon must be in (0, 1/4), got {epsilon}")
-        super().__init__(expert_a, expert_b, k)
         self.epsilon = epsilon
         self.rng = rng
         self.weights = (1.0, 1.0)
         self.followed = 0 if rng.random() < 0.5 else 1
+        super().__init__(expert_a, expert_b, k)
 
-    def serve(self, t, page, prediction):
-        if t == self._last_t:
-            return self._last_victim
-        a, b = self.experts
-        victim_a = a.serve(t, page, prediction)
-        victim_b = b.serve(t, page, prediction)
-        own = self.cache
-        # when neither expert evicts, the weights are multiplied by 1.0 and no
-        # draw is taken: nothing would change
-        if victim_a is not None or victim_b is not None:
-            last = own.get(victim_a)
-            if last is not None:
-                heap = self._outside[0]
-                heappush(heap, (last, last, victim_a))
-                if len(heap) > 2 * self.k:
-                    keep_live(heap, own)
-            last = own.get(victim_b)
-            if last is not None:
-                heap = self._outside[1]
-                heappush(heap, (last, last, victim_b))
-                if len(heap) > 2 * self.k:
-                    keep_live(heap, own)
-            wa, wb = self.weights
-            followed = self.followed
-            prior = (wb if followed else wa) / (wa + wb)
-            if victim_a is not None:
-                wa *= 1.0 - self.epsilon
-            if victim_b is not None:
-                wb *= 1.0 - self.epsilon
-            if wa < _RESCALE_FLOOR and wb < _RESCALE_FLOOR:
-                scale = max(wa, wb)
-                wa, wb = wa / scale, wb / scale
-            self.weights = (wa, wb)
-            posterior = (wb if followed else wa) / (wa + wb)
-            if posterior < prior and self.rng.random() < (prior - posterior) / prior:
-                self.followed = 1 - followed
+    def _steps(self):
+        own, k = self.cache, self.k
+        limit = 2 * k
+        outside_a, outside_b = self._outside
+        keep, draw = 1.0 - self.epsilon, self.rng.random
+        wa, wb = self.weights
+        followed = self.followed
+        outside = self._outside[followed]
         evicted = None
-        if page in own:
-            del own[page]
-        elif len(own) >= self.k:
-            evicted = pop_live(self._outside[self.followed], own)
-            del own[evicted]
-            self.cost += 1
-        own[page] = t
-        self._last_t = t
-        self._last_victim = evicted
-        return evicted
+        while True:
+            t, page, victim_a, victim_b = yield evicted
+            # when neither expert evicts, the weights are multiplied by 1.0 and
+            # no draw is taken: nothing would change
+            if victim_a is not None or victim_b is not None:
+                prior = (wb if followed else wa) / (wa + wb)
+                if victim_a is not None:
+                    wa *= keep
+                    last = own.get(victim_a)
+                    if last is not None:
+                        heappush(outside_a, (last, last, victim_a))
+                        if len(outside_a) > limit:
+                            keep_live(outside_a, own)
+                if victim_b is not None:
+                    wb *= keep
+                    last = own.get(victim_b)
+                    if last is not None:
+                        heappush(outside_b, (last, last, victim_b))
+                        if len(outside_b) > limit:
+                            keep_live(outside_b, own)
+                if wa < _RESCALE_FLOOR and wb < _RESCALE_FLOOR:
+                    scale = max(wa, wb)
+                    wa, wb = wa / scale, wb / scale
+                self.weights = (wa, wb)
+                posterior = (wb if followed else wa) / (wa + wb)
+                if posterior < prior and draw() < (prior - posterior) / prior:
+                    followed = self.followed = 1 - followed
+                    outside = self._outside[followed]
+            evicted = None
+            if page in own:
+                del own[page]
+            elif len(own) >= k:
+                evicted = pop_live(outside, own)
+                del own[evicted]
+                self.cost += 1
+            own[page] = t
 
 
 def _child_seeds(seed: int) -> tuple[int, int, int]:

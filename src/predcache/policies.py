@@ -1,18 +1,21 @@
-"""Eviction policies behind a single serve() contract, and the run loop.
+"""Eviction policies: each one generator body, and the batch driver.
 
 Cost model: serving a resident page or filling an empty slot is free; a miss
 with a full cache forces exactly one eviction, which costs 1.  A policy
-instance holds the mutable cache state and running cost of one run and is
-driven one request at a time by ``simulate``, so runs for different
-(trace, seed) cells can execute in parallel on separate instances.
+instance holds the cache state and running cost of one run, so separate
+instances can serve different (trace, seed) cells in parallel.  ``simulate``
+drives each run's body over a whole trace from C; ``serve`` drives it one
+request at a time, for callers that pick each request online (the adversary).
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import count
 from typing import Iterable, Sequence
 
 from .errors import ConfigError
@@ -28,14 +31,19 @@ class RunResult:
 
 
 class Policy:
-    """Base eviction policy; subclasses pick the victim on a full-cache miss.
+    """Base eviction policy: one run, and the generator body that serves it.
 
     ``cache`` maps each resident page to its last request index, least recent
     first: a hit moves the page to the end.  ``cost`` counts this instance's
-    evictions so far.  ``experts`` lists the policies a combiner watches (none
-    for a plain policy).  A policy with per-request work beyond the victim
-    rule overrides ``serve`` whole, keeping its stored-answer rule and
-    bookkeeping: a hook would cost a call on every request.
+    evictions so far.  ``experts`` lists the policies a combiner watches.
+
+    ``_steps`` is the body: sent ``(t, page, key)``, it serves request t and
+    yields the evicted page or None.  The key is the prediction (the true
+    next arrival for ``belady``); a combiner is sent its experts' victims.
+    ``__init__`` replaces the method by the running body, primed, so a
+    subclass sets what its body reads (an RNG, the arrivals, the experts)
+    before calling ``Policy.__init__``.  The body mutates the very objects
+    it binds as locals, so they stay readable between requests.
     """
 
     name = "base"
@@ -48,32 +56,24 @@ class Policy:
         self.k = k
         self.cache: dict[PageId, int] = {}
         self.cost = 0
-        self._last_t = None
-        self._last_victim = None
+        self._steps = self._steps()
+        next(self._steps)
 
     def serve(self, t: int, page: PageId, prediction: float) -> PageId | None:
-        """Serve one request; returns the evicted page on a full-cache miss.
+        """Serve request t alone; returns the evicted page on a full-cache miss."""
+        return self._steps.send((t, page, prediction))
 
-        Asked again for the same ``t``, it returns the stored answer without
-        touching the cache, so an expert shared by several combiners (and
-        also run on its own) is served once per request.
+    def close(self) -> None:
+        """End the run and its experts' runs; their state stays readable.
+
+        A body refers to its run: until closed, a dropped run waits for the
+        cycle collector.
         """
-        if t == self._last_t:
-            return self._last_victim
-        cache = self.cache
-        evicted = None
-        if page in cache:
-            del cache[page]
-        elif len(cache) >= self.k:
-            evicted = self._select_victim(t, page, prediction)
-            del cache[evicted]
-            self.cost += 1
-        cache[page] = t
-        self._last_t = t
-        self._last_victim = evicted
-        return evicted
+        for expert in self.experts:
+            expert.close()
+        self._steps.close()
 
-    def _select_victim(self, t: int, page: PageId, prediction: float) -> PageId:
+    def _steps(self):
         raise NotImplementedError
 
 
@@ -82,8 +82,19 @@ class LRU(Policy):
 
     name = "lru"
 
-    def _select_victim(self, t, page, prediction):
-        return next(iter(self.cache))
+    def _steps(self):
+        cache, k = self.cache, self.k
+        evicted = None
+        while True:
+            t, page, _ = yield evicted
+            evicted = None
+            if page in cache:
+                del cache[page]
+            elif len(cache) >= k:
+                evicted = next(iter(cache))
+                del cache[evicted]
+                self.cost += 1
+            cache[page] = t
 
 
 def keep_live(heap: list, cache: dict[PageId, int]) -> None:
@@ -108,37 +119,28 @@ def pop_live(heap: list, cache: dict[PageId, int]) -> PageId:
 class _LargestKey(Policy):
     """Evict the resident page with the largest key; ties go to the least recent.
 
-    Every serve pushes ``(-key, t, page)`` onto ``_heap``, inline; the item
-    goes stale once its page is requested again or evicted.  The key is the
-    request's prediction, or ``arrivals[t - 1]`` when ``arrivals`` is set.
+    Every request pushes ``(-key, t, page)`` onto ``_heap``; the item goes
+    stale once its page is requested again or evicted.
     """
 
-    arrivals: Sequence[int] | None = None
-
-    def __init__(self, k: int):
-        super().__init__(k)
-        self._heap: list[tuple[float, int, PageId]] = []
-
-    def serve(self, t, page, prediction):
-        if t == self._last_t:
-            return self._last_victim
-        cache = self.cache
-        heap = self._heap
+    def _steps(self):
+        cache, k = self.cache, self.k
+        heap = self._heap = []  # (-key, t, page) items
+        limit = 2 * k
         evicted = None
-        if page in cache:
-            del cache[page]
-        elif len(cache) >= self.k:
-            evicted = pop_live(heap, cache)
-            del cache[evicted]
-            self.cost += 1
-        cache[page] = t
-        arrivals = self.arrivals
-        heappush(heap, (-(prediction if arrivals is None else arrivals[t - 1]), t, page))
-        if len(heap) > 2 * self.k:
-            keep_live(heap, cache)
-        self._last_t = t
-        self._last_victim = evicted
-        return evicted
+        while True:
+            t, page, key = yield evicted
+            evicted = None
+            if page in cache:
+                del cache[page]
+            elif len(cache) >= k:
+                evicted = pop_live(heap, cache)
+                del cache[evicted]
+                self.cost += 1
+            cache[page] = t
+            heappush(heap, (-key, t, page))
+            if len(heap) > limit:
+                keep_live(heap, cache)
 
 
 class BlindOracle(_LargestKey):
@@ -155,16 +157,19 @@ class BlindOracle(_LargestKey):
 class Belady(_LargestKey):
     """Offline optimal: evict the page actually requested furthest in the future.
 
-    Needs the trace's true arrival vector.  The arrival recorded at a page's
-    last request is exactly its next request after the current time.  Pages
+    Needs the trace's true arrival vector; its key for request t is
+    ``arrivals[t - 1]``, exactly the page's next request after t.  Pages
     never requested again tie at n+1 and fall back to least-recently-used.
     """
 
     name = "belady"
 
     def __init__(self, k: int, arrivals: Sequence[int]):
-        super().__init__(k)
         self.arrivals = arrivals
+        super().__init__(k)
+
+    def serve(self, t, page, prediction):
+        return self._steps.send((t, page, self.arrivals[t - 1]))
 
 
 class Marker(Policy):
@@ -181,43 +186,63 @@ class Marker(Policy):
     randomized = True
 
     def __init__(self, k: int, rng: random.Random):
-        super().__init__(k)
         self.rng = rng
-        self.unmarked: list[PageId] = []
-        self._phase_start = 0  # resident pages last requested before it are unmarked
+        super().__init__(k)
 
-    def _remove_unmarked(self, last: int) -> None:
-        # Every unmarked page is still resident under its last request, and
-        # ``unmarked`` is in that order, so it is found by bisection.
-        del self.unmarked[bisect_left(self.unmarked, last, key=self.cache.__getitem__)]
-
-    def serve(self, t, page, prediction):
-        if t == self._last_t:
-            return self._last_victim
-        cache = self.cache
+    def _steps(self):
+        cache, k = self.cache, self.k
+        unmarked = self.unmarked = []
+        choice, last_of = self.rng.choice, cache.__getitem__
+        phase_start = 0  # resident pages last requested before it are unmarked
         evicted = None
-        last = cache.get(page)
-        if last is not None:
-            if last < self._phase_start:
-                self._remove_unmarked(last)
-            del cache[page]
-        elif len(cache) >= self.k:
-            if not self.unmarked:
-                self._phase_start = t
-                self.unmarked = list(cache)
-            evicted = self.rng.choice(self.unmarked)
-            self._remove_unmarked(cache[evicted])
-            del cache[evicted]
-            self.cost += 1
-        cache[page] = t
-        self._last_t = t
-        self._last_victim = evicted
-        return evicted
+        while True:
+            t, page, _ = yield evicted
+            evicted = None
+            last = cache.get(page)
+            if last is not None:
+                if last < phase_start:
+                    # every unmarked page is still resident under its last
+                    # request, and ``unmarked`` is in that order
+                    del unmarked[bisect_left(unmarked, last, key=last_of)]
+                del cache[page]
+            elif len(cache) >= k:
+                if not unmarked:
+                    phase_start = t
+                    unmarked[:] = cache
+                evicted = choice(unmarked)
+                del unmarked[bisect_left(unmarked, cache[evicted], key=last_of)]
+                del cache[evicted]
+                self.cost += 1
+            cache[page] = t
+
+
+def _add_run(runs: dict[Policy, None], run: Policy) -> None:
+    for expert in run.experts:
+        _add_run(runs, expert)
+    runs.setdefault(run)
 
 
 def simulate(trace: Trace, policies: Iterable[Policy]) -> None:
-    """Serve every request of the trace to each policy, once per request."""
-    serves = [policy.serve for policy in policies]
-    for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
-        for serve in serves:
-            serve(t, page, h)
+    """Serve every request of the trace once to each distinct run and its experts.
+
+    Each run is one ``map`` of its body's ``send`` over the whole trace, after
+    the experts it reads; only a run some combiner reads keeps its victims.
+    Every run is closed at the end: a run serves one trace.
+    """
+    runs: dict[Policy, None] = {}  # each distinct run, after its experts
+    for run in policies:
+        _add_run(runs, run)
+    read = {expert for run in runs for expert in run.experts}
+    victims: dict[Policy, list] = {}
+    for run in runs:
+        if run.experts:
+            inputs = [victims[expert] for expert in run.experts]
+        else:
+            inputs = [run.arrivals if isinstance(run, Belady) else trace.predictions]
+        served = map(run._steps.send, zip(count(1), trace.requests, *inputs))
+        if run in read:
+            victims[run] = list(served)
+        else:
+            deque(served, maxlen=0)
+    for run in runs:
+        run.close()

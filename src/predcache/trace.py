@@ -147,6 +147,9 @@ class NoiseSpec:
             "random_replace",
         ):
             raise ConfigError(f"unknown noise kind {self.kind!r}")
+        for value in (self.width, self.sigma, self.shift, self.limit):
+            if not math.isfinite(value):
+                raise ConfigError(f"noise parameters must be finite, got {value!r}")
         if self.kind == "additive_uniform" and self.width < 0:
             raise ConfigError("additive_uniform requires width >= 0")
         if self.kind in ("additive_gaussian", "lognormal_scale") and self.sigma < 0:
@@ -217,7 +220,10 @@ def perturb_predictions(arrivals: list[int], noise: NoiseSpec, seed: int) -> lis
         elif kind == "additive_gaussian":
             h = y + rng.gauss(0.0, noise.sigma)
         elif kind == "lognormal_scale":
-            h = y * rng.lognormvariate(0.0, noise.sigma)
+            try:
+                h = y * rng.lognormvariate(0.0, noise.sigma)
+            except OverflowError:  # raised by exp, after the draw
+                h = _MAX_PREDICTION
         elif kind == "constant_shift":
             h = y + noise.shift
         else:  # random_replace

@@ -134,11 +134,8 @@ class RefPolicy:
         self.k = k
         self.entries = {}
         self.cost = 0
-        self._last = (None, None)
 
     def serve(self, t, page, h):
-        if t == self._last[0]:
-            return self._last[1]
         self.pre_serve(t, page, h)
         victim = None
         if page not in self.entries and len(self.entries) >= self.k:
@@ -147,7 +144,6 @@ class RefPolicy:
             self.cost += 1
         self.entries[page] = (t, h)
         self.touched(page)
-        self._last = (t, victim)
         return victim
 
     def pre_serve(self, t, page, h):

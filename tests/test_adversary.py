@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from predcache import (
@@ -5,7 +8,9 @@ from predcache import (
     ConfigError,
     LRU,
     NondeterministicPolicyError,
+    Policy,
     certify_lower_bound,
+    make_policies,
     run_adversary,
     run_policy,
 )
@@ -99,6 +104,22 @@ def test_replayed_trace_reproduces_evictions():
     assert rerun.cost == result.alg_cost
 
 
+def test_adversary_runs_are_freed_without_the_cycle_collector():
+    made = []
+
+    def factory():
+        policy = make_policies(("ftl",), 3)["ftl"]
+        made.extend(weakref.ref(run) for run in (policy, *policy.experts))
+        return policy
+
+    gc.disable()
+    try:
+        run_adversary(factory, AdversaryConfig(k=3, j=2, num_phases=2))
+        assert len(made) == 6 and all(ref() is None for ref in made)
+    finally:
+        gc.enable()
+
+
 def test_generated_trace_survives_the_file_format():
     from predcache import parse_trace, write_trace
 
@@ -113,17 +134,35 @@ def test_combined_policy_certificate_over_many_phases():
     assert result.alg_cost >= 20 * 5
 
 
-class _FlipFlop(LRU):
+class _ByRule(Policy):
+    """A policy whose victim on a full-cache miss is ``self.rule()``."""
+
+    def _steps(self):
+        cache, k = self.cache, self.k
+        evicted = None
+        while True:
+            t, page, _ = yield evicted
+            evicted = None
+            if page in cache:
+                del cache[page]
+            elif len(cache) >= k:
+                evicted = self.rule()
+                del cache[evicted]
+                self.cost += 1
+            cache[page] = t
+
+
+class _FlipFlop(_ByRule):
     """Deterministic per instance, but alternate instances disagree."""
 
     instances = 0
 
     def __init__(self, k):
-        super().__init__(k)
         type(self).instances += 1
         self.flavor = type(self).instances % 2
+        super().__init__(k)
 
-    def _select_victim(self, t, page, prediction):
+    def rule(self):
         pages = list(self.cache)  # least recent first
         return pages[0] if self.flavor else pages[-1]
 
@@ -133,10 +172,10 @@ def test_nondeterministic_policy_detected():
         run_adversary(lambda: _FlipFlop(3), AdversaryConfig(k=3, j=2, num_phases=2))
 
 
-class _Q0Hoarder(LRU):
+class _Q0Hoarder(_ByRule):
     """LRU that refuses to evict Q0, forcing the fallback branch."""
 
-    def _select_victim(self, t, page, prediction):
+    def rule(self):
         return next(page for page in self.cache if page != "Q0")
 
 

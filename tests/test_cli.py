@@ -1,3 +1,4 @@
+import math
 import statistics
 from pathlib import Path
 
@@ -395,11 +396,18 @@ def test_main_fatal_bound_exit_code(tmp_path, monkeypatch):
         {"policies": "nope"},
         {"fatal_bounds": "nope"},
         {"seeds": True},
+        {"noise": {"kind": "lognormal_scale", "sigma": float("inf")}},
+        {"noise": {"kind": "additive_gaussian", "sigma": float("nan")}},
+        {"noise": {"kind": "additive_uniform", "width": float("inf")}},
+        {"noise": {"kind": "constant_shift", "shift": float("-inf")}},
+        {"noise": {"kind": "random_replace", "prob": 0.5, "limit": float("nan")}},
     ],
     ids=["k_text", "k_fraction", "seed_text", "epsilon_text", "noise_width_text",
          "adversary_k_text", "fatal_bound_unknown", "adversary_without_its_policies",
          "noise_not_a_mapping", "out_not_a_path", "policy_repeated", "policies_null",
-         "policy_scalar_unknown", "fatal_bound_scalar_unknown", "seeds_bool"],
+         "policy_scalar_unknown", "fatal_bound_scalar_unknown", "seeds_bool",
+         "noise_sigma_inf", "noise_sigma_nan", "noise_width_inf", "noise_shift_minus_inf",
+         "noise_limit_nan"],
 )
 def test_main_rejects_malformed_input(tmp_path, capsys, overrides):
     data = {
@@ -415,6 +423,27 @@ def test_main_rejects_malformed_input(tmp_path, capsys, overrides):
     assert main(["--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not (tmp_path / "res.csv").exists()
+
+
+def test_main_clamps_an_overflowing_lognormal_draw(tmp_path):
+    # exp of a draw with sigma 1000 overflows; the prediction is clamped
+    cfg, out = tmp_path / "exp.yaml", tmp_path / "res.csv"
+    cfg.write_text(
+        "policies: [lru, blind_oracle]\nk: [2]\nseeds: 2\n"
+        "workload: {kind: uniform, universe: 8, length: 10}\n"
+        "noise: [{kind: lognormal_scale, sigma: 1000}]\n"
+        f"out: {out}\n",
+        encoding="utf-8",
+    )
+    assert main(["--config", str(cfg)]) == 0
+    header, *rows = out.read_text(encoding="utf-8").splitlines()
+    assert header == CSV_HEADER and len(rows) == 4
+    columns = CSV_HEADER.split(",")
+    for row in rows:
+        fields = dict(zip(columns, row.split(",")))
+        for name in ("cost", "opt", "eta", "inversions", "eps_ratio"):
+            assert math.isfinite(float(fields[name])), (name, row)
+    assert max(float(row.split(",")[columns.index("eta")]) for row in rows) >= 1e30
 
 
 def test_main_rejects_a_repeated_policy_flag(tmp_path, capsys):

@@ -49,21 +49,23 @@ def _sample_traces():
 
 
 def test_leader_follows_strict_minimum_and_ties_keep_incumbent():
-    # a cold-fill serve costs neither expert anything, so the costs set here
-    # are the ones the leader is recomputed from
-    a, b = LRU(2), LRU(2)
+    # k=2, lru against blind_oracle on x y z x y x y with predictions
+    # 1 9 1 9 9 1 1; each step lists (lru cost, blind_oracle cost, leader)
+    a, b = LRU(2), BlindOracle(2)
     ftl = FtlCombiner(a, b, 2)
-    ftl.leader = 1
-    a.cost, b.cost = 5, 7
-    assert ftl.serve(1, "x", 0.0) is None
-    assert ftl.leader == 0
-
-    a, b = LRU(2), LRU(2)
-    ftl = FtlCombiner(a, b, 2)
-    ftl.leader = 1
-    a.cost, b.cost = 3, 3
-    assert ftl.serve(1, "x", 0.0) is None
-    assert ftl.leader == 1
+    steps = []
+    for t, (page, h) in enumerate(zip("xyzxyxy", [1.0, 9.0, 1.0, 9.0, 9.0, 1.0, 1.0]), start=1):
+        ftl.serve(t, page, h)
+        steps.append((a.cost, b.cost, ftl.leader))
+    assert steps == [
+        (0, 0, 0),
+        (0, 0, 0),
+        (1, 1, 0),  # z: both evict; the tie keeps the initial leader
+        (2, 1, 1),  # x: only lru evicts; blind_oracle is the strict minimum
+        (3, 2, 1),
+        (3, 3, 1),  # x: only blind_oracle evicts; the tie keeps the incumbent
+        (3, 4, 0),  # y: only blind_oracle evicts; lru is the strict minimum
+    ]
 
 
 def test_ftl_evicts_outside_leader_cache():
@@ -96,9 +98,12 @@ def test_identical_experts_reproduce_the_expert_exactly():
     combined = run_ftl("lru", "lru", trace, k=5)
     alone = run_policy("lru", trace, k=5)
     assert combined.cost == alone.cost == combined.cost_a == combined.cost_b
-    assert serve_all(FtlCombiner(LRU(5), LRU(5), 5), trace.requests, trace.predictions) == (
-        serve_all(LRU(5), trace.requests, trace.predictions)
-    )
+    victims = serve_all(LRU(5), trace.requests, trace.predictions)
+    assert serve_all(FtlCombiner(LRU(5), LRU(5), 5), trace.requests, trace.predictions) == victims
+    # one instance as both experts is served once per request
+    shared = LRU(5)
+    assert serve_all(FtlCombiner(shared, shared, 5), trace.requests, trace.predictions) == victims
+    assert shared.cost == combined.cost
 
 
 @pytest.mark.parametrize("k", [2, 5, 9])

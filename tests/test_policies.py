@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from predcache import (
     make_policies,
     next_arrivals,
     run_policy,
+    simulate,
     synthesize,
 )
 from oracles import (
@@ -94,37 +97,37 @@ def test_blind_oracle_breaks_ties_by_least_recent():
     assert p.serve(4, "d", 1.0) == "b"
 
 
-def test_repeated_request_index_returns_the_stored_answer():
-    # a shared expert is asked once per combiner; only the first call serves
-    p = LRU(1)
-    p.serve(1, "a", 0.0)
-    assert p.serve(2, "b", 0.0) == "a"
-    assert p.serve(2, "b", 0.0) == "a"
-    assert p.cost == 1
-    assert p.cache == {"b": 2}
-
-
-@pytest.mark.parametrize("name", POLICY_NAMES)
-def test_every_policy_answers_a_repeated_index_from_its_store(name):
-    # each policy writes its own serve, so each keeps the rule: a repeat of
-    # the last index, even for another page, changes nothing
+def test_simulate_serves_every_distinct_run_once_per_request():
+    # ftl and mw share the blind_oracle row and ftl shares the lru row; a run
+    # listed twice is still one run
     trace = synthesize(
         WorkloadSpec("uniform", universe=6, length=200),
         NoiseSpec("additive_uniform", width=3.0),
         seed=4,
     )
-    policy = make_policies((name,), 3, arrivals=trace.arrivals, seed=4, epsilon=0.1)[name]
+    runs = make_policies(POLICY_NAMES, 3, arrivals=trace.arrivals, seed=4, epsilon=0.1)
+    recorders = _record(runs.values())
+    assert len(recorders) == len(POLICY_NAMES) + 1  # mw's own marker
+    simulate(trace, [*runs.values(), runs["ftl"]])
+    served = list(enumerate(trace.requests, start=1))
+    for run, recorder in recorders.items():
+        assert [sent[:2] for sent in recorder.sent] == served, run.name
+        assert run.cost == sum(v is not None for v in recorder.victims) > 0, run.name
 
-    def state():
-        runs = (policy, *policy.experts)
-        return [(repr(vars(run)), run.rng.getstate() if run.randomized else None) for run in runs]
 
-    for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
-        victim = policy.serve(t, page, h)
-        before = state()
-        assert policy.serve(t, "absent", 0.0) == victim
-        assert state() == before
-    assert policy.cost > 0
+def test_simulated_runs_are_freed_without_the_cycle_collector():
+    # a body refers to its run; simulate closes every run, so dropping the
+    # runs frees them by reference counting alone
+    trace = _trace("abcabdabeab")
+    runs = make_policies(POLICY_NAMES, 2, arrivals=trace.arrivals, seed=1, epsilon=0.1)
+    refs = [weakref.ref(run) for run in (*runs.values(), *runs["mw"].experts)]
+    gc.disable()
+    try:
+        simulate(trace, runs.values())
+        del runs
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def test_lru_evicts_least_recent():
@@ -283,51 +286,109 @@ def test_capacity_and_eviction_invariants(requests, k, seed):
 # ---------------------------------------------------------------- differential
 
 
-def _serve_together(runs, trace):
-    """Serve every run per request in dict order, as the CLI does; each run's victims.
+class _Recorder:
+    """Stands in for a run's body: forwards each send, recording it and its victim.
 
-    A run that is also another's expert answers the second serve of a request
-    from its stored answer.  The key heaps of blind_oracle and belady and the
-    combiners' heaps are checked after every serve: rebuilt once past 2k,
-    they never hold more.
+    After every send it checks the run's heaps (the key heap of blind_oracle
+    and belady, the combiners' outside heaps): rebuilt once past 2k, they
+    never hold more.
     """
-    victims = {name: [] for name in runs}
+
+    def __init__(self, run):
+        self.steps, self.run = run._steps, run
+        self.sent, self.victims = [], []
+
+    def send(self, item):
+        victim = self.steps.send(item)
+        self.sent.append(item)
+        self.victims.append(victim)
+        _assert_heaps_bounded(self.run)
+        return victim
+
+    def close(self):
+        self.steps.close()
+
+
+def _assert_heaps_bounded(run):
+    for heap in (*getattr(run, "_outside", ()), getattr(run, "_heap", ())):
+        assert len(heap) <= 2 * run.k, run.name
+
+
+def _record(runs):
+    """Put a _Recorder in place of the body of every run and expert; run -> recorder."""
+    recorders = {}
+
+    def wrap(run):
+        if run not in recorders:
+            recorders[run] = run._steps = _Recorder(run)
+            for expert in run.experts:
+                wrap(expert)
+
+    for run in runs:
+        wrap(run)
+    return recorders
+
+
+def _simulated(runs, trace):
+    """Each run's victims under ``simulate``; checks what each combiner was sent."""
+    recorders = _record(runs)
+    simulate(trace, runs)
+    for run, recorder in recorders.items():
+        assert len(recorder.victims) == trace.n, run.name
+        if run.experts:
+            a, b = (recorders[expert].victims for expert in run.experts)
+            assert [sent[2:] for sent in recorder.sent] == list(zip(a, b)), run.name
+    return {run: recorder.victims for run, recorder in recorders.items()}
+
+
+def _served(run, trace):
+    """The run's victims when ``serve`` drives it one request at a time."""
+    victims = []
     for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
-        for name, run in runs.items():
-            victims[name].append(run.serve(t, page, h))
-            heaps = getattr(run, "_outside", ()) + tuple(
-                expert._heap for expert in (run, *run.experts) if hasattr(expert, "_heap")
-            )
-            for heap in heaps:
-                assert len(heap) <= 2 * run.k, name
+        victims.append(run.serve(t, page, h))
+        for served in (run, *run.experts):
+            _assert_heaps_bounded(served)
     return victims
 
 
 def _assert_same_victims(trace, k, seed=0):
-    # each policy built alone, then all six from one builder call in both
-    # name orders, so shared experts also answer from their stored answer
+    # three sequences agree: serve-driven, the victims simulate hands on
+    # (each policy built alone, then all six from one builder call in both
+    # name orders, so shared experts feed two combiners) and the reference
+    def build(names):
+        return make_policies(names, k, arrivals=trace.arrivals, seed=seed, epsilon=0.1)
+
+    expected = {}
+    for name in POLICY_NAMES:
+        reference = ref_policy(name, k, trace.arrivals, seed=seed, epsilon=0.1)
+        expected[name] = serve_all(reference, trace.requests, trace.predictions)
+        assert _served(build((name,))[name], trace) == expected[name], name
     for names in [(name,) for name in POLICY_NAMES] + [POLICY_NAMES, POLICY_NAMES[::-1]]:
-        runs = make_policies(names, k, arrivals=trace.arrivals, seed=seed, epsilon=0.1)
-        got = _serve_together(runs, trace)
+        runs = build(names)
+        victims = _simulated(runs.values(), trace)
         for name in names:
-            reference = ref_policy(name, k, trace.arrivals, seed=seed, epsilon=0.1)
-            assert got[name] == serve_all(reference, trace.requests, trace.predictions), name
+            assert victims[runs[name]] == expected[name], name
     # combiners over other expert pairs
     arrivals = trace.arrivals
     pairs = {
         "ftl(belady, marker)": (
-            FtlCombiner(Belady(k, arrivals), Marker(k, random.Random(seed)), k),
+            lambda: FtlCombiner(Belady(k, arrivals), Marker(k, random.Random(seed)), k),
             RefFtl(RefBelady(k, arrivals), RefMarker(k, random.Random(seed)), k),
         ),
         "mw(lru, belady)": (
-            MwCombiner(LRU(k), Belady(k, arrivals), k, 0.1, random.Random(seed)),
+            lambda: MwCombiner(LRU(k), Belady(k, arrivals), k, 0.1, random.Random(seed)),
             RefMw(RefLRU(k), RefBelady(k, arrivals), k, 0.1, random.Random(seed)),
         ),
-        "ftl(lru, lru)": (FtlCombiner(LRU(k), LRU(k), k), RefFtl(RefLRU(k), RefLRU(k), k)),
+        "ftl(lru, lru)": (
+            lambda: FtlCombiner(LRU(k), LRU(k), k), RefFtl(RefLRU(k), RefLRU(k), k)
+        ),
     }
-    got = _serve_together({name: pair[0] for name, pair in pairs.items()}, trace)
-    for name, (_, reference) in pairs.items():
-        assert got[name] == serve_all(reference, trace.requests, trace.predictions), name
+    built = {name: make() for name, (make, _) in pairs.items()}
+    victims = _simulated(built.values(), trace)
+    for name, (make, reference) in pairs.items():
+        reference_victims = serve_all(reference, trace.requests, trace.predictions)
+        assert victims[built[name]] == reference_victims, name
+        assert _served(make(), trace) == reference_victims, name
 
 
 @st.composite
