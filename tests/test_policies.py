@@ -97,6 +97,58 @@ def test_blind_oracle_breaks_ties_by_least_recent():
     assert p.serve(4, "d", 1.0) == "b"
 
 
+def test_repeated_request_index_returns_the_stored_answer():
+    # one run as both experts is asked twice per index; only the first read
+    # serves, the second is answered with the victim it yielded
+    p = LRU(1)
+    ftl = FtlCombiner(p, p, 1)
+    ftl.serve(1, "a", 0.0)
+    assert ftl.serve(2, "b", 0.0) == "a"
+    assert p.cost == 1
+    assert p.cache == {"b": 2}
+    assert ftl.cost == 1
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_every_policy_answers_a_repeated_index_from_its_store(name):
+    # each policy as both experts of one combiner, under either driver: it
+    # serves every index once and both reads get its one victim, so its
+    # victims, caches, costs and RNG draws are those of the policy alone
+    trace = synthesize(
+        WorkloadSpec("uniform", universe=6, length=200),
+        NoiseSpec("additive_uniform", width=3.0),
+        seed=4,
+    )
+
+    def build():
+        return make_policies((name,), 3, arrivals=trace.arrivals, seed=4, epsilon=0.1)[name]
+
+    def state(policy):
+        runs = (policy, *policy.experts)
+        return [
+            (dict(run.cache), run.cost, run.rng.getstate() if run.randomized else None)
+            for run in runs
+        ]
+
+    alone = build()
+    victims = _served(alone, trace)
+    assert alone.cost > 0
+    served = list(enumerate(trace.requests, start=1))
+    for drive in ("serve", "simulate"):
+        policy = build()
+        pair = FtlCombiner(policy, policy, 3)
+        recorders = _record([pair])
+        if drive == "serve":
+            _served(pair, trace)
+        else:
+            simulate(trace, [pair])
+        assert [sent[:2] for sent in recorders[policy].sent] == served, drive
+        assert recorders[policy].victims == victims, drive
+        assert [sent[2:] for sent in recorders[pair].sent] == list(zip(victims, victims)), drive
+        assert state(policy) == state(alone), drive
+        assert pair.cost == alone.cost, drive
+
+
 def test_simulate_serves_every_distinct_run_once_per_request():
     # ftl and mw share the blind_oracle row and ftl shares the lru row; a run
     # listed twice is still one run
