@@ -10,7 +10,6 @@ runner.
 from .adversary import AdversaryConfig, AdversaryResult, certify_lower_bound, run_adversary
 from .combine import (
     POLICY_NAMES,
-    CombinedResult,
     FtlCombiner,
     MwCombiner,
     make_policies,
@@ -22,8 +21,6 @@ from .errors import ConfigError, NondeterministicPolicyError, TraceParseError
 from .metrics import (
     BOUND_IDS,
     BoundRecord,
-    BoundReport,
-    SlackPolicy,
     check_bounds,
     count_inversions_fast,
     ell1_loss,
@@ -35,7 +32,6 @@ from .policies import (
     LRU,
     Marker,
     Policy,
-    RunResult,
     simulate,
 )
 from .trace import (

@@ -25,7 +25,7 @@ from .adversary import AdversaryConfig, certify_lower_bound, run_adversary
 # them by name on this module.
 from .combine import POLICY_NAMES, make_policies, run_ftl, run_mw, run_policy  # noqa: F401
 from .errors import ConfigError, TraceParseError
-from .metrics import BOUND_IDS, BoundReport, check_bounds, count_inversions_fast, ell1_loss
+from .metrics import BOUND_IDS, BoundRecord, check_bounds, count_inversions_fast, ell1_loss
 from .policies import simulate
 from .trace import NoiseSpec, Trace, WorkloadSpec, parse_trace, perturb_predictions, synthesize
 
@@ -67,8 +67,15 @@ class ExperimentConfig:
         for name in self.policies:
             if name not in POLICY_NAMES:
                 raise ConfigError(f"unknown policy {name!r}")
-        if len(set(self.policies)) != len(self.policies):
-            raise ConfigError(f"policies must not repeat, got {list(self.policies)}")
+        # a repeat, or two noises of one label (the rows' noise_id), would write rows twice
+        for what, values in (
+            ("policies", self.policies),
+            ("k", self.ks),
+            ("seeds", self.seeds),
+            ("noise labels", [noise.label for noise in self.noises]),
+        ):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{what} must not repeat, got {list(values)}")
         if "mw" in self.policies and not 0.0 < self.epsilon < 0.25:
             raise ConfigError("mw requires epsilon in (0, 1/4)")
         if self.workload is not None and self.trace_path is not None:
@@ -248,7 +255,9 @@ def _cell_costs(config: ExperimentConfig, trace: Trace, k: int, seed: int):
     return runs["belady"].cost, costs
 
 
-def _verdicts(report: BoundReport, policy: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def _verdicts(
+    report: dict[str, BoundRecord], policy: str
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
     wanted = ("lemma1",) + _ROW_BOUNDS.get(policy, ())
     passed, failed = [], []
     for bound_id in wanted:

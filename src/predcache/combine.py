@@ -18,7 +18,6 @@ switches is bounded by total probability movement.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from heapq import heappush
 from typing import Sequence
 
@@ -29,7 +28,6 @@ from .policies import (
     BlindOracle,
     Marker,
     Policy,
-    RunResult,
     keep_live,
     pop_live,
     simulate,
@@ -259,47 +257,32 @@ def make_policies(
     return runs
 
 
-def run_policy(policy: str | Policy, trace: Trace, k: int, seed: int = 0) -> RunResult:
-    """Serve every request of the trace and tally evictions.
+def run_policy(policy: str | Policy, trace: Trace, k: int, seed: int = 0) -> Policy:
+    """Serve every request of the trace to one run; returns the run.
 
     ``policy`` is a name from POLICY_NAMES or an already-built (fresh)
-    instance.  The recorded seed is 0 for deterministic policies.
+    instance.  The run's ``cost`` is its eviction count.
     """
     if isinstance(policy, str):
         policy = make_policies((policy,), k, arrivals=trace.arrivals, seed=seed)[policy]
     simulate(trace, (policy,))
-    return RunResult(policy.cost, seed if policy.randomized else 0)
+    return policy
 
 
-@dataclass(frozen=True)
-class CombinedResult(RunResult):
-    """RunResult plus the watched experts' total costs."""
-
-    cost_a: int = 0
-    cost_b: int = 0
-
-
-def _run_combiner(combiner: Policy, trace: Trace, seed: int) -> CombinedResult:
-    simulate(trace, (combiner,))
-    a, b = combiner.experts
-    return CombinedResult(combiner.cost, seed, a.cost, b.cost)
-
-
-def run_ftl(policy_a: str, policy_b: str, trace: Trace, k: int) -> CombinedResult:
+def run_ftl(policy_a: str, policy_b: str, trace: Trace, k: int) -> FtlCombiner:
     """Run the follow-the-leader combination of two deterministic policies."""
     experts = make_policies((policy_a, policy_b), k, arrivals=trace.arrivals)
     a, b = experts[policy_a], experts[policy_b]
     if a.randomized or b.randomized:
         raise ConfigError("ftl requires deterministic experts")
-    return _run_combiner(FtlCombiner(a, b, k), trace, 0)
+    return run_policy(FtlCombiner(a, b, k), trace, k)
 
 
 def run_mw(
     policy_a: str, policy_b: str, trace: Trace, k: int, epsilon: float, seed: int
-) -> CombinedResult:
+) -> MwCombiner:
     """Run the multiplicative-weights combination; one seed fixes everything."""
     seed_a, seed_b, mw_seed = _child_seeds(seed)
     a = make_policies((policy_a,), k, arrivals=trace.arrivals, seed=seed_a)[policy_a]
     b = make_policies((policy_b,), k, arrivals=trace.arrivals, seed=seed_b)[policy_b]
-    combiner = MwCombiner(a, b, k, epsilon, random.Random(mw_seed))
-    return _run_combiner(combiner, trace, seed)
+    return run_policy(MwCombiner(a, b, k, epsilon, random.Random(mw_seed)), trace, k)

@@ -78,23 +78,6 @@ BOUND_IDS = (
 
 
 @dataclass(frozen=True)
-class SlackPolicy:
-    """Additive slack budgets for the checkers, in units of k (or k/epsilon).
-
-    These are implementation budgets for the O(1)-style additive terms, kept
-    explicit so regressions stay visible; they are not claims about the exact
-    constants.
-    """
-
-    prop1: float = 0.0
-    prop2_k: float = 1.0
-    ftl_k: float = 2.0
-    mw_k_over_eps: float = 8.0
-    lru_k: float = 1.0
-    marker_k: float = 1.0
-
-
-@dataclass(frozen=True)
 class BoundRecord:
     bound_id: str
     lhs: float
@@ -103,32 +86,6 @@ class BoundRecord:
     passed: bool
     vacuous: bool = False
     note: str = ""
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    records: tuple[BoundRecord, ...]
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def get(self, bound_id: str) -> BoundRecord | None:
-        for record in self.records:
-            if record.bound_id == bound_id:
-                return record
-        return None
-
-    @property
-    def passed_ids(self) -> tuple[str, ...]:
-        return tuple(r.bound_id for r in self.records if r.passed)
-
-    @property
-    def failed_ids(self) -> tuple[str, ...]:
-        return tuple(r.bound_id for r in self.records if not r.passed)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.records)
 
 
 def _record(bound_id, lhs, rhs, slack, *, vacuous=False, note="") -> BoundRecord:
@@ -141,14 +98,14 @@ def check_bounds(
     eta: float,
     inversions: int,
     k: int,
-    slack: SlackPolicy = SlackPolicy(),
     epsilon: float | None = None,
-) -> BoundReport:
+) -> dict[str, BoundRecord]:
     """Evaluate every bound that the given cost entries make checkable.
 
     ``costs`` maps policy names (lru, blind_oracle, marker, ftl, mw) to
     measured eviction counts; marker and mw entries may be means over seeds.
-    The inequalities, with additive slacks from ``slack``:
+    Returns the records by bound id, in the order listed; each record's
+    ``slack_used`` is its inequality's additive term (k, 2k, 8k/eps or 0):
 
       lemma1       inversions / 2 <= eta
       thm1_prop1   blind_oracle <= opt + 2*eta
@@ -168,19 +125,20 @@ def check_bounds(
 
     records.append(_record("lemma1", inversions / 2.0, eta, 0.0))
 
-    prop1_rhs = opt + 2.0 * eta + slack.prop1
+    prop1_rhs = opt + 2.0 * eta
     prop2_rhs = math.inf
     if k >= 2:
-        prop2_rhs = 2.0 * opt + 4.0 * eta / (k - 1) + slack.prop2_k * k
-    lru_rhs = k * opt + slack.lru_k * k
-    marker_rhs = (2.0 * harmonic(k) - 1.0) * opt + slack.marker_k * k
+        prop2_rhs = 2.0 * opt + 4.0 * eta / (k - 1) + k
+    lru_rhs = k * opt + k
+    # H_k is an O(k) sum; opt > 0 means Belady evicted, so k is below the trace length
+    marker_rhs = float(k) if opt_zero else (2.0 * harmonic(k) - 1.0) * opt + k
 
     if "blind_oracle" in costs:
         bo = costs["blind_oracle"]
-        records.append(_record("thm1_prop1", bo, prop1_rhs, slack.prop1, vacuous=opt_zero))
+        records.append(_record("thm1_prop1", bo, prop1_rhs, 0.0, vacuous=opt_zero))
         if k >= 2:
             records.append(
-                _record("thm1_prop2", bo, prop2_rhs, slack.prop2_k * k, vacuous=opt_zero)
+                _record("thm1_prop2", bo, prop2_rhs, k, vacuous=opt_zero)
             )
         else:
             records.append(
@@ -188,18 +146,18 @@ def check_bounds(
             )
 
     if "lru" in costs:
-        records.append(_record("lru_k", costs["lru"], lru_rhs, slack.lru_k * k, vacuous=opt_zero))
+        records.append(_record("lru_k", costs["lru"], lru_rhs, k, vacuous=opt_zero))
 
     if "marker" in costs:
         records.append(
-            _record("marker_2hk", costs["marker"], marker_rhs, slack.marker_k * k, vacuous=opt_zero)
+            _record("marker_2hk", costs["marker"], marker_rhs, k, vacuous=opt_zero)
         )
 
     if "ftl" in costs:
         if "blind_oracle" not in costs or "lru" not in costs:
             raise ConfigError("ftl bound checks need blind_oracle and lru costs")
         ftl = costs["ftl"]
-        ftl_slack = slack.ftl_k * k
+        ftl_slack = 2 * k
         records.append(
             _record(
                 "ftl_thm2",
@@ -224,7 +182,7 @@ def check_bounds(
         if "blind_oracle" not in costs or "marker" not in costs:
             raise ConfigError("mw bound checks need blind_oracle and marker costs")
         mw = costs["mw"]
-        mw_slack = slack.mw_k_over_eps * k / epsilon
+        mw_slack = 8 * k / epsilon
         records.append(
             _record(
                 "mw_thm3",
@@ -243,4 +201,4 @@ def check_bounds(
             )
         )
 
-    return BoundReport(tuple(records))
+    return {record.bound_id: record for record in records}

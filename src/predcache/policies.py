@@ -13,21 +13,12 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import count
 from typing import Iterable, Sequence
 
 from .errors import ConfigError
 from .trace import PageId, Trace
-
-
-@dataclass(frozen=True)
-class RunResult:
-    """Outcome of serving a full trace: eviction count is the cost."""
-
-    cost: int
-    seed: int = 0
 
 
 class Policy:

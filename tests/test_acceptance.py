@@ -95,7 +95,7 @@ def corpus() -> list[Cell]:
                             bo=bo,
                             lru=lru,
                             ftl=ftl.cost,
-                            ftl_best_expert=min(ftl.cost_a, ftl.cost_b),
+                            ftl_best_expert=min(ftl.experts[0].cost, ftl.experts[1].cost),
                         )
                     )
     return cells
@@ -281,8 +281,8 @@ def test_c08_randomized_combiner_within_budget():
                 for seed in seeds:
                     result = run_mw("blind_oracle", "marker", trace, k, epsilon, seed)
                     total += result.cost
-                    total_a += result.cost_a
-                    total_b += result.cost_b
+                    total_a += result.experts[0].cost
+                    total_b += result.experts[1].cost
                 mean = total / len(seeds)
                 best = min(total_a, total_b) / len(seeds)
                 margin = mean - ((1 + epsilon) * best + 8 * k / epsilon)

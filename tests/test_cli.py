@@ -1,5 +1,6 @@
 import math
 import statistics
+import time
 from pathlib import Path
 
 import pytest
@@ -401,13 +402,16 @@ def test_main_fatal_bound_exit_code(tmp_path, monkeypatch):
         {"noise": {"kind": "additive_uniform", "width": float("inf")}},
         {"noise": {"kind": "constant_shift", "shift": float("-inf")}},
         {"noise": {"kind": "random_replace", "prob": 0.5, "limit": float("nan")}},
+        {"k": [2, 2]},
+        {"seeds": [1, 1]},
+        {"noise": [{"kind": "perfect"}, {"kind": "perfect"}]},
     ],
     ids=["k_text", "k_fraction", "seed_text", "epsilon_text", "noise_width_text",
          "adversary_k_text", "fatal_bound_unknown", "adversary_without_its_policies",
          "noise_not_a_mapping", "out_not_a_path", "policy_repeated", "policies_null",
          "policy_scalar_unknown", "fatal_bound_scalar_unknown", "seeds_bool",
          "noise_sigma_inf", "noise_sigma_nan", "noise_width_inf", "noise_shift_minus_inf",
-         "noise_limit_nan"],
+         "noise_limit_nan", "k_repeated", "seeds_repeated", "noise_repeated"],
 )
 def test_main_rejects_malformed_input(tmp_path, capsys, overrides):
     data = {
@@ -444,6 +448,22 @@ def test_main_clamps_an_overflowing_lognormal_draw(tmp_path):
         for name in ("cost", "opt", "eta", "inversions", "eps_ratio"):
             assert math.isfinite(float(fields[name])), (name, row)
     assert max(float(row.split(",")[columns.index("eta")]) for row in rows) >= 1e30
+
+
+def test_main_is_fast_at_a_cache_size_beyond_the_trace(tmp_path):
+    # opt is 0, so no bound needs H_k, an O(k) sum
+    cfg, out = tmp_path / "exp.yaml", tmp_path / "res.csv"
+    cfg.write_text(
+        "policies: [lru, belady, marker, blind_oracle, ftl, mw]\nk: 100000000000000000000\n"
+        f"workload: {{kind: uniform, universe: 10, length: 10}}\nout: {out}\n",
+        encoding="utf-8",
+    )
+    start = time.perf_counter()
+    assert main(["--config", str(cfg)]) == 0
+    assert time.perf_counter() - start < 1.0
+    header, *rows = out.read_text(encoding="utf-8").splitlines()
+    assert header == CSV_HEADER and len(rows) == 6
+    assert all(row.split(",")[CSV_HEADER.split(",").index("cost")] == "0" for row in rows)
 
 
 def test_main_rejects_a_repeated_policy_flag(tmp_path, capsys):

@@ -45,6 +45,11 @@ def _sample_traces():
     )
 
 
+def _costs(run):
+    """The run's cost, then each expert's."""
+    return (run.cost, *(expert.cost for expert in run.experts))
+
+
 # ---------------------------------------------------------------- FTL
 
 
@@ -97,7 +102,8 @@ def test_identical_experts_reproduce_the_expert_exactly():
     )
     combined = run_ftl("lru", "lru", trace, k=5)
     alone = run_policy("lru", trace, k=5)
-    assert combined.cost == alone.cost == combined.cost_a == combined.cost_b
+    a, b = combined.experts
+    assert combined.cost == alone.cost == a.cost == b.cost
     victims = serve_all(LRU(5), trace.requests, trace.predictions)
     assert serve_all(FtlCombiner(LRU(5), LRU(5), 5), trace.requests, trace.predictions) == victims
     # one instance as both experts is served once per request
@@ -110,7 +116,8 @@ def test_identical_experts_reproduce_the_expert_exactly():
 def test_ftl_within_twice_the_better_expert(k):
     for label, trace in _sample_traces():
         result = run_ftl("blind_oracle", "lru", trace, k)
-        assert result.cost <= 2 * min(result.cost_a, result.cost_b) + 2 * k, label
+        a, b = result.experts
+        assert result.cost <= 2 * min(a.cost, b.cost) + 2 * k, label
 
 
 def test_ftl_expert_costs_match_standalone_runs():
@@ -120,8 +127,8 @@ def test_ftl_expert_costs_match_standalone_runs():
         seed=12,
     )
     result = run_ftl("blind_oracle", "lru", trace, k=4)
-    assert result.cost_a == run_policy("blind_oracle", trace, 4).cost
-    assert result.cost_b == run_policy("lru", trace, 4).cost
+    assert result.experts[0].cost == run_policy("blind_oracle", trace, 4).cost
+    assert result.experts[1].cost == run_policy("lru", trace, 4).cost
 
 
 def test_ftl_is_deterministic():
@@ -130,7 +137,9 @@ def test_ftl_is_deterministic():
         NoiseSpec("additive_gaussian", sigma=4.0),
         seed=6,
     )
-    assert run_ftl("blind_oracle", "lru", trace, 4) == run_ftl("blind_oracle", "lru", trace, 4)
+    a = run_ftl("blind_oracle", "lru", trace, 4)
+    b = run_ftl("blind_oracle", "lru", trace, 4)
+    assert _costs(a) == _costs(b)
 
 
 def test_ftl_rejects_randomized_experts():
@@ -204,7 +213,7 @@ def test_mw_deterministic_for_fixed_seed():
     )
     a = run_mw("blind_oracle", "marker", trace, 5, 0.1, seed=17)
     b = run_mw("blind_oracle", "marker", trace, 5, 0.1, seed=17)
-    assert a == b
+    assert _costs(a) == _costs(b)
 
     def victims(seed):
         mw = make_policies(("mw",), 5, seed=seed, epsilon=0.1)["mw"]

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from predcache import (
+    BOUND_IDS,
     AdversaryConfig,
     ConfigError,
     NoiseSpec,
-    SlackPolicy,
     WorkloadSpec,
     check_bounds,
     count_inversions_fast,
@@ -185,7 +185,7 @@ def test_vacuous_pass_when_opt_is_zero():
     report = check_bounds({"blind_oracle": 0, "lru": 0}, opt=0, eta=5.0, inversions=1, k=4)
     assert report.get("thm1_prop1").vacuous
     assert report.get("lru_k").vacuous
-    assert report.all_passed
+    assert all(record.passed for record in report.values())
 
 
 def test_ftl_and_mw_bounds():
@@ -216,18 +216,27 @@ def test_missing_expert_costs_raise():
         check_bounds({"mw": 10, "blind_oracle": 5, "marker": 6}, opt=5, eta=0.0, inversions=0, k=2)
 
 
-def test_slack_policy_is_visible_in_records():
+def test_records_are_keyed_by_bound_id_with_each_additive_term():
+    k, eps = 4, 0.1
     report = check_bounds(
-        {"lru": 10},
-        opt=2,
-        eta=0.0,
-        inversions=0,
-        k=3,
-        slack=SlackPolicy(lru_k=2.0),
+        {"blind_oracle": 30, "lru": 50, "marker": 40, "ftl": 65, "mw": 45},
+        opt=20,
+        eta=10.0,
+        inversions=4,
+        k=k,
+        epsilon=eps,
     )
-    record = report.get("lru_k")
-    assert record.slack_used == 6.0
-    assert record.rhs == 3 * 2 + 6.0
+    assert list(report) == [
+        "lemma1", "thm1_prop1", "thm1_prop2", "lru_k", "marker_2hk",
+        "ftl_thm2", "cor1_det", "mw_thm3", "cor2_rand",
+    ]
+    assert set(report) <= set(BOUND_IDS)
+    assert all(record.bound_id == bound_id for bound_id, record in report.items())
+    slack = {bound_id: record.slack_used for bound_id, record in report.items()}
+    assert slack == {
+        "lemma1": 0.0, "thm1_prop1": 0.0, "thm1_prop2": k, "lru_k": k, "marker_2hk": k,
+        "ftl_thm2": 2 * k, "cor1_det": 2 * k, "mw_thm3": 8 * k / eps, "cor2_rand": 8 * k / eps,
+    }
 
 
 def test_random_cross_check_fast_vs_naive_larger():
