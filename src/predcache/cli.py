@@ -93,6 +93,9 @@ class ExperimentConfig:
         for k in self.ks:
             if k < 1:
                 raise ConfigError("cache sizes must be >= 1")
+            # the bounds turn k, 2k and 8k into floats
+            if k > sys.float_info.max / 8:
+                raise ConfigError(f"cache sizes must be at most {sys.float_info.max / 8:.4g}")
         if self.adversary is not None:
             self.adversary.validate()
             if not set(self.policies) & set(_ADVERSARY_POLICIES):

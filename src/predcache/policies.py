@@ -171,6 +171,10 @@ class Marker(Policy):
     ``unmarked`` lists the unmarked pages by last-request index (the cache's
     order at the phase start, less the pages requested or evicted since), so
     the draw depends only on the seed, not on hash ordering.
+
+    The victim is ``unmarked[i]`` for the index ``random.Random.choice``
+    would draw: ``getrandbits(len(unmarked).bit_length())``, redrawn while
+    out of range.  The draw is inlined for speed; the golden CSVs pin it.
     """
 
     name = "marker"
@@ -183,7 +187,7 @@ class Marker(Policy):
     def _steps(self):
         cache, k = self.cache, self.k
         unmarked = self.unmarked = []
-        choice, last_of = self.rng.choice, cache.__getitem__
+        getrandbits, last_of = self.rng.getrandbits, cache.__getitem__
         phase_start = 0  # resident pages last requested before it are unmarked
         evicted = None
         while True:
@@ -200,8 +204,12 @@ class Marker(Policy):
                 if not unmarked:
                     phase_start = t
                     unmarked[:] = cache
-                evicted = choice(unmarked)
-                del unmarked[bisect_left(unmarked, cache[evicted], key=last_of)]
+                size = len(unmarked)
+                bits = size.bit_length()
+                i = getrandbits(bits)
+                while i >= size:
+                    i = getrandbits(bits)
+                evicted = unmarked.pop(i)
                 del cache[evicted]
                 self.cost += 1
             cache[page] = t

@@ -180,25 +180,35 @@ def _page(index: int) -> PageId:
 
 
 def generate_workload(spec: WorkloadSpec, seed: int) -> list[PageId]:
-    """Generate a request sequence; deterministic for a fixed (spec, seed)."""
+    """Generate a request sequence; deterministic for a fixed (spec, seed).
+
+    The draws are those of ``random.Random.randrange`` and ``choices``, which
+    the golden CSVs pin.
+    """
     spec.validate()
     rng = random.Random(seed)
     u, n = spec.universe, spec.length
-    if spec.kind == "uniform":
-        return [_page(rng.randrange(u)) for _ in range(n)]
     if spec.kind == "zipf":
         pages = [_page(i) for i in range(u)]
         weights = [(r + 1) ** -spec.alpha for r in range(u)]
         return rng.choices(pages, weights=weights, k=n)
-    m = spec.cycle or u
     if spec.kind == "cyclic":
+        m = spec.cycle or u
         return [_page(i % m) for i in range(n)]
-    # phased: a contiguous working set that slides by m pages each phase
+    # uniform is one phase over the whole universe; phased draws from a
+    # contiguous working set of m pages that slides by m pages each phase.
+    # r is rng.randrange(m), inlined: the same getrandbits draws.
+    if spec.kind == "uniform":
+        m, phase_len = u, n
+    else:
+        m, phase_len = spec.cycle or u, spec.phase_len
+    getrandbits, bits = rng.getrandbits, m.bit_length()
     out: list[PageId] = []
     for i in range(n):
-        phase = i // spec.phase_len
-        start = (phase * m) % u
-        out.append(_page((start + rng.randrange(m)) % u))
+        r = getrandbits(bits)
+        while r >= m:
+            r = getrandbits(bits)
+        out.append(_page((i // phase_len * m + r) % u))
     return out
 
 
@@ -206,32 +216,37 @@ def perturb_predictions(arrivals: list[int], noise: NoiseSpec, seed: int) -> lis
     """Derive predictions from true arrivals under a noise model.
 
     ``perfect`` returns the arrivals exactly; every other kind perturbs them
-    with the seeded generator, one draw sequence in request order.
+    with the seeded generator, one draw sequence in request order.  The draws
+    are those of ``random.Random.uniform`` (inlined as ``a + (b - a) *
+    random()``), ``gauss`` and ``lognormvariate``, which the golden CSVs pin.
     """
     noise.validate()
     rng = random.Random(seed)
-    kind = noise.kind
-    out: list[float] = []
-    for y in arrivals:
-        if kind == "perfect":
-            h = float(y)
-        elif kind == "additive_uniform":
-            h = y + rng.uniform(-noise.width, noise.width)
-        elif kind == "additive_gaussian":
-            h = y + rng.gauss(0.0, noise.sigma)
-        elif kind == "lognormal_scale":
+    kind, random_ = noise.kind, rng.random
+    if kind == "perfect":
+        out = [float(y) for y in arrivals]
+    elif kind == "additive_uniform":
+        low, span = -noise.width, noise.width - -noise.width
+        out = [y + (low + span * random_()) for y in arrivals]
+    elif kind == "additive_gaussian":
+        gauss, sigma = rng.gauss, noise.sigma
+        out = [y + gauss(0.0, sigma) for y in arrivals]
+    elif kind == "lognormal_scale":
+        lognormvariate, sigma = rng.lognormvariate, noise.sigma
+        out = []
+        for y in arrivals:
             try:
-                h = y * rng.lognormvariate(0.0, noise.sigma)
+                out.append(y * lognormvariate(0.0, sigma))
             except OverflowError:  # raised by exp, after the draw
-                h = _MAX_PREDICTION
-        elif kind == "constant_shift":
-            h = y + noise.shift
-        else:  # random_replace
-            h = rng.uniform(0.0, noise.limit) if rng.random() < noise.prob else float(y)
-        if not math.isfinite(h):
-            h = _MAX_PREDICTION
-        out.append(min(max(h, 0.0), _MAX_PREDICTION))
-    return out
+                out.append(_MAX_PREDICTION)
+    elif kind == "constant_shift":
+        out = [y + noise.shift for y in arrivals]
+    else:  # random_replace; uniform(0.0, limit) is limit * random()
+        prob, limit = noise.prob, noise.limit
+        out = [limit * random_() if random_() < prob else float(y) for y in arrivals]
+    # negatives become 0; nan, inf and -inf become _MAX_PREDICTION
+    top, inf = _MAX_PREDICTION, math.inf
+    return [h if 0.0 <= h <= top else 0.0 if -inf < h < 0.0 else top for h in out]
 
 
 def synthesize(workload: WorkloadSpec, noise: NoiseSpec, seed: int) -> Trace:

@@ -4,12 +4,14 @@ Everything here is deliberately simple and shares no code with the
 package: next arrivals by forward scan, the inversion count by pair
 enumeration and by a Fenwick tree over prediction ranks, the offline optimum
 by exhaustive enumeration of eviction choices, a plain serve loop that
-records every request's victim, and the O(k) reference victim rules of every
-policy.
+records every request's victim, the O(k) reference victim rules of every
+policy, and the trace builders written with ``random.Random``'s own
+``randrange``, ``uniform``, ``gauss`` and ``lognormvariate``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from functools import lru_cache
 
@@ -269,3 +271,53 @@ def ref_policy(name, k, arrivals, seed=0, epsilon=0.1):
         marker = RefMarker(k, random.Random(marker_seed))
         return RefMw(RefBlindOracle(k), marker, k, epsilon, random.Random(mw_seed))
     raise ValueError(name)
+
+
+def ref_generate_workload(spec, seed: int) -> list[str]:
+    """Requests of a workload spec, drawn with ``randrange`` and ``choices``."""
+    rng = random.Random(seed)
+    u, n = spec.universe, spec.length
+    if spec.kind == "uniform":
+        return [f"p{rng.randrange(u) + 1}" for _ in range(n)]
+    if spec.kind == "zipf":
+        pages = [f"p{i + 1}" for i in range(u)]
+        weights = [(r + 1) ** -spec.alpha for r in range(u)]
+        return rng.choices(pages, weights=weights, k=n)
+    m = spec.cycle or u
+    if spec.kind == "cyclic":
+        return [f"p{i % m + 1}" for i in range(n)]
+    out = []
+    for i in range(n):
+        start = (i // spec.phase_len * m) % u
+        out.append(f"p{(start + rng.randrange(m)) % u + 1}")
+    return out
+
+
+REF_MAX_PREDICTION = 1e30
+
+
+def ref_perturb_predictions(arrivals, noise, seed: int) -> list[float]:
+    """Predictions under a noise spec, one request at a time, clamped each."""
+    rng = random.Random(seed)
+    kind = noise.kind
+    out = []
+    for y in arrivals:
+        if kind == "perfect":
+            h = float(y)
+        elif kind == "additive_uniform":
+            h = y + rng.uniform(-noise.width, noise.width)
+        elif kind == "additive_gaussian":
+            h = y + rng.gauss(0.0, noise.sigma)
+        elif kind == "lognormal_scale":
+            try:
+                h = y * rng.lognormvariate(0.0, noise.sigma)
+            except OverflowError:
+                h = REF_MAX_PREDICTION
+        elif kind == "constant_shift":
+            h = y + noise.shift
+        else:  # random_replace
+            h = rng.uniform(0.0, noise.limit) if rng.random() < noise.prob else float(y)
+        if not math.isfinite(h):
+            h = REF_MAX_PREDICTION
+        out.append(min(max(h, 0.0), REF_MAX_PREDICTION))
+    return out

@@ -466,6 +466,21 @@ def test_main_is_fast_at_a_cache_size_beyond_the_trace(tmp_path):
     assert all(row.split(",")[CSV_HEADER.split(",").index("cost")] == "0" for row in rows)
 
 
+@pytest.mark.parametrize("k", [10**308, 10**400])
+def test_main_rejects_a_cache_size_too_large_for_a_float(tmp_path, capsys, k):
+    cfg, out = tmp_path / "exp.yaml", tmp_path / "res.csv"
+    cfg.write_text(
+        "policies: [lru, ftl]\nworkload: {kind: uniform, universe: 8, length: 10}\n"
+        f"out: {out}\n",
+        encoding="utf-8",
+    )
+    assert main(["--config", str(cfg), "--k", str(k)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cache sizes must be at most")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_main_rejects_a_repeated_policy_flag(tmp_path, capsys):
     out = tmp_path / "res.csv"
     argv = ["--policy", "lru", "--policy", "lru", "--out", str(out)]

@@ -454,7 +454,7 @@ def test_victims_match_the_reference_rules(trace, k, seed):
     _assert_same_victims(trace, k, seed)
 
 
-@pytest.mark.parametrize("k", [16, 64])
+@pytest.mark.parametrize("k", [16, 24, 64])
 def test_victims_match_the_reference_rules_at_larger_k(k):
     # long enough for many heap rebuilds and long marking phases
     for seed in range(3):

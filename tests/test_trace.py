@@ -19,7 +19,7 @@ from predcache import (
     synthesize,
     write_trace,
 )
-from oracles import scan_next_arrivals
+from oracles import ref_generate_workload, ref_perturb_predictions, scan_next_arrivals
 
 pages = st.lists(st.sampled_from("abcde"), min_size=1, max_size=40)
 
@@ -104,6 +104,54 @@ def test_phased_workload_stays_in_working_set():
 def test_invalid_workload_specs_rejected(spec):
     with pytest.raises(ConfigError):
         generate_workload(spec, seed=1)
+
+
+# every kind; universes that are and are not powers of two, working sets that
+# do not divide the universe, and cycle 0 (the whole universe)
+_DRAW_WORKLOADS = [
+    WorkloadSpec("uniform", universe=37, length=500),
+    WorkloadSpec("uniform", universe=1024, length=500),
+    WorkloadSpec("zipf", universe=50, length=500, alpha=1.3),
+    WorkloadSpec("cyclic", universe=20, length=500, cycle=7),
+    WorkloadSpec("phased", universe=100, length=500, cycle=24, phase_len=35),
+    WorkloadSpec("phased", universe=100, length=500, cycle=64, phase_len=17),
+    WorkloadSpec("phased", universe=10, length=500, phase_len=50),
+]
+
+
+@pytest.mark.parametrize("spec", _DRAW_WORKLOADS, ids=lambda spec: spec.label)
+def test_workload_draws_match_the_random_api(spec):
+    for seed in range(4):
+        assert generate_workload(spec, seed) == ref_generate_workload(spec, seed)
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [
+        NoiseSpec("perfect"),
+        NoiseSpec("additive_uniform", width=8.0),
+        NoiseSpec("additive_uniform", width=0.3),  # rounds differently if reassociated
+        NoiseSpec("additive_gaussian", sigma=50.0),
+        NoiseSpec("lognormal_scale", sigma=0.7),
+        NoiseSpec("constant_shift", shift=3.5),
+        NoiseSpec("constant_shift", shift=-20.0),
+        NoiseSpec("random_replace", prob=0.3, limit=100.0),
+        # the clamp's extremes: overflow to inf or nan, far below zero, exp overflow
+        NoiseSpec("constant_shift", shift=1e40),
+        NoiseSpec("constant_shift", shift=-1e40),
+        NoiseSpec("additive_gaussian", sigma=1e308),
+        NoiseSpec("additive_uniform", width=1e308),
+        NoiseSpec("lognormal_scale", sigma=1000.0),
+    ],
+    ids=lambda noise: noise.label,
+)
+def test_noise_draws_match_the_random_api(noise):
+    for spec in _DRAW_WORKLOADS:
+        arrivals = next_arrivals(generate_workload(spec, 0))
+        for seed in range(3):
+            got = perturb_predictions(arrivals, noise, seed)
+            want = ref_perturb_predictions(arrivals, noise, seed)
+            assert list(map(repr, got)) == list(map(repr, want))
 
 
 def test_perfect_noise_is_identity():
