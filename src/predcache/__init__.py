@@ -44,6 +44,7 @@ from .trace import (
     parse_trace,
     perturb_predictions,
     synthesize,
+    synthesize_requests,
     write_trace,
 )
 

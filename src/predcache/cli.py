@@ -21,13 +21,14 @@ import yaml
 
 from .adversary import AdversaryConfig, certify_lower_bound, run_adversary
 
-# run_policy, run_ftl and run_mw are not called here; bench/tracing.py wraps
-# them by name on this module.
+# run_policy, run_ftl, run_mw and synthesize are not called here;
+# bench/tracing.py wraps them by name on this module.
 from .combine import POLICY_NAMES, make_policies, run_ftl, run_mw, run_policy  # noqa: F401
 from .errors import ConfigError, TraceParseError
 from .metrics import BOUND_IDS, BoundRecord, check_bounds, count_inversions_fast, ell1_loss
-from .policies import simulate
-from .trace import NoiseSpec, Trace, WorkloadSpec, parse_trace, perturb_predictions, synthesize
+from .policies import Policy, simulate
+from .trace import NoiseSpec, Trace, WorkloadSpec, parse_trace, perturb_predictions
+from .trace import synthesize, synthesize_requests  # noqa: F401
 
 CSV_HEADER = (
     "trace_id,k,noise_id,seed,policy,cost,opt,eta,inversions,eps_ratio,"
@@ -122,10 +123,20 @@ class ResultRow:
 
 
 def _number(what: str, value, integer: bool = False):
-    """``value`` if it is a number (an integer when ``integer``), else ConfigError."""
+    """``value`` if it is a number (an integer when ``integer``), else ConfigError.
+
+    A number for a float field must convert to a float: an int beyond the
+    float range does not.
+    """
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         kind = "an integer" if integer else "a number"
         raise ConfigError(f"{what} must be {kind}, got {value!r}")
+    if not integer:
+        try:
+            float(value)
+        except OverflowError:
+            bits = value.bit_length()
+            raise ConfigError(f"{what} must lie in the float range, got a {bits}-bit int") from None
     return value
 
 
@@ -219,37 +230,19 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_mapping(data or {})
 
 
-def _cell_trace(
-    config: ExperimentConfig,
-    file_trace: Trace | None,
-    noise: NoiseSpec | None,
-    seed: int,
-) -> Trace:
-    """Realize the trace for one (noise, seed) cell.
-
-    Workload cells draw requests and noise from child streams of the row
-    seed, so the same seed yields the same requests under every noise model.
-    File traces keep their requests; noise (when configured) re-derives the
-    predictions from the true arrivals, otherwise the file's own predictions
-    are used as-is.
-    """
-    if file_trace is not None:
-        if noise is None:
-            return file_trace
-        predictions = perturb_predictions(list(file_trace.arrivals), noise, seed)
-        return Trace(file_trace.requests, tuple(predictions), file_trace.arrivals)
-    assert config.workload is not None and noise is not None
-    return synthesize(config.workload, noise, seed)
-
-
-def _cell_costs(config: ExperimentConfig, trace: Trace, k: int, seed: int):
+def _cell_costs(
+    config: ExperimentConfig, trace: Trace, k: int, seed: int, shared: dict[str, Policy]
+):
     """Serve the cell in one pass; returns (opt, costs for the rows and bounds).
 
     Each configured policy maps to its own run; a combiner's expert that is
     not configured maps to the combiner's copy, so its bounds stay checkable.
+    ``shared`` holds the (seed, k) runs that never read a prediction.
     """
     names = ("belady", *config.policies)
-    runs = make_policies(names, k, arrivals=trace.arrivals, seed=seed, epsilon=config.epsilon)
+    runs = make_policies(
+        names, k, arrivals=trace.arrivals, seed=seed, epsilon=config.epsilon, shared=shared
+    )
     simulate(trace, runs.values())
     costs = {name: runs[name].cost for name in config.policies}
     for run in runs.values():
@@ -277,7 +270,10 @@ def _verdicts(
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Run the configured sweep; rows come back in deterministic order.
 
-    Each (noise, seed) trace is built and measured once, then served at every k.
+    Each seed's requests are built once and re-noised under every noise model;
+    each (noise, seed) trace is measured once, then served at every k.  The
+    runs that never read a prediction (lru, belady, marker and mw's Marker)
+    are built and served once per (seed, k) and stand in every noise's cell.
     """
     config.validate()
     rows: list[ResultRow] = []
@@ -294,24 +290,31 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     elif config.workload is not None:
         trace_id = config.workload.label
 
-    noises: tuple[NoiseSpec | None, ...] = config.noises or ()
-    if file_trace is not None and not noises:
-        noises = (None,)
-
-    if file_trace is not None or config.workload is not None:
+    # a workload needs a noise model to become traces; a file trace has its own
+    if file_trace is not None or config.workload is not None and config.noises:
+        cells: dict[tuple[str, int], list] = {}  # (noise id, k) -> one entry per seed
         measured = None
-        for noise in noises:
-            noise_id = noise.label if noise is not None else "file"
-            cells: dict[int, list] = {k: [] for k in config.ks}
-            for seed in config.seeds:
-                trace = _cell_trace(config, file_trace, noise, seed)
+        for seed in config.seeds:
+            # per k, the runs that never read a prediction, for every noise of
+            # this seed; rebinding drops the previous seed's runs
+            shared: dict[int, dict[str, Policy]] = {k: {} for k in config.ks}
+            if file_trace is not None:
+                requests, arrivals, noise_seed = file_trace.requests, file_trace.arrivals, seed
+            else:
+                requests, arrivals, noise_seed = synthesize_requests(config.workload, seed)
+            for noise in config.noises or (None,):
+                if noise is None:  # the file's own predictions
+                    trace, noise_id = file_trace, "file"
+                else:
+                    predictions = tuple(perturb_predictions(arrivals, noise, noise_seed))
+                    trace, noise_id = Trace(requests, predictions, arrivals), noise.label
                 if trace is not measured:  # a file trace without noise serves every seed
                     measured = trace
                     eta = ell1_loss(trace.arrivals, trace.predictions)
                     inversions = count_inversions_fast(trace.arrivals, trace.predictions)
                 for k in config.ks:
-                    opt, costs = _cell_costs(config, trace, k, seed)
-                    cells[k].append((opt, eta, inversions, costs))
+                    opt, costs = _cell_costs(config, trace, k, seed, shared[k])
+                    cells.setdefault((noise_id, k), []).append((opt, eta, inversions, costs))
                     report = check_bounds(
                         costs, opt, eta, inversions, k,
                         epsilon=config.epsilon if "mw" in costs else None,
@@ -326,8 +329,9 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                                 passed, failed,
                             )
                         )
-            for k in config.ks:
-                rows.extend(_aggregate_rows(config, trace_id, k, noise_id, cells[k]))
+        del shared  # the last seed's runs
+        for (noise_id, k), cell in cells.items():
+            rows.extend(_aggregate_rows(config, trace_id, k, noise_id, cell))
 
     if config.adversary is not None:
         rows.extend(_adversary_rows(config))

@@ -210,6 +210,7 @@ def make_policies(
     arrivals: Sequence[int] | None = None,
     seed: int = 0,
     epsilon: float | None = None,
+    shared: dict[str, Policy] | None = None,
 ) -> dict[str, Policy]:
     """Build one instance per distinct run of the named policies.
 
@@ -220,24 +221,34 @@ def make_policies(
     for it when they are not named.  ``mw`` (blind_oracle with marker) wraps
     that same ``blind_oracle`` plus its own child-seeded Marker, a run distinct
     from the standalone ``marker``.
+
+    ``shared`` holds the runs that never read a prediction (``lru``,
+    ``belady``, ``marker`` and mw's Marker), built on first use.  Calls for
+    one k and seed over the same requests may pass one dict, whatever their
+    predictions: ``simulate`` then serves each of those runs once.
+    ``blind_oracle`` and the combiners read the predictions and are built
+    per call.
     """
-    shared: dict[str, Policy] = {}
+    if shared is None:
+        shared = {}
+    own: dict[str, Policy] = {}  # blind_oracle reads the predictions: one per call
 
     def base(name: str) -> Policy:
-        if name not in shared:
+        built = own if name == "blind_oracle" else shared
+        if name not in built:
             if name == "lru":
-                shared[name] = LRU(k)
+                built[name] = LRU(k)
             elif name == "blind_oracle":
-                shared[name] = BlindOracle(k)
+                built[name] = BlindOracle(k)
             elif name == "belady":
                 if arrivals is None:
                     raise ConfigError("belady needs the trace's true arrivals")
-                shared[name] = Belady(k, arrivals)
+                built[name] = Belady(k, arrivals)
             elif name == "marker":
-                shared[name] = Marker(k, random.Random(seed))
-            else:
-                raise ConfigError(f"unknown policy {name!r}")
-        return shared[name]
+                built[name] = Marker(k, random.Random(seed))
+            else:  # mw's Marker; the first child seed belongs to blind_oracle
+                built[name] = Marker(k, random.Random(_child_seeds(seed)[1]))
+        return built[name]
 
     runs: dict[str, Policy] = {}
     for name in names:
@@ -246,14 +257,14 @@ def make_policies(
         elif name == "mw":
             if epsilon is None:
                 raise ConfigError("mw needs epsilon")
-            # the first child seed belongs to blind_oracle, which ignores it
-            _, marker_seed, mw_seed = _child_seeds(seed)
-            marker = Marker(k, random.Random(marker_seed))
             runs[name] = MwCombiner(
-                base("blind_oracle"), marker, k, epsilon, random.Random(mw_seed)
+                base("blind_oracle"), base("mw.marker"), k, epsilon,
+                random.Random(_child_seeds(seed)[2]),
             )
-        else:
+        elif name in POLICY_NAMES:
             runs[name] = base(name)
+        else:
+            raise ConfigError(f"unknown policy {name!r}")
     return runs
 
 

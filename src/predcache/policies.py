@@ -4,8 +4,11 @@ Cost model: serving a resident page or filling an empty slot is free; a miss
 with a full cache forces exactly one eviction, which costs 1.  A policy
 instance holds the cache state and running cost of one run, so separate
 instances can serve different (trace, seed) cells in parallel.  ``simulate``
-drives each run's body over a whole trace from C; ``serve`` drives it one
-request at a time, for callers that pick each request online (the adversary).
+drives each run's body over a whole trace from C, once: a run that never
+reads a prediction (``lru``, ``belady``, ``marker``) can then stand in every
+trace that has its requests, whatever the predictions.  ``serve`` drives a
+body one request at a time, for callers that pick each request online (the
+adversary).
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ class Policy:
     ``cache`` maps each resident page to its last request index, least recent
     first: a hit moves the page to the end.  ``cost`` counts this instance's
     evictions so far.  ``experts`` lists the policies a combiner watches.
+    ``simulate`` sets ``served`` to the requests it served the run, and
+    ``victims`` to the run's victim per request when a combiner reads them.
 
     ``_steps`` is the body: sent ``(t, page, key)``, it serves request t and
     yields the evicted page or None.  The key is the prediction (the true
@@ -40,6 +45,8 @@ class Policy:
     name = "base"
     randomized = False
     experts: tuple[Policy, ...] = ()
+    served: tuple[PageId, ...] | None = None
+    victims: list[PageId | None] | None = None
 
     def __init__(self, k: int):
         if k < 1:
@@ -225,23 +232,33 @@ def simulate(trace: Trace, policies: Iterable[Policy]) -> None:
     """Serve every request of the trace once to each distinct run and its experts.
 
     Each run is one ``map`` of its body's ``send`` over the whole trace, after
-    the experts it reads; only a run some combiner reads keeps its victims.
-    Every run is closed at the end: a run serves one trace.
+    the experts it reads; a run some combiner reads keeps its ``victims``.
+    Every run is closed at the end.  A run an earlier call served is not
+    served again; its requests must be the trace's (else ValueError), and a
+    combiner reads the victims it kept.  So a run that never reads a
+    prediction is served once for every trace with its requests.
     """
     runs: dict[Policy, None] = {}  # each distinct run, after its experts
     for run in policies:
         _add_run(runs, run)
     read = {expert for run in runs for expert in run.experts}
-    victims: dict[Policy, list] = {}
+    requests = trace.requests
     for run in runs:
+        if run.served is not None:
+            if run.served is not requests and run.served != requests:
+                raise ValueError(f"the {run.name} run was served other requests")
+            if run in read and run.victims is None:
+                raise ValueError(f"the {run.name} run was served without keeping its victims")
+            continue
         if run.experts:
-            inputs = [victims[expert] for expert in run.experts]
+            inputs = [expert.victims for expert in run.experts]
         else:
             inputs = [run.arrivals if isinstance(run, Belady) else trace.predictions]
-        served = map(run._steps.send, zip(count(1), trace.requests, *inputs))
+        served = map(run._steps.send, zip(count(1), requests, *inputs))
         if run in read:
-            victims[run] = list(served)
+            run.victims = list(served)
         else:
             deque(served, maxlen=0)
+        run.served = requests
     for run in runs:
         run.close()

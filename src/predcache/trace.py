@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ConfigError, TraceParseError
 
@@ -212,7 +213,7 @@ def generate_workload(spec: WorkloadSpec, seed: int) -> list[PageId]:
     return out
 
 
-def perturb_predictions(arrivals: list[int], noise: NoiseSpec, seed: int) -> list[float]:
+def perturb_predictions(arrivals: Sequence[int], noise: NoiseSpec, seed: int) -> list[float]:
     """Derive predictions from true arrivals under a noise model.
 
     ``perfect`` returns the arrivals exactly; every other kind perturbs them
@@ -249,19 +250,26 @@ def perturb_predictions(arrivals: list[int], noise: NoiseSpec, seed: int) -> lis
     return [h if 0.0 <= h <= top else 0.0 if -inf < h < 0.0 else top for h in out]
 
 
-def synthesize(workload: WorkloadSpec, noise: NoiseSpec, seed: int) -> Trace:
-    """Generate a complete trace: requests plus noisy predictions.
+def synthesize_requests(
+    workload: WorkloadSpec, seed: int
+) -> tuple[tuple[PageId, ...], tuple[int, ...], int]:
+    """A synthetic trace's requests and true arrivals, and its noise seed.
 
     The workload and noise streams get independent child seeds derived from
-    ``seed`` so the same requests can be re-noised consistently.
+    ``seed``, so the same requests can be re-noised under every noise model:
+    ``perturb_predictions(arrivals, noise, noise_seed)``.
     """
     root = random.Random(seed)
     wseed = root.getrandbits(63)
     nseed = root.getrandbits(63)
     requests = generate_workload(workload, wseed)
-    arrivals = next_arrivals(requests)
-    predictions = perturb_predictions(arrivals, noise, nseed)
-    return Trace(tuple(requests), tuple(predictions), tuple(arrivals))
+    return tuple(requests), tuple(next_arrivals(requests)), nseed
+
+
+def synthesize(workload: WorkloadSpec, noise: NoiseSpec, seed: int) -> Trace:
+    """Generate a complete trace: ``synthesize_requests`` plus noisy predictions."""
+    requests, arrivals, nseed = synthesize_requests(workload, seed)
+    return Trace(requests, tuple(perturb_predictions(arrivals, noise, nseed)), arrivals)
 
 
 def parse_trace(text: str) -> Trace:

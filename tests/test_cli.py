@@ -1,12 +1,23 @@
 import math
 import statistics
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 import yaml
 
-from predcache import ConfigError, NoiseSpec, WorkloadSpec, synthesize, write_trace
+from predcache import (
+    POLICY_NAMES,
+    ConfigError,
+    NoiseSpec,
+    Policy,
+    WorkloadSpec,
+    make_policies,
+    simulate,
+    synthesize,
+    write_trace,
+)
 from predcache.cli import (
     CSV_HEADER,
     ExperimentConfig,
@@ -214,6 +225,58 @@ def test_rows_do_not_depend_on_policy_order():
     assert rows(["marker", "mw"]) == rows(["mw", "marker"])
 
 
+def test_runs_without_predictions_are_built_once_per_seed_and_k(monkeypatch):
+    # lru, belady, marker and mw's marker never read a prediction, so every
+    # noise's cell shares them; blind_oracle reads them and is built per cell
+    noises = [
+        {"kind": "perfect"},
+        {"kind": "additive_uniform", "width": 6.0},
+        {"kind": "random_replace", "prob": 0.5, "limit": 300.0},
+    ]
+    config = config_from_mapping(
+        {
+            "policies": list(POLICY_NAMES),
+            "k": [2, 5],
+            "seeds": [3, 4],
+            "workload": {"kind": "zipf", "universe": 30, "length": 300},
+            "noise": noises,
+        }
+    )
+    built = Counter()
+    init = Policy.__init__
+
+    def counted(self, k):
+        built[type(self).__name__] += 1
+        init(self, k)
+
+    monkeypatch.setattr(Policy, "__init__", counted)
+    rows = run_experiment(config)
+    monkeypatch.undo()
+    seed_ks = len(config.seeds) * len(config.ks)
+    assert built["LRU"] == built["Belady"] == seed_ks
+    assert built["Marker"] == 2 * seed_ks  # the marker row and mw's expert
+    assert built["BlindOracle"] == len(noises) * seed_ks
+    assert built["FtlCombiner"] == built["MwCombiner"] == len(noises) * seed_ks
+
+    # every row matches its cell built and served alone
+    cells = 0
+    for noise in config.noises:
+        for seed in config.seeds:
+            trace = synthesize(config.workload, noise, seed)
+            for k in config.ks:
+                runs = make_policies(
+                    POLICY_NAMES, k, arrivals=trace.arrivals, seed=seed, epsilon=config.epsilon
+                )
+                simulate(trace, runs.values())
+                for row in rows:
+                    if (row.noise_id, row.seed, row.k) == (noise.label, seed, k):
+                        assert (row.cost, row.opt) == (
+                            runs[row.policy].cost, runs["belady"].cost
+                        ), row
+                        cells += 1
+    assert cells == len(noises) * seed_ks * len(POLICY_NAMES)
+
+
 def test_adversary_rows():
     config = config_from_mapping(
         {
@@ -405,13 +468,19 @@ def test_main_fatal_bound_exit_code(tmp_path, monkeypatch):
         {"k": [2, 2]},
         {"seeds": [1, 1]},
         {"noise": [{"kind": "perfect"}, {"kind": "perfect"}]},
+        {"noise": {"kind": "constant_shift", "shift": 10**400}},
+        {"noise": {"kind": "additive_uniform", "width": -(10**400)}},
+        {"epsilon": 10**400},
+        {"workload": {"kind": "zipf", "universe": 8, "length": 20, "alpha": 10**400}},
     ],
     ids=["k_text", "k_fraction", "seed_text", "epsilon_text", "noise_width_text",
          "adversary_k_text", "fatal_bound_unknown", "adversary_without_its_policies",
          "noise_not_a_mapping", "out_not_a_path", "policy_repeated", "policies_null",
          "policy_scalar_unknown", "fatal_bound_scalar_unknown", "seeds_bool",
          "noise_sigma_inf", "noise_sigma_nan", "noise_width_inf", "noise_shift_minus_inf",
-         "noise_limit_nan", "k_repeated", "seeds_repeated", "noise_repeated"],
+         "noise_limit_nan", "k_repeated", "seeds_repeated", "noise_repeated",
+         "noise_shift_beyond_float", "noise_width_beyond_float", "epsilon_beyond_float",
+         "zipf_alpha_beyond_float"],
 )
 def test_main_rejects_malformed_input(tmp_path, capsys, overrides):
     data = {
@@ -425,7 +494,9 @@ def test_main_rejects_malformed_input(tmp_path, capsys, overrides):
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(yaml.safe_dump(data), encoding="utf-8")
     assert main(["--config", str(cfg)]) == 1
-    assert capsys.readouterr().err.startswith("configuration error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "Traceback" not in err
     assert not (tmp_path / "res.csv").exists()
 
 
@@ -505,7 +576,7 @@ def test_main_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name", ["sweep", "file", "uniform"])
+@pytest.mark.parametrize("name", ["sweep", "file", "file_noise", "uniform"])
 def test_golden_results_are_byte_identical(tmp_path, monkeypatch, name):
     # The expected CSVs were written by an earlier revision of the program;
     # any change to the rows a fixed config produces must be deliberate.

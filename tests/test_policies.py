@@ -167,6 +167,38 @@ def test_simulate_serves_every_distinct_run_once_per_request():
         assert run.cost == sum(v is not None for v in recorder.victims) > 0, run.name
 
 
+def test_simulate_serves_a_run_once_and_only_over_its_requests():
+    # a run served by an earlier call stands in a later call over the same
+    # requests, whatever the predictions, and its victims feed the combiner
+    trace = _trace("abcabdabeabfa")
+    renoised = Trace(trace.requests, tuple(reversed(trace.predictions)), trace.arrivals)
+    shared = {}
+    first = make_policies(("lru", "ftl"), 2, shared=shared)
+    simulate(trace, first.values())
+    lru_cost, victims = first["lru"].cost, first["lru"].victims
+    second = make_policies(("lru", "ftl"), 2, shared=shared)
+    assert second["lru"] is first["lru"] and second["ftl"] is not first["ftl"]
+    simulate(renoised, second.values())
+    assert first["lru"].cost == lru_cost and first["lru"].victims is victims
+    alone = make_policies(("ftl",), 2)["ftl"]
+    simulate(renoised, [alone])
+    assert second["ftl"].cost == alone.cost
+    assert second["ftl"].experts[0].victims == alone.experts[0].victims
+
+    # other requests: the stored victims are stale, so the call is refused
+    other = _trace("abcabdabeabfb")
+    for runs in ([first["lru"]], make_policies(("ftl",), 2, shared=shared).values()):
+        with pytest.raises(ValueError, match="served other requests"):
+            simulate(other, runs)
+    assert first["lru"].cost == lru_cost
+
+    # a run served where no combiner read it kept no victims to hand on
+    shared = {}
+    simulate(trace, make_policies(("lru",), 2, shared=shared).values())
+    with pytest.raises(ValueError, match="without keeping its victims"):
+        simulate(renoised, make_policies(("ftl",), 2, shared=shared).values())
+
+
 def test_simulated_runs_are_freed_without_the_cycle_collector():
     # a body refers to its run; simulate closes every run, so dropping the
     # runs frees them by reference counting alone
@@ -462,6 +494,58 @@ def test_victims_match_the_reference_rules_at_larger_k(k):
         requests = [f"p{rng.randrange(2 * k)}" for _ in range(40 * k)]
         predictions = [rng.choice([1, 5, 9, len(requests) + 1]) for _ in requests]
         _assert_same_victims(Trace.from_requests(requests, predictions), k, seed)
+
+
+# ---------------------------------------------------------------- inclusion across k
+
+STACK_POLICIES = ("lru", "belady", "blind_oracle")
+
+
+def _assert_inclusion(trace, k):
+    """The cache at k stays inside the cache at k+1 after every request.
+
+    lru, belady and blind_oracle evict by a priority that does not depend on
+    k, so they are stack algorithms (Mattson et al. 1970); no reference
+    implementation is needed.  Inclusion makes cost non-increasing in k: a
+    miss at k+1 is a miss at k, and k+1 fills one slot more for free.
+    """
+    for name in STACK_POLICIES:
+        small, large = (
+            make_policies((name,), size, arrivals=trace.arrivals)[name] for size in (k, k + 1)
+        )
+        for t, (page, prediction) in enumerate(zip(trace.requests, trace.predictions), 1):
+            small.serve(t, page, prediction)
+            large.serve(t, page, prediction)
+            assert small.cache.keys() <= large.cache.keys(), (name, t)
+        assert small.cost >= large.cost, name
+
+
+@st.composite
+def tie_heavy_long_traces(draw):
+    """Up to 120 requests over up to 12 pages, predictions from a few values."""
+    universe = draw(st.integers(1, 12))
+    requests = draw(
+        st.lists(st.integers(1, universe).map("p{}".format), min_size=1, max_size=120)
+    )
+    n = len(requests)
+    predictions = draw(
+        st.lists(st.sampled_from([0, 1, 2, 5, n // 2, n + 1]), min_size=n, max_size=n)
+    )
+    return Trace.from_requests(requests, predictions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_long_traces(), st.integers(1, 7))
+def test_cache_at_k_stays_inside_cache_at_k_plus_one(trace, k):
+    _assert_inclusion(trace, k)
+
+
+def test_cache_at_64_stays_inside_cache_at_65():
+    # long enough for many heap rebuilds at both sizes
+    rng = random.Random(7)
+    requests = [f"p{rng.randrange(128)}" for _ in range(40 * 64)]
+    predictions = [rng.choice([1, 5, 9, len(requests) + 1]) for _ in requests]
+    _assert_inclusion(Trace.from_requests(requests, predictions), 64)
 
 
 def test_make_policy_validation():
