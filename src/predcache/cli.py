@@ -24,6 +24,7 @@ from .adversary import AdversaryConfig, certify_lower_bound, run_adversary
 # run_policy, run_ftl, run_mw and synthesize are not called here;
 # bench/tracing.py wraps them by name on this module.
 from .combine import POLICY_NAMES, make_policies, run_ftl, run_mw, run_policy  # noqa: F401
+from .combine import EXPERTS
 from .errors import ConfigError, TraceParseError
 from .metrics import BOUND_IDS, BoundRecord, check_bounds, count_inversions_fast, ell1_loss
 from .policies import Policy, simulate
@@ -186,6 +187,9 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
         raise ConfigError(f"trace and out must be paths, got {trace_path!r} and {out_path!r}")
     seeds = data.get("seeds", [0])
     if isinstance(seeds, int) and not isinstance(seeds, bool):
+        if seeds > sys.maxsize:
+            bits = seeds.bit_length()
+            raise ConfigError(f"a seeds count must be at most {sys.maxsize}, got a {bits}-bit int")
         seeds = list(range(seeds))
     # a single value stands for a one-element list
     ks, seeds, noises, policies, fatal_bounds = (
@@ -227,28 +231,49 @@ def load_config(path: str) -> ExperimentConfig:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"invalid YAML in {path}: nested too deeply") from None
     return config_from_mapping(data or {})
 
 
 def _cell_costs(
-    config: ExperimentConfig, trace: Trace, k: int, seed: int, shared: dict[str, Policy]
+    config: ExperimentConfig,
+    trace: Trace,
+    k: int,
+    seed: int,
+    shared: dict[str, Policy],
+    exact: bool,
 ):
     """Serve the cell in one pass; returns (opt, costs for the rows and bounds).
 
     Each configured policy maps to its own run; a combiner's expert that is
     not configured maps to the combiner's copy, so its bounds stay checkable.
-    ``shared`` holds the (seed, k) runs that never read a prediction.
+    ``shared`` holds the (seed, k) runs that read no prediction; when the
+    cell is ``exact`` (its predictions are the true arrivals), blind_oracle
+    is among them, as the belady run.
     """
     names = ("belady", *config.policies)
     runs = make_policies(
-        names, k, arrivals=trace.arrivals, seed=seed, epsilon=config.epsilon, shared=shared
+        names, k, arrivals=trace.arrivals, seed=seed, epsilon=config.epsilon,
+        shared=shared, exact=exact,
     )
     simulate(trace, runs.values())
     costs = {name: runs[name].cost for name in config.policies}
-    for run in runs.values():
-        for expert in run.experts:
-            costs.setdefault(expert.name, expert.cost)
+    for name in config.policies:
+        for expert_name, expert in zip(EXPERTS.get(name, ()), runs[name].experts):
+            costs.setdefault(expert_name, expert.cost)
     return runs["belady"].cost, costs
+
+
+def _measure(trace: Trace) -> tuple[bool, float, int]:
+    """Whether the predictions are the true arrivals, the l1 loss and inversions.
+
+    An exact trace has no inversions, so none are counted; the comparison
+    stops at the first prediction that differs.
+    """
+    exact = trace.predictions == trace.arrivals
+    inversions = 0 if exact else count_inversions_fast(trace.arrivals, trace.predictions)
+    return exact, ell1_loss(trace.arrivals, trace.predictions), inversions
 
 
 def _verdicts(
@@ -274,6 +299,10 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     each (noise, seed) trace is measured once, then served at every k.  The
     runs that never read a prediction (lru, belady, marker and mw's Marker)
     are built and served once per (seed, k) and stand in every noise's cell.
+    A cell whose predictions equal the true arrivals is exact: blind_oracle,
+    standalone or as an expert, is that (seed, k)'s belady run, and its
+    inversion count is 0.  A seed serves its exact cells first, so the belady
+    run keeps its victims when an exact cell's combiner reads them.
     """
     config.validate()
     rows: list[ResultRow] = []
@@ -293,7 +322,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     # a workload needs a noise model to become traces; a file trace has its own
     if file_trace is not None or config.workload is not None and config.noises:
         cells: dict[tuple[str, int], list] = {}  # (noise id, k) -> one entry per seed
-        measured = None
+        if not config.noises:  # the file's own predictions serve every seed
+            file_cells = [("file", file_trace, *_measure(file_trace))]
         for seed in config.seeds:
             # per k, the runs that never read a prediction, for every noise of
             # this seed; rebinding drops the previous seed's runs
@@ -302,18 +332,20 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 requests, arrivals, noise_seed = file_trace.requests, file_trace.arrivals, seed
             else:
                 requests, arrivals, noise_seed = synthesize_requests(config.workload, seed)
-            for noise in config.noises or (None,):
-                if noise is None:  # the file's own predictions
-                    trace, noise_id = file_trace, "file"
-                else:
+            if config.noises:
+                seed_cells = []
+                for noise in config.noises:
                     predictions = tuple(perturb_predictions(arrivals, noise, noise_seed))
-                    trace, noise_id = Trace(requests, predictions, arrivals), noise.label
-                if trace is not measured:  # a file trace without noise serves every seed
-                    measured = trace
-                    eta = ell1_loss(trace.arrivals, trace.predictions)
-                    inversions = count_inversions_fast(trace.arrivals, trace.predictions)
+                    trace = Trace(requests, predictions, arrivals)
+                    seed_cells.append((noise.label, trace, *_measure(trace)))
+            else:
+                seed_cells = file_cells
+            # exact cells first; the sort is stable, and rows are sorted at the end
+            for noise_id, trace, exact, eta, inversions in sorted(
+                seed_cells, key=lambda cell: not cell[2]
+            ):
                 for k in config.ks:
-                    opt, costs = _cell_costs(config, trace, k, seed, shared[k])
+                    opt, costs = _cell_costs(config, trace, k, seed, shared[k], exact)
                     cells.setdefault((noise_id, k), []).append((opt, eta, inversions, costs))
                     report = check_bounds(
                         costs, opt, eta, inversions, k,
@@ -329,7 +361,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                                 passed, failed,
                             )
                         )
-        del shared  # the last seed's runs
+        del shared, seed_cells  # the last seed's runs and traces
         for (noise_id, k), cell in cells.items():
             rows.extend(_aggregate_rows(config, trace_id, k, noise_id, cell))
 

@@ -36,6 +36,10 @@ from .trace import Trace
 
 POLICY_NAMES = ("lru", "belady", "marker", "blind_oracle", "ftl", "mw")
 
+# The policies a combiner's two experts run, in order, as ``make_policies``
+# builds them; mw's Marker is its own child-seeded run.
+EXPERTS = {"ftl": ("blind_oracle", "lru"), "mw": ("blind_oracle", "marker")}
+
 # Below this magnitude both weights are rescaled by a common factor; the
 # ratio, and therefore every probability and coupling draw, is unchanged.
 _RESCALE_FLOOR = 1e-100
@@ -211,6 +215,7 @@ def make_policies(
     seed: int = 0,
     epsilon: float | None = None,
     shared: dict[str, Policy] | None = None,
+    exact: bool = False,
 ) -> dict[str, Policy]:
     """Build one instance per distinct run of the named policies.
 
@@ -222,18 +227,22 @@ def make_policies(
     that same ``blind_oracle`` plus its own child-seeded Marker, a run distinct
     from the standalone ``marker``.
 
-    ``shared`` holds the runs that never read a prediction (``lru``,
-    ``belady``, ``marker`` and mw's Marker), built on first use.  Calls for
-    one k and seed over the same requests may pass one dict, whatever their
-    predictions: ``simulate`` then serves each of those runs once.
-    ``blind_oracle`` and the combiners read the predictions and are built
-    per call.
+    A run is keyed by what it reads.  ``shared`` holds the runs that read
+    only the requests and arrivals (``lru``, ``belady``, ``marker`` and mw's
+    Marker), built on first use.  Calls for one k and seed over the same
+    requests may pass one dict, whatever their predictions: ``simulate``
+    then serves each of those runs once.  ``blind_oracle`` reads the
+    predictions and is built per call, unless ``exact`` says they equal the
+    true arrivals: it then keys every page as ``belady`` does, with the same
+    tie rule, so it is the ``belady`` run.  The combiners are built per call.
     """
     if shared is None:
         shared = {}
     own: dict[str, Policy] = {}  # blind_oracle reads the predictions: one per call
 
     def base(name: str) -> Policy:
+        if name == "blind_oracle" and exact:
+            name = "belady"
         built = own if name == "blind_oracle" else shared
         if name not in built:
             if name == "lru":

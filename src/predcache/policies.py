@@ -6,7 +6,9 @@ instance holds the cache state and running cost of one run, so separate
 instances can serve different (trace, seed) cells in parallel.  ``simulate``
 drives each run's body over a whole trace from C, once: a run that never
 reads a prediction (``lru``, ``belady``, ``marker``) can then stand in every
-trace that has its requests, whatever the predictions.  ``serve`` drives a
+trace that has its requests, whatever the predictions.  ``belady`` also
+stands in ``blind_oracle`` where the predictions equal the true arrivals:
+both key each page by them and break ties alike.  ``serve`` drives a
 body one request at a time, for callers that pick each request online (the
 adversary).
 """

@@ -195,7 +195,8 @@ def generate_workload(spec: WorkloadSpec, seed: int) -> list[PageId]:
         return rng.choices(pages, weights=weights, k=n)
     if spec.kind == "cyclic":
         m = spec.cycle or u
-        return [_page(i % m) for i in range(n)]
+        names = [_page(i) for i in range(min(m, n))]
+        return [names[i % m] for i in range(n)]
     # uniform is one phase over the whole universe; phased draws from a
     # contiguous working set of m pages that slides by m pages each phase.
     # r is rng.randrange(m), inlined: the same getrandbits draws.
@@ -204,12 +205,17 @@ def generate_workload(spec: WorkloadSpec, seed: int) -> list[PageId]:
     else:
         m, phase_len = spec.cycle or u, spec.phase_len
     getrandbits, bits = rng.getrandbits, m.bit_length()
+    names: dict[int, PageId] = {}  # each drawn index's name, made once
     out: list[PageId] = []
     for i in range(n):
         r = getrandbits(bits)
         while r >= m:
             r = getrandbits(bits)
-        out.append(_page((i // phase_len * m + r) % u))
+        index = (i // phase_len * m + r) % u
+        name = names.get(index)
+        if name is None:
+            name = names[index] = _page(index)
+        out.append(name)
     return out
 
 

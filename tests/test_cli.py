@@ -9,6 +9,7 @@ import yaml
 
 from predcache import (
     POLICY_NAMES,
+    Belady,
     ConfigError,
     NoiseSpec,
     Policy,
@@ -19,6 +20,7 @@ from predcache import (
     write_trace,
 )
 from predcache.cli import (
+    _ROW_BOUNDS,
     CSV_HEADER,
     ExperimentConfig,
     ResultRow,
@@ -227,7 +229,8 @@ def test_rows_do_not_depend_on_policy_order():
 
 def test_runs_without_predictions_are_built_once_per_seed_and_k(monkeypatch):
     # lru, belady, marker and mw's marker never read a prediction, so every
-    # noise's cell shares them; blind_oracle reads them and is built per cell
+    # noise's cell shares them; blind_oracle reads them and is built per
+    # cell, except in the exact (perfect) cells, where it is the belady run
     noises = [
         {"kind": "perfect"},
         {"kind": "additive_uniform", "width": 6.0},
@@ -255,7 +258,7 @@ def test_runs_without_predictions_are_built_once_per_seed_and_k(monkeypatch):
     seed_ks = len(config.seeds) * len(config.ks)
     assert built["LRU"] == built["Belady"] == seed_ks
     assert built["Marker"] == 2 * seed_ks  # the marker row and mw's expert
-    assert built["BlindOracle"] == len(noises) * seed_ks
+    assert built["BlindOracle"] == (len(noises) - 1) * seed_ks
     assert built["FtlCombiner"] == built["MwCombiner"] == len(noises) * seed_ks
 
     # every row matches its cell built and served alone
@@ -275,6 +278,86 @@ def test_runs_without_predictions_are_built_once_per_seed_and_k(monkeypatch):
                         ), row
                         cells += 1
     assert cells == len(noises) * seed_ks * len(POLICY_NAMES)
+
+
+EXACT_NOISES = [{"kind": "perfect"}, {"kind": "additive_uniform", "width": 0.0}]
+NOISY = [
+    {"kind": "additive_uniform", "width": 8.0},
+    {"kind": "random_replace", "prob": 0.5, "limit": 300.0},
+]
+
+
+@pytest.mark.parametrize(
+    "noises",
+    [
+        [*EXACT_NOISES, *NOISY],
+        [*NOISY, *EXACT_NOISES],
+        [NOISY[0], EXACT_NOISES[0], NOISY[1], EXACT_NOISES[1]],
+    ],
+    ids=["exact_first", "exact_last", "exact_between"],
+)
+@pytest.mark.parametrize(
+    "policies", [["ftl"], ["mw"], ["blind_oracle"], list(POLICY_NAMES)], ids="-".join
+)
+def test_exact_cells_serve_alike_in_any_noise_order(noises, policies):
+    # an exact cell's blind_oracle is the shared belady run; each row must
+    # equal its cell run alone, and its runs' costs built without sharing
+    data = {
+        "policies": policies,
+        "k": [1, 4],
+        "seeds": [5, 6],
+        "workload": {"kind": "zipf", "universe": 25, "length": 250},
+        "noise": noises,
+    }
+    config = config_from_mapping(data)
+    rows = run_experiment(config)
+    assert len(rows) == len(config.noises) * len(config.ks) * (
+        len(config.seeds) * len(policies) + sum(p in ("marker", "mw") for p in policies)
+    )
+    for raw, noise in zip(noises, config.noises):
+        for seed in config.seeds:
+            alone = run_experiment(config_from_mapping({**data, "noise": raw, "seeds": [seed]}))
+            trace = synthesize(config.workload, noise, seed)
+            for k in config.ks:
+                runs = make_policies(
+                    ("belady", *policies), k, arrivals=trace.arrivals, seed=seed,
+                    epsilon=config.epsilon,
+                )
+                simulate(trace, runs.values())
+                cell = [r for r in rows if (r.noise_id, r.seed, r.k) == (noise.label, seed, k)]
+                assert cell == [r for r in alone if r.k == k and r.seed == seed]
+                for row in cell:
+                    assert (row.cost, row.opt) == (runs[row.policy].cost, runs["belady"].cost)
+                    recorded = {b.removesuffix("(vacuous)") for b in row.bounds_passed}
+                    assert recorded | set(row.bounds_failed) == {
+                        "lemma1", *_ROW_BOUNDS[row.policy]
+                    }
+
+
+@pytest.mark.parametrize(
+    "policies, noises, kept",
+    [
+        (["ftl"], [NOISY[0], EXACT_NOISES[0]], True),
+        (["mw", "lru"], [EXACT_NOISES[1]], True),
+        (["blind_oracle", "ftl", "mw"], NOISY, False),
+        (["blind_oracle", "belady"], [NOISY[0], *EXACT_NOISES], False),
+    ],
+)
+def test_belady_keeps_victims_only_for_an_exact_cells_combiner(
+    monkeypatch, policies, noises, kept
+):
+    made = []
+    init = Belady.__init__
+
+    def recorded(self, k, arrivals):
+        made.append(self)
+        init(self, k, arrivals)
+
+    monkeypatch.setattr(Belady, "__init__", recorded)
+    config = _config(policies=policies, k=[1, 3], noise=noises)
+    run_experiment(config)
+    assert len(made) == len(config.seeds) * len(config.ks)
+    assert all((run.victims is not None) == kept for run in made)
 
 
 def test_adversary_rows():
@@ -472,6 +555,7 @@ def test_main_fatal_bound_exit_code(tmp_path, monkeypatch):
         {"noise": {"kind": "additive_uniform", "width": -(10**400)}},
         {"epsilon": 10**400},
         {"workload": {"kind": "zipf", "universe": 8, "length": 20, "alpha": 10**400}},
+        {"seeds": 10**20},
     ],
     ids=["k_text", "k_fraction", "seed_text", "epsilon_text", "noise_width_text",
          "adversary_k_text", "fatal_bound_unknown", "adversary_without_its_policies",
@@ -480,7 +564,7 @@ def test_main_fatal_bound_exit_code(tmp_path, monkeypatch):
          "noise_sigma_inf", "noise_sigma_nan", "noise_width_inf", "noise_shift_minus_inf",
          "noise_limit_nan", "k_repeated", "seeds_repeated", "noise_repeated",
          "noise_shift_beyond_float", "noise_width_beyond_float", "epsilon_beyond_float",
-         "zipf_alpha_beyond_float"],
+         "zipf_alpha_beyond_float", "seeds_count_beyond_a_list"],
 )
 def test_main_rejects_malformed_input(tmp_path, capsys, overrides):
     data = {
@@ -537,6 +621,31 @@ def test_main_is_fast_at_a_cache_size_beyond_the_trace(tmp_path):
     assert all(row.split(",")[CSV_HEADER.split(",").index("cost")] == "0" for row in rows)
 
 
+@pytest.mark.parametrize(
+    "workload",
+    [
+        "{kind: uniform, universe: 1000000000000000000000000000000, length: 10}",
+        "{kind: cyclic, universe: 1000000000000000000000000000000, length: 10}",
+        "{kind: phased, universe: 1000000000000000000000000000000, length: 10, phase_len: 3}",
+    ],
+    ids=["uniform", "cyclic", "phased"],
+)
+def test_main_is_fast_at_a_universe_beyond_the_trace(tmp_path, workload):
+    # page names are made for the drawn indexes only, never for the universe
+    cfg, out = tmp_path / "exp.yaml", tmp_path / "res.csv"
+    cfg.write_text(
+        f"policies: [lru, belady, blind_oracle]\nk: [2]\nworkload: {workload}\nout: {out}\n",
+        encoding="utf-8",
+    )
+    start = time.perf_counter()
+    assert main(["--config", str(cfg)]) == 0
+    assert time.perf_counter() - start < 1.0
+    header, *rows = out.read_text(encoding="utf-8").splitlines()
+    assert header == CSV_HEADER and len(rows) == 3
+    # ten requests to ten distinct pages: every miss after the first two evicts
+    assert all(row.split(",")[CSV_HEADER.split(",").index("cost")] == "8" for row in rows)
+
+
 @pytest.mark.parametrize("k", [10**308, 10**400])
 def test_main_rejects_a_cache_size_too_large_for_a_float(tmp_path, capsys, k):
     cfg, out = tmp_path / "exp.yaml", tmp_path / "res.csv"
@@ -576,7 +685,17 @@ def test_main_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name", ["sweep", "file", "file_noise", "uniform"])
+def test_main_rejects_a_config_nested_too_deeply(tmp_path, capsys):
+    cfg, out = tmp_path / "deep.yaml", tmp_path / "res.csv"
+    cfg.write_text(f"k: {'[' * 2000}{']' * 2000}\nout: {out}\n", encoding="utf-8")
+    assert main(["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: invalid YAML in {cfg}: nested too deeply")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["sweep", "file", "file_noise", "uniform", "exact_late"])
 def test_golden_results_are_byte_identical(tmp_path, monkeypatch, name):
     # The expected CSVs were written by an earlier revision of the program;
     # any change to the rows a fixed config produces must be deliberate.

@@ -264,6 +264,26 @@ def test_make_policies_shares_experts_with_standalone_rows():
     assert runs["mw"].experts[1] is not runs["marker"]
 
 
+def test_exact_predictions_make_blind_oracle_the_belady_run():
+    # predictions equal to the arrivals key every page as belady does
+    trace = synthesize(
+        WorkloadSpec("zipf", universe=30, length=400, alpha=1.0), NoiseSpec("perfect"), seed=5
+    )
+    shared = {}
+    runs = make_policies(
+        ("blind_oracle", "ftl", "mw"), 4, arrivals=trace.arrivals, seed=3, epsilon=0.1,
+        shared=shared, exact=True,
+    )
+    assert runs["blind_oracle"] is shared["belady"]
+    assert runs["ftl"].experts[0] is runs["mw"].experts[0] is shared["belady"]
+    simulate(trace, runs.values())
+    alone = make_policies(("blind_oracle", "ftl", "mw"), 4, seed=3, epsilon=0.1)
+    simulate(trace, alone.values())
+    for name, run in runs.items():
+        assert run.cost == alone[name].cost, name
+    assert runs["blind_oracle"].victims == alone["blind_oracle"].victims
+
+
 def test_shared_experts_match_standalone_runs():
     trace = synthesize(
         WorkloadSpec("zipf", universe=30, length=400, alpha=1.0),

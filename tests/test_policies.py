@@ -17,8 +17,10 @@ from predcache import (
     POLICY_NAMES,
     Trace,
     WorkloadSpec,
+    count_inversions_fast,
     make_policies,
     next_arrivals,
+    perturb_predictions,
     run_policy,
     simulate,
     synthesize,
@@ -30,11 +32,24 @@ from oracles import (
     RefMarker,
     RefMw,
     brute_force_opt,
+    count_inversions_fenwick,
     ref_policy,
     serve_all,
 )
 
 pages = st.lists(st.sampled_from("abcde"), min_size=1, max_size=14)
+
+
+def request_runs(universe, runs, run_len):
+    """Up to ``runs`` runs of up to ``run_len`` requests over pages p1..p<universe>.
+
+    One Hypothesis list of free length is mostly a handful of elements (a
+    median of about 6 for max_size 120); runs make long traces common.
+    """
+    run = st.lists(st.integers(1, universe).map("p{}".format), min_size=1, max_size=run_len)
+    return st.lists(run, min_size=1, max_size=runs).map(
+        lambda drawn: [page for requests in drawn for page in requests]
+    )
 
 
 def _trace(requests, predictions=None):
@@ -243,11 +258,36 @@ def test_belady_matches_exhaustive_minimum(requests, k):
     assert run_policy("belady", _trace(requests), k).cost == brute_force_opt(requests, k)
 
 
-@settings(max_examples=100, deadline=None)
-@given(pages, st.integers(1, 4))
-def test_blind_oracle_equals_belady_on_true_arrivals(requests, k):
-    trace = _trace(requests)
-    assert run_policy("blind_oracle", trace, k).cost == run_policy("belady", trace, k).cost
+EXACT_NOISES = (
+    NoiseSpec("perfect"),
+    NoiseSpec("additive_uniform", width=0.0),
+    NoiseSpec("constant_shift", shift=0.0),
+)
+
+
+@st.composite
+def tie_heavy_exact_traces(draw):
+    """Up to 150 requests over up to 14 pages, predicted by a noise model of no noise.
+
+    Every page's last request keys n+1, so the pages tie there."""
+    requests = draw(request_runs(draw(st.integers(1, 14)), 15, 10))
+    noise = draw(st.sampled_from(EXACT_NOISES))
+    seed = draw(st.integers(0, 2**63 - 1))
+    return Trace.from_requests(
+        requests, perturb_predictions(next_arrivals(requests), noise, seed)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_exact_traces(), st.integers(1, 8))
+def test_blind_oracle_equals_belady_on_true_arrivals(trace, k):
+    # why an exact cell's blind_oracle is its belady run, with no inversions
+    assert trace.predictions == trace.arrivals
+    assert serve_all(BlindOracle(k), trace.requests, trace.predictions) == serve_all(
+        Belady(k, trace.arrivals), trace.requests, trace.predictions
+    )
+    assert count_inversions_fast(trace.arrivals, trace.predictions) == 0
+    assert count_inversions_fenwick(trace.arrivals, trace.predictions) == 0
 
 
 # ---------------------------------------------------------------- marker
@@ -522,11 +562,12 @@ def _assert_inclusion(trace, k):
 
 @st.composite
 def tie_heavy_long_traces(draw):
-    """Up to 120 requests over up to 12 pages, predictions from a few values."""
-    universe = draw(st.integers(1, 12))
-    requests = draw(
-        st.lists(st.integers(1, universe).map("p{}".format), min_size=1, max_size=120)
-    )
+    """Up to 120 requests over up to 12 pages, predictions from a few values.
+
+    Drawn in runs: a handful of requests is too few for a page's older, larger
+    key to go stale while the page stays resident and outrank the live keys.
+    """
+    requests = draw(request_runs(draw(st.integers(1, 12)), 15, 8))
     n = len(requests)
     predictions = draw(
         st.lists(st.sampled_from([0, 1, 2, 5, n // 2, n + 1]), min_size=n, max_size=n)
