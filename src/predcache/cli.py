@@ -26,7 +26,8 @@ from .adversary import AdversaryConfig, certify_lower_bound, run_adversary
 from .combine import POLICY_NAMES, make_policies, run_ftl, run_mw, run_policy  # noqa: F401
 from .combine import EXPERTS
 from .errors import ConfigError, TraceParseError
-from .metrics import BOUND_IDS, BoundRecord, check_bounds, count_inversions_fast, ell1_loss
+from .metrics import BOUND_IDS, BOUNDS, BoundRecord, check_bounds, count_inversions_fast
+from .metrics import ell1_loss
 from .policies import Policy, simulate
 from .trace import NoiseSpec, Trace, WorkloadSpec, parse_trace, perturb_predictions
 from .trace import synthesize, synthesize_requests  # noqa: F401
@@ -35,17 +36,6 @@ CSV_HEADER = (
     "trace_id,k,noise_id,seed,policy,cost,opt,eta,inversions,eps_ratio,"
     "bounds_passed,bounds_failed"
 )
-
-# Which report entries belong on which policy's result row.  The lemma1
-# record is a property of the trace itself and is attached to every row.
-_ROW_BOUNDS = {
-    "blind_oracle": ("thm1_prop1", "thm1_prop2"),
-    "lru": ("lru_k",),
-    "marker": ("marker_2hk",),
-    "ftl": ("ftl_thm2", "cor1_det"),
-    "mw": ("mw_thm3", "cor2_rand"),
-    "belady": (),
-}
 
 _ADVERSARY_POLICIES = ("lru", "blind_oracle", "ftl")
 
@@ -276,20 +266,21 @@ def _measure(trace: Trace) -> tuple[bool, float, int]:
     return exact, ell1_loss(trace.arrivals, trace.predictions), inversions
 
 
-def _verdicts(
-    report: dict[str, BoundRecord], policy: str
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    wanted = ("lemma1",) + _ROW_BOUNDS.get(policy, ())
-    passed, failed = [], []
-    for bound_id in wanted:
-        record = report.get(bound_id)
-        if record is None:
-            continue
-        if record.passed:
-            passed.append(f"{bound_id}(vacuous)" if record.vacuous else bound_id)
-        else:
-            failed.append(bound_id)
-    return tuple(passed), tuple(failed)
+def _row(trace_id, k, noise_id, seed, policy, cost, opt, eta, inversions, records) -> ResultRow:
+    """The result row, its verdicts read from ``records``: passed, failed."""
+    passed = tuple(
+        f"{r.bound_id}(vacuous)" if r.vacuous else r.bound_id for r in records if r.passed
+    )
+    failed = tuple(r.bound_id for r in records if not r.passed)
+    return ResultRow(
+        trace_id, k, noise_id, seed, policy, cost, opt, eta, inversions,
+        eta / opt if opt > 0 else None, passed, failed,
+    )
+
+
+def _on_row(report: dict[str, BoundRecord], policy: str) -> list[BoundRecord]:
+    """The report's records that go on ``policy``'s row: lemma1, then its own."""
+    return [report[b.bound_id] for b in BOUNDS if b.policy in (None, policy)]
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
@@ -347,20 +338,14 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 for k in config.ks:
                     opt, costs = _cell_costs(config, trace, k, seed, shared[k], exact)
                     cells.setdefault((noise_id, k), []).append((opt, eta, inversions, costs))
-                    report = check_bounds(
-                        costs, opt, eta, inversions, k,
-                        epsilon=config.epsilon if "mw" in costs else None,
-                    )
-                    eps_ratio = eta / opt if opt > 0 else None
-                    for name in config.policies:
-                        passed, failed = _verdicts(report, name)
-                        rows.append(
-                            ResultRow(
-                                trace_id, k, noise_id, seed, name,
-                                costs[name], opt, eta, inversions, eps_ratio,
-                                passed, failed,
-                            )
+                    report = check_bounds(costs, opt, eta, inversions, k, config.epsilon)
+                    rows.extend(
+                        _row(
+                            trace_id, k, noise_id, seed, name, costs[name], opt, eta,
+                            inversions, _on_row(report, name),
                         )
+                        for name in config.policies
+                    )
         del shared, seed_cells  # the last seed's runs and traces
         for (noise_id, k), cell in cells.items():
             rows.extend(_aggregate_rows(config, trace_id, k, noise_id, cell))
@@ -373,7 +358,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
 
 def _aggregate_rows(config, trace_id, k, noise_id, cells) -> list[ResultRow]:
-    """Mean-over-seeds rows for the randomized policies (seed column 'agg').
+    """Mean-over-seeds rows (seed column 'agg') for each policy with a bound
+    that holds in expectation, over the costs those bounds need.
 
     ``cells`` holds one ``(opt, eta, inversions, costs)`` per seed.
     """
@@ -382,21 +368,15 @@ def _aggregate_rows(config, trace_id, k, noise_id, cells) -> list[ResultRow]:
         return out
     opt, eta, inversions = (statistics.fmean(cell[i] for cell in cells) for i in range(3))
     for name in config.policies:
-        if name not in ("marker", "mw"):
+        bounds = [b for b in BOUNDS if b.policy == name and b.in_expectation]
+        if not bounds:
             continue
-        costs = {}
-        for policy in (name, "blind_oracle", "lru", "marker"):
-            if policy not in costs and all(policy in cell[3] for cell in cells):
-                costs[policy] = statistics.fmean(cell[3][policy] for cell in cells)
-        report = check_bounds(
-            costs, opt, eta, inversions, k, epsilon=config.epsilon if name == "mw" else None
-        )
-        passed, failed = _verdicts(report, name)
+        needed = dict.fromkeys(p for b in bounds for p in (name, *b.needs))
+        costs = {p: statistics.fmean(cell[3][p] for cell in cells) for p in needed}
+        report = check_bounds(costs, opt, eta, inversions, k, config.epsilon)
         out.append(
-            ResultRow(
-                trace_id, k, noise_id, None, name, costs[name], opt, eta, inversions,
-                eta / opt if opt > 0 else None, passed, failed,
-            )
+            _row(trace_id, k, noise_id, None, name, costs[name], opt, eta, inversions,
+                 _on_row(report, name))
         )
     return out
 
@@ -408,15 +388,11 @@ def _adversary_rows(config: ExperimentConfig) -> list[ResultRow]:
         if name not in _ADVERSARY_POLICIES:
             continue
         result = run_adversary(name, adv)
-        record = certify_lower_bound(result)
         inversions = count_inversions_fast(result.trace.arrivals, result.trace.predictions)
-        eps_ratio = result.eta / result.opt_cost if result.opt_cost > 0 else None
         rows.append(
-            ResultRow(
-                adv.label, adv.k, "adaptive", 0, name,
-                result.alg_cost, result.opt_cost, result.eta, inversions, eps_ratio,
-                ("lower_bound_thm4",) if record.passed else (),
-                () if record.passed else ("lower_bound_thm4",),
+            _row(
+                adv.label, adv.k, "adaptive", 0, name, result.alg_cost, result.opt_cost,
+                result.eta, inversions, [certify_lower_bound(result)],
             )
         )
     return rows

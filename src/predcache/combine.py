@@ -22,6 +22,7 @@ from heapq import heappush
 from typing import Sequence
 
 from .errors import ConfigError
+from .metrics import BOUNDS
 from .policies import (
     LRU,
     Belady,
@@ -37,8 +38,9 @@ from .trace import Trace
 POLICY_NAMES = ("lru", "belady", "marker", "blind_oracle", "ftl", "mw")
 
 # The policies a combiner's two experts run, in order, as ``make_policies``
-# builds them; mw's Marker is its own child-seeded run.
-EXPERTS = {"ftl": ("blind_oracle", "lru"), "mw": ("blind_oracle", "marker")}
+# builds them: the costs its bounds need.  mw's Marker is its own
+# child-seeded run.
+EXPERTS = {bound.policy: bound.needs for bound in BOUNDS if bound.needs}
 
 # Below this magnitude both weights are rescaled by a common factor; the
 # ratio, and therefore every probability and coupling draw, is unchanged.

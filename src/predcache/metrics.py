@@ -10,8 +10,9 @@ alongside the cost bounds of the individual policies and combiners.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 from .errors import ConfigError
@@ -62,19 +63,51 @@ def count_inversions_fast(arrivals: Sequence[int], predictions: Sequence[float])
     return total
 
 
-# Identifiers of the checkable bounds, as they appear in reports and CSV output.
-BOUND_IDS = (
-    "lemma1",
-    "thm1_prop1",
-    "thm1_prop2",
-    "cor1_det",
-    "cor2_rand",
-    "ftl_thm2",
-    "mw_thm3",
-    "lru_k",
-    "marker_2hk",
-    "lower_bound_thm4",
+# One entry per checked inequality, lhs <= rhs + additive, in record order.
+# lhs, rhs and additive read one namespace: opt, eta, inversions, k, eps,
+# each given policy's cost by name, and each earlier bound's whole right-hand
+# side by bound id.  A bound goes on its policy's result rows (lemma1, a
+# property of the trace, on every row) and is checked when that policy has a
+# cost; it then needs the costs of ``needs``.  ``uses_opt``: it holds
+# trivially at opt = 0, where every in-contract policy pays nothing.
+# ``in_expectation``: it bounds the mean over seeds, not each run.  Below
+# ``min_k`` it does not apply.
+Bound = namedtuple(
+    "Bound",
+    "bound_id policy needs lhs rhs additive uses_opt in_expectation min_k",
+    defaults=(1,),
 )
+BOUNDS = (
+    Bound("lemma1", None, (), lambda v: v.inversions / 2.0, lambda v: v.eta,
+          lambda v: 0, False, False),
+    Bound("thm1_prop1", "blind_oracle", (), lambda v: v.blind_oracle,
+          lambda v: v.opt + 2.0 * v.eta, lambda v: 0, True, False),
+    Bound("thm1_prop2", "blind_oracle", (), lambda v: v.blind_oracle,
+          lambda v: 2.0 * v.opt + 4.0 * v.eta / (v.k - 1), lambda v: v.k, True, False, 2),
+    Bound("lru_k", "lru", (), lambda v: v.lru, lambda v: v.k * v.opt, lambda v: v.k, True, False),
+    # Fiat et al. (1991); H_k is an O(k) sum, and opt > 0 means Belady
+    # evicted, so k is below the trace length
+    Bound("marker_2hk", "marker", (), lambda v: v.marker,
+          lambda v: (2.0 * harmonic(v.k) - 1.0) * v.opt if v.opt else 0.0, lambda v: v.k,
+          True, True),
+    Bound("ftl_thm2", "ftl", ("blind_oracle", "lru"), lambda v: v.ftl,
+          lambda v: 2.0 * min(v.blind_oracle, v.lru), lambda v: 2 * v.k, False, False),
+    Bound("cor1_det", "ftl", ("blind_oracle", "lru"), lambda v: v.ftl,
+          lambda v: 2.0 * min(v.thm1_prop1, v.thm1_prop2, v.lru_k), lambda v: 2 * v.k,
+          True, False),
+    Bound("mw_thm3", "mw", ("blind_oracle", "marker"), lambda v: v.mw,
+          lambda v: (1.0 + v.eps) * min(v.blind_oracle, v.marker), lambda v: 8 * v.k / v.eps,
+          False, True),
+    Bound("cor2_rand", "mw", ("blind_oracle", "marker"), lambda v: v.mw,
+          lambda v: (1.0 + v.eps) * min(v.thm1_prop1, v.thm1_prop2, v.marker_2hk),
+          lambda v: 8 * v.k / v.eps, True, True),
+)
+
+# Identifiers of the checkable bounds, as they appear in reports and CSV
+# output.  adversary.certify_lower_bound checks lower_bound_thm4 outside the
+# table: it reads an adversary run, not a cell's costs, and its inequality
+# runs the other way (alg >= required).
+BOUND_IDS = tuple(bound.bound_id for bound in BOUNDS) + ("lower_bound_thm4",)
 
 
 @dataclass(frozen=True)
@@ -88,10 +121,6 @@ class BoundRecord:
     note: str = ""
 
 
-def _record(bound_id, lhs, rhs, slack, *, vacuous=False, note="") -> BoundRecord:
-    return BoundRecord(bound_id, float(lhs), float(rhs), float(slack), lhs <= rhs, vacuous, note)
-
-
 def check_bounds(
     costs: Mapping[str, float],
     opt: int,
@@ -100,105 +129,36 @@ def check_bounds(
     k: int,
     epsilon: float | None = None,
 ) -> dict[str, BoundRecord]:
-    """Evaluate every bound that the given cost entries make checkable.
+    """Evaluate every bound of ``BOUNDS`` whose policy has an entry in ``costs``.
 
     ``costs`` maps policy names (lru, blind_oracle, marker, ftl, mw) to
-    measured eviction counts; marker and mw entries may be means over seeds.
-    Returns the records by bound id, in the order listed; each record's
-    ``slack_used`` is its inequality's additive term (k, 2k, 8k/eps or 0):
-
-      lemma1       inversions / 2 <= eta
-      thm1_prop1   blind_oracle <= opt + 2*eta
-      thm1_prop2   blind_oracle <= 2*opt + 4*eta/(k-1) + k          (k >= 2)
-      lru_k        lru <= k*opt + k
-      marker_2hk   marker <= (2*H_k - 1)*opt + k
-      ftl_thm2     ftl <= 2*min(blind_oracle, lru) + 2k
-      cor1_det     ftl <= 2*min(prop1 rhs, prop2 rhs, lru_k rhs) + 2k
-      mw_thm3      mw <= (1+eps)*min(blind_oracle, marker) + 8k/eps
-      cor2_rand    mw <= (1+eps)*min(prop1 rhs, prop2 rhs, marker_2hk rhs) + 8k/eps
-
-    Bounds that reference opt are flagged vacuous when opt is 0 (every
-    in-contract policy then has zero cost, so they hold trivially).
+    measured eviction counts, or to their means over seeds; mw's bounds need
+    ``epsilon``.  Returns the records by bound id, in table order; each
+    record's ``slack_used`` is its inequality's additive term.  A bound that
+    uses opt is flagged vacuous when opt is 0.
     """
-    records: list[BoundRecord] = []
-    opt_zero = opt == 0
-
-    records.append(_record("lemma1", inversions / 2.0, eta, 0.0))
-
-    prop1_rhs = opt + 2.0 * eta
-    prop2_rhs = math.inf
-    if k >= 2:
-        prop2_rhs = 2.0 * opt + 4.0 * eta / (k - 1) + k
-    lru_rhs = k * opt + k
-    # H_k is an O(k) sum; opt > 0 means Belady evicted, so k is below the trace length
-    marker_rhs = float(k) if opt_zero else (2.0 * harmonic(k) - 1.0) * opt + k
-
-    if "blind_oracle" in costs:
-        bo = costs["blind_oracle"]
-        records.append(_record("thm1_prop1", bo, prop1_rhs, 0.0, vacuous=opt_zero))
-        if k >= 2:
-            records.append(
-                _record("thm1_prop2", bo, prop2_rhs, k, vacuous=opt_zero)
+    if "mw" in costs and epsilon is None:
+        raise ConfigError("mw bound checks need epsilon")
+    v = SimpleNamespace(**costs, opt=opt, eta=eta, inversions=inversions, k=k, eps=epsilon)
+    records: dict[str, BoundRecord] = {}
+    for bound in BOUNDS:
+        if bound.policy is not None and bound.policy not in costs:
+            continue
+        if not all(name in costs for name in bound.needs):
+            raise ConfigError(f"{bound.policy} bound checks need {' and '.join(bound.needs)} costs")
+        lhs = bound.lhs(v)
+        if k < bound.min_k:
+            rhs = math.inf
+            record = BoundRecord(
+                bound.bound_id, float(lhs), rhs, 0.0, True, True, f"requires k >= {bound.min_k}"
             )
         else:
-            records.append(
-                BoundRecord("thm1_prop2", bo, math.inf, 0.0, True, True, "requires k >= 2")
+            additive = bound.additive(v)
+            rhs = bound.rhs(v) + additive
+            record = BoundRecord(
+                bound.bound_id, float(lhs), float(rhs), float(additive), lhs <= rhs,
+                bound.uses_opt and opt == 0,
             )
-
-    if "lru" in costs:
-        records.append(_record("lru_k", costs["lru"], lru_rhs, k, vacuous=opt_zero))
-
-    if "marker" in costs:
-        records.append(
-            _record("marker_2hk", costs["marker"], marker_rhs, k, vacuous=opt_zero)
-        )
-
-    if "ftl" in costs:
-        if "blind_oracle" not in costs or "lru" not in costs:
-            raise ConfigError("ftl bound checks need blind_oracle and lru costs")
-        ftl = costs["ftl"]
-        ftl_slack = 2 * k
-        records.append(
-            _record(
-                "ftl_thm2",
-                ftl,
-                2.0 * min(costs["blind_oracle"], costs["lru"]) + ftl_slack,
-                ftl_slack,
-            )
-        )
-        records.append(
-            _record(
-                "cor1_det",
-                ftl,
-                2.0 * min(prop1_rhs, prop2_rhs, lru_rhs) + ftl_slack,
-                ftl_slack,
-                vacuous=opt_zero,
-            )
-        )
-
-    if "mw" in costs:
-        if epsilon is None:
-            raise ConfigError("mw bound checks need epsilon")
-        if "blind_oracle" not in costs or "marker" not in costs:
-            raise ConfigError("mw bound checks need blind_oracle and marker costs")
-        mw = costs["mw"]
-        mw_slack = 8 * k / epsilon
-        records.append(
-            _record(
-                "mw_thm3",
-                mw,
-                (1.0 + epsilon) * min(costs["blind_oracle"], costs["marker"]) + mw_slack,
-                mw_slack,
-            )
-        )
-        records.append(
-            _record(
-                "cor2_rand",
-                mw,
-                (1.0 + epsilon) * min(prop1_rhs, prop2_rhs, marker_rhs) + mw_slack,
-                mw_slack,
-                vacuous=opt_zero,
-            )
-        )
-
-    return {record.bound_id: record for record in records}
+        setattr(v, bound.bound_id, rhs)
+        records[bound.bound_id] = record
+    return records

@@ -6,7 +6,8 @@ enumeration and by a Fenwick tree over prediction ranks, the offline optimum
 by exhaustive enumeration of eviction choices, a plain serve loop that
 records every request's victim, the O(k) reference victim rules of every
 policy, and the trace builders written with ``random.Random``'s own
-``randrange``, ``uniform``, ``gauss`` and ``lognormvariate``.
+``randrange``, ``uniform``, ``gauss`` and ``lognormvariate``.  It also
+holds ``request_runs``, the Hypothesis strategy for request lists.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
+
+from hypothesis import strategies as st
 
 
 def scan_next_arrivals(requests: list[str]) -> list[int]:
@@ -110,6 +113,24 @@ def count_inversions_fenwick(arrivals, predictions) -> int:
                 r += r & -r
         i = j
     return total
+
+
+def request_runs(pages, runs, run_len):
+    """Up to ``runs`` runs of up to ``run_len`` requests each.
+
+    ``pages`` is a string of one-letter pages, or a count n for pages
+    p1..pn.  One Hypothesis list of free length is mostly a handful of
+    elements (a median of about 6 for max_size 120); runs make long request
+    lists common.
+    """
+    if isinstance(pages, str):
+        page = st.sampled_from(pages)
+    else:
+        page = st.integers(1, pages).map("p{}".format)
+    run = st.lists(page, min_size=1, max_size=run_len)
+    return st.lists(run, min_size=1, max_size=runs).map(
+        lambda drawn: [page for requests in drawn for page in requests]
+    )
 
 
 def serve_all(policy, requests, predictions) -> list:

@@ -20,7 +20,6 @@ from predcache import (
     write_trace,
 )
 from predcache.cli import (
-    _ROW_BOUNDS,
     CSV_HEADER,
     ExperimentConfig,
     ResultRow,
@@ -31,6 +30,7 @@ from predcache.cli import (
     render_csv,
     run_experiment,
 )
+from predcache.metrics import BOUNDS
 
 WORKLOAD = {"kind": "uniform", "universe": 12, "length": 150}
 GOLDEN = Path(__file__).parent / "golden"
@@ -164,6 +164,13 @@ def test_rows_cover_the_whole_grid_and_aggregate_randomized():
         r.cost for r in rows if r.policy == "marker" and r.seed is not None and r.k == agg.k
     ]
     assert agg.cost == pytest.approx(statistics.fmean(per_seed))
+
+
+def test_mean_rows_are_the_policies_with_a_bound_in_expectation():
+    expected = {b.policy for b in BOUNDS if b.in_expectation}
+    assert expected == {"marker", "mw"}
+    rows = run_experiment(_config(policies=list(POLICY_NAMES)))
+    assert {r.policy for r in rows if r.seed is None} == expected
 
 
 def test_trace_file_source(tmp_path):
@@ -330,7 +337,7 @@ def test_exact_cells_serve_alike_in_any_noise_order(noises, policies):
                     assert (row.cost, row.opt) == (runs[row.policy].cost, runs["belady"].cost)
                     recorded = {b.removesuffix("(vacuous)") for b in row.bounds_passed}
                     assert recorded | set(row.bounds_failed) == {
-                        "lemma1", *_ROW_BOUNDS[row.policy]
+                        b.bound_id for b in BOUNDS if b.policy in (None, row.policy)
                     }
 
 

@@ -1,5 +1,8 @@
+import itertools
 import math
 import random
+import re
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -21,7 +24,7 @@ from predcache import (
     synthesize,
 )
 from predcache import metrics
-from oracles import count_inversions_fenwick, count_inversions_naive
+from oracles import count_inversions_fenwick, count_inversions_naive, request_runs
 
 # The package's block width, then blocks of 1, 2 and 4 positions, so that
 # small instances cross many block boundaries.
@@ -127,7 +130,7 @@ def test_fast_matches_fenwick_across_many_blocks(instance):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.lists(st.sampled_from("abcd"), min_size=1, max_size=30),
+    request_runs("abcd", 6, 5),  # up to 30 requests
     st.integers(0, 10_000),
     st.sampled_from(
         [
@@ -237,6 +240,13 @@ def test_records_are_keyed_by_bound_id_with_each_additive_term():
         "lemma1": 0.0, "thm1_prop1": 0.0, "thm1_prop2": k, "lru_k": k, "marker_2hk": k,
         "ftl_thm2": 2 * k, "cor1_det": 2 * k, "mw_thm3": 8 * k / eps, "cor2_rand": 8 * k / eps,
     }
+
+
+def test_readme_bound_table_lists_the_bound_ids_in_order():
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| id | inequality |") + 2  # past the header and its rule
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    assert [re.match(r"\| `(\w+)` \|", row).group(1) for row in rows] == list(BOUND_IDS)
 
 
 def test_random_cross_check_fast_vs_naive_larger():

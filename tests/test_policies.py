@@ -34,22 +34,11 @@ from oracles import (
     brute_force_opt,
     count_inversions_fenwick,
     ref_policy,
+    request_runs,
     serve_all,
 )
 
 pages = st.lists(st.sampled_from("abcde"), min_size=1, max_size=14)
-
-
-def request_runs(universe, runs, run_len):
-    """Up to ``runs`` runs of up to ``run_len`` requests over pages p1..p<universe>.
-
-    One Hypothesis list of free length is mostly a handful of elements (a
-    median of about 6 for max_size 120); runs make long traces common.
-    """
-    run = st.lists(st.integers(1, universe).map("p{}".format), min_size=1, max_size=run_len)
-    return st.lists(run, min_size=1, max_size=runs).map(
-        lambda drawn: [page for requests in drawn for page in requests]
-    )
 
 
 def _trace(requests, predictions=None):
@@ -511,8 +500,9 @@ def _assert_same_victims(trace, k, seed=0):
 
 @st.composite
 def tie_heavy_traces(draw):
-    """At most 6 pages and predictions from a few integers, so keys tie often."""
-    requests = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=40))
+    """Up to 40 requests over at most 6 pages, predictions from a few integers,
+    so keys tie often."""
+    requests = draw(request_runs("abcdef", 5, 8))
     n = len(requests)
     predictions = draw(
         st.lists(st.sampled_from([0, 1, 2, 3, n + 1]), min_size=n, max_size=n)

@@ -19,9 +19,14 @@ from predcache import (
     synthesize,
     write_trace,
 )
-from oracles import ref_generate_workload, ref_perturb_predictions, scan_next_arrivals
+from oracles import (
+    ref_generate_workload,
+    ref_perturb_predictions,
+    request_runs,
+    scan_next_arrivals,
+)
 
-pages = st.lists(st.sampled_from("abcde"), min_size=1, max_size=40)
+pages = request_runs("abcde", 5, 8)  # up to 40 requests
 
 
 def test_next_arrivals_basic():
