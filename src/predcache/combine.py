@@ -5,14 +5,18 @@ only which page each expert evicts, so ``simulate`` serves every expert over
 the whole trace first and hands the combiner the experts' victim lists; an
 expert shared by several combiners (or also a standalone run) is served
 once.  Online, a combiner's ``serve`` serves its own experts first.  On a
-full-cache miss the combiner evicts its least recent page that the currently
-tracked expert does not hold, so its cache drifts toward that expert's cache
+full-cache miss the combiner evicts its least recent page that the followed
+expert does not hold, so its cache drifts toward that expert's cache
 lazily, one miss at a time.
 
-``FtlCombiner`` deterministically follows whichever expert has evicted less so
-far.  ``MwCombiner`` follows expert i with probability proportional to
-(1-epsilon)**cost_i, switching via mass coupling so the expected number of
-switches is bounded by total probability movement.
+Both combiners need only one integer: how many more evictions the followed
+expert has made than the other, which changes only when exactly one expert
+evicts.  They differ in one rule, applied when the followed expert alone
+evicts.  ``FtlCombiner`` switches as soon as the other expert has evicted
+strictly less.  ``MwCombiner`` follows expert i with probability
+proportional to (1-epsilon)**cost_i: it switches with probability equal to
+the share of that probability its expert just lost (mass coupling), so the
+expected number of switches is the total probability movement.
 """
 
 from __future__ import annotations
@@ -42,22 +46,28 @@ POLICY_NAMES = ("lru", "belady", "marker", "blind_oracle", "ftl", "mw")
 # child-seeded run.
 EXPERTS = {bound.policy: bound.needs for bound in BOUNDS if bound.needs}
 
-# Below this magnitude both weights are rescaled by a common factor; the
-# ratio, and therefore every probability and coupling draw, is unchanged.
-_RESCALE_FLOOR = 1e-100
-
 
 class _Combiner(Policy):
     """Two experts of the combiner's ``k``, and the own pages each one lacks.
 
     The body is sent ``(t, page, victim_a, victim_b)``: the experts' victims
-    for request t, from which it counts each expert's cost.  ``_outside[i]``
-    is a ``(last, last, page)`` heap (see ``pop_live``), keyed by own last
-    request, of the own pages expert i does not hold.  Pages enter a cache
-    only when requested and experts serve first, so an own page leaves expert
-    i's cache exactly as expert i's victim, which the body pushes.  A combiner
-    must therefore see every request its experts serve.
+    for request t.  ``_outside[i]`` is a ``(last, last, page)`` heap (see
+    ``pop_live``), keyed by own last request, of the own pages expert i does
+    not hold.  Pages enter a cache only when requested and experts serve
+    first, so an own page leaves expert i's cache exactly as expert i's
+    victim, which the body pushes.  A combiner must therefore see every
+    request its experts serve.
+
+    ``followed`` (an index into ``experts``) is the expert whose cache the
+    combiner drifts toward, and ``excess`` is its evictions minus the other
+    expert's since the combiner started.  Both change only when exactly one
+    expert evicts.  When that is the followed expert, ``excess`` rises by 1
+    and the subclass's ``_switch(excess)`` decides whether to follow the
+    other expert instead, whose excess is the negation.
     """
+
+    followed = 0
+    excess = 0
 
     def __init__(self, expert_a: Policy, expert_b: Policy, k: int):
         if expert_a.k != k or expert_b.k != k:
@@ -73,50 +83,43 @@ class _Combiner(Policy):
         victim_b = victim_a if b is a else b.serve(t, page, prediction)
         return self._steps.send((t, page, victim_a, victim_b))
 
-
-class FtlCombiner(_Combiner):
-    """Follow the expert with the smaller eviction count.
-
-    The leader (an index into ``experts``) is recomputed from the experts'
-    evictions since the combiner started, after both experts serve the
-    current request; ties keep the incumbent, and expert 0 leads initially.
-    """
-
-    name = "ftl"
-
-    def __init__(self, expert_a: Policy, expert_b: Policy, k: int):
-        self.leader = 0
-        super().__init__(expert_a, expert_b, k)
+    def _switch(self, excess: int) -> bool:
+        raise NotImplementedError
 
     def _steps(self):
         own, k = self.cache, self.k
         limit = 2 * k
         outside_a, outside_b = self._outside
-        cost_a = cost_b = 0
-        leader = self.leader
-        outside = self._outside[leader]
+        switch = self._switch
+        followed, excess = self.followed, self.excess
+        outside = self._outside[followed]
         evicted = None
         while True:
             t, page, victim_a, victim_b = yield evicted
             if victim_a is not None or victim_b is not None:
                 if victim_a is not None:
-                    cost_a += 1
                     last = own.get(victim_a)
                     if last is not None:
                         heappush(outside_a, (last, last, victim_a))
                         if len(outside_a) > limit:
                             keep_live(outside_a, own)
                 if victim_b is not None:
-                    cost_b += 1
                     last = own.get(victim_b)
                     if last is not None:
                         heappush(outside_b, (last, last, victim_b))
                         if len(outside_b) > limit:
                             keep_live(outside_b, own)
-                best = 0 if cost_a < cost_b else 1 if cost_b < cost_a else leader
-                if best != leader:
-                    leader = self.leader = best
-                    outside = self._outside[leader]
+                # when both evict, the excess and the followed expert stand
+                if victim_a is None or victim_b is None:
+                    if (victim_b if followed else victim_a) is None:
+                        excess -= 1
+                    else:
+                        excess += 1
+                        if switch(excess):
+                            followed, excess = 1 - followed, -excess
+                            self.followed = followed
+                            outside = self._outside[followed]
+                    self.excess = excess
             evicted = None
             if page in own:
                 del own[page]
@@ -127,14 +130,22 @@ class FtlCombiner(_Combiner):
             own[page] = t
 
 
-class MwCombiner(_Combiner):
-    """Randomized combiner driven by multiplicative weights.
+class FtlCombiner(_Combiner):
+    """Follow the expert with the fewer evictions, expert 0 first; ties stay."""
 
-    Each request multiplies expert i's weight by (1-epsilon)**cost_i, cost_i
-    being 1 if the expert evicted.  The followed expert (an index into
-    ``experts``) is then abandoned with probability equal to the fraction of
-    probability mass it just lost, which keeps the chance of following expert
-    i equal to w_i / (w_0 + w_1) at all times.
+    name = "ftl"
+
+    def _switch(self, excess: int) -> bool:
+        return excess > 0
+
+
+class MwCombiner(_Combiner):
+    """Follow expert i with chance w_i / (w_0 + w_1), w_i = (1-epsilon)**cost_i.
+
+    The first expert is drawn at even odds.  After that, one draw is taken
+    each time the followed expert alone evicts, and it switches with the
+    share of its chance that it just lost (mass coupling).  That chance
+    depends only on the excess.
     """
 
     name = "mw"
@@ -152,55 +163,15 @@ class MwCombiner(_Combiner):
             raise ConfigError(f"epsilon must be in (0, 1/4), got {epsilon}")
         self.epsilon = epsilon
         self.rng = rng
-        self.weights = (1.0, 1.0)
         self.followed = 0 if rng.random() < 0.5 else 1
         super().__init__(expert_a, expert_b, k)
 
-    def _steps(self):
-        own, k = self.cache, self.k
-        limit = 2 * k
-        outside_a, outside_b = self._outside
-        keep, draw = 1.0 - self.epsilon, self.rng.random
-        wa, wb = self.weights
-        followed = self.followed
-        outside = self._outside[followed]
-        evicted = None
-        while True:
-            t, page, victim_a, victim_b = yield evicted
-            # when neither expert evicts, the weights are multiplied by 1.0 and
-            # no draw is taken: nothing would change
-            if victim_a is not None or victim_b is not None:
-                prior = (wb if followed else wa) / (wa + wb)
-                if victim_a is not None:
-                    wa *= keep
-                    last = own.get(victim_a)
-                    if last is not None:
-                        heappush(outside_a, (last, last, victim_a))
-                        if len(outside_a) > limit:
-                            keep_live(outside_a, own)
-                if victim_b is not None:
-                    wb *= keep
-                    last = own.get(victim_b)
-                    if last is not None:
-                        heappush(outside_b, (last, last, victim_b))
-                        if len(outside_b) > limit:
-                            keep_live(outside_b, own)
-                if wa < _RESCALE_FLOOR and wb < _RESCALE_FLOOR:
-                    scale = max(wa, wb)
-                    wa, wb = wa / scale, wb / scale
-                self.weights = (wa, wb)
-                posterior = (wb if followed else wa) / (wa + wb)
-                if posterior < prior and draw() < (prior - posterior) / prior:
-                    followed = self.followed = 1 - followed
-                    outside = self._outside[followed]
-            evicted = None
-            if page in own:
-                del own[page]
-            elif len(own) >= k:
-                evicted = pop_live(outside, own)
-                del own[evicted]
-                self.cost += 1
-            own[page] = t
+    def _switch(self, excess: int) -> bool:
+        # the share lost is epsilon / (1 + (1-epsilon)**excess); below 0 it is
+        # spelled with the power of -excess, which cannot overflow
+        power = (1.0 - self.epsilon) ** abs(excess)
+        lost = self.epsilon * (power if excess < 0 else 1.0) / (1.0 + power)
+        return self.rng.random() < lost
 
 
 def _child_seeds(seed: int) -> tuple[int, int, int]:

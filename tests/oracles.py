@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 from hypothesis import strategies as st
@@ -246,28 +247,41 @@ class RefFtl(RefPolicy):
 
 
 class RefMw(RefPolicy):
+    """Follow expert i with chance w_i / (w_0 + w_1), w_i = (1-epsilon)**cost_i.
+
+    The weights are exact ``Fraction`` powers.  A draw is taken only when the
+    followed expert alone evicts: it switches with the share of its chance
+    that it just lost.  Any other step leaves that chance where it was or
+    raises it, and the followed expert stays.
+    """
+
     randomized = True
 
     def __init__(self, a, b, k, epsilon, rng):
         super().__init__(k)
         self.experts = (a, b)
-        self.epsilon = epsilon
+        self.keep = 1 - Fraction(epsilon)
+        self.costs = [0, 0]
         self.rng = rng
-        self.weights = [1.0, 1.0]
         self.followed = 0 if rng.random() < 0.5 else 1
 
+    def chance(self, i):
+        # a common factor of both weights leaves the chance unchanged
+        low = min(self.costs)
+        w = [self.keep ** (c - low) for c in self.costs]
+        return w[i] / (w[0] + w[1])
+
     def pre_serve(self, t, page, h):
-        w = self.weights
-        prior = w[self.followed] / sum(w)
-        for i, expert in enumerate(self.experts):
-            if expert.serve(t, page, h) is not None:
-                w[i] *= 1.0 - self.epsilon
-        if max(w) < 1e-100:
-            scale = max(w)
-            w[0], w[1] = w[0] / scale, w[1] / scale
-        posterior = w[self.followed] / sum(w)
-        if posterior < prior and self.rng.random() < (prior - posterior) / prior:
-            self.followed = 1 - self.followed
+        f = self.followed
+        evicted = [expert.serve(t, page, h) is not None for expert in self.experts]
+        if evicted[f] and not evicted[1 - f]:
+            prior = self.chance(f)
+            self.costs[f] += 1
+            posterior = self.chance(f)
+            if self.rng.random() < (prior - posterior) / prior:
+                self.followed = 1 - f
+        else:
+            self.costs = [c + e for c, e in zip(self.costs, evicted)]
 
     def victim(self, t, page, h):
         return ref_victim_outside(self.entries, self.experts[self.followed].entries)

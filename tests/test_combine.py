@@ -1,5 +1,6 @@
 import random
 import statistics
+from fractions import Fraction
 
 import pytest
 
@@ -55,17 +56,17 @@ def _costs(run):
 
 def test_leader_follows_strict_minimum_and_ties_keep_incumbent():
     # k=2, lru against blind_oracle on x y z x y x y with predictions
-    # 1 9 1 9 9 1 1; each step lists (lru cost, blind_oracle cost, leader)
+    # 1 9 1 9 9 1 1; each step lists (lru cost, blind_oracle cost, followed)
     a, b = LRU(2), BlindOracle(2)
     ftl = FtlCombiner(a, b, 2)
     steps = []
     for t, (page, h) in enumerate(zip("xyzxyxy", [1.0, 9.0, 1.0, 9.0, 9.0, 1.0, 1.0]), start=1):
         ftl.serve(t, page, h)
-        steps.append((a.cost, b.cost, ftl.leader))
+        steps.append((a.cost, b.cost, ftl.followed))
     assert steps == [
         (0, 0, 0),
         (0, 0, 0),
-        (1, 1, 0),  # z: both evict; the tie keeps the initial leader
+        (1, 1, 0),  # z: both evict; the tie keeps the initial expert
         (2, 1, 1),  # x: only lru evicts; blind_oracle is the strict minimum
         (3, 2, 1),
         (3, 3, 1),  # x: only blind_oracle evicts; the tie keeps the incumbent
@@ -81,11 +82,11 @@ def test_ftl_evicts_outside_leader_cache():
     assert serve_all(ftl, "ab", [10.0, 3.0]) == [None, None]
     # own {a, b}, leader evicts a for c: own's least recent page a is outside
     assert ftl.serve(3, "c", 9.0) == "a"
-    assert ftl.leader == 0 and list(leader.cache) == ["b", "c"]
+    assert ftl.followed == 0 and list(leader.cache) == ["b", "c"]
     # own [b, c], leader evicts c for d: the least recent b is still held by
     # the leader, so it is passed over for c
     assert ftl.serve(4, "d", 1.0) == "c"
-    assert ftl.leader == 0 and list(leader.cache) == ["b", "d"]
+    assert ftl.followed == 0 and list(leader.cache) == ["b", "d"]
     assert other.cost == leader.cost == 2 and list(other.cache) == ["c", "d"]
 
 
@@ -151,18 +152,26 @@ def test_ftl_rejects_randomized_experts():
 # ---------------------------------------------------------------- MW update rule
 
 
+def _excess(combiner):
+    """The followed expert's evictions minus the other expert's."""
+    a, b = (expert.cost for expert in combiner.experts)
+    return b - a if combiner.followed else a - b
+
+
 def test_mw_weights_step_by_step():
     # k=2, predictions a=5, b=9, c=1: at c both experts evict (blind_oracle
-    # drops b, lru drops a); at b only blind_oracle misses
-    combiner = MwCombiner(BlindOracle(2), LRU(2), 2, 0.1, random.Random(0))
-    serve_all(combiner, "ab", [5.0, 9.0])
-    assert combiner.weights == (1.0, 1.0)
-    combiner.serve(3, "c", 1.0)
-    assert combiner.weights == (0.9, 0.9)
-    combiner.serve(4, "b", 1.0)
-    wa, wb = combiner.weights
-    assert (wa, wb) == (0.9 * 0.9, 0.9)
-    assert wa / (wa + wb) == pytest.approx(0.9 / 1.9)
+    # drops b, lru drops a); at b only blind_oracle misses.  Random(0) draws
+    # 0.84 first, so lru is followed, and blind_oracle's lone eviction
+    # lowers the excess without a draw.  Each step lists (blind_oracle cost,
+    # lru cost, followed, excess).
+    bo, lru = BlindOracle(2), LRU(2)
+    combiner = MwCombiner(bo, lru, 2, 0.1, random.Random(0))
+    steps = []
+    for t, (page, h) in enumerate(zip("abcb", [5.0, 9.0, 1.0, 1.0]), start=1):
+        combiner.serve(t, page, h)
+        steps.append((bo.cost, lru.cost, combiner.followed, combiner.excess))
+        assert combiner.excess == _excess(combiner)
+    assert steps == [(0, 0, 1, 0), (0, 0, 1, 0), (1, 1, 1, 0), (2, 1, 1, -1)]
 
 
 def test_mw_epsilon_range_enforced():
@@ -176,20 +185,82 @@ def test_mw_epsilon_range_enforced():
 
 
 def test_mw_weights_positive_nonincreasing_and_probabilities_normalized():
+    # the weights (1-epsilon)**cost_i are carried as one integer, the excess
     trace = synthesize(
         WorkloadSpec("uniform", universe=30, length=600),
         NoiseSpec("additive_uniform", width=5.0),
         seed=8,
     )
     combiner = MwCombiner(BlindOracle(4), LRU(4), 4, 0.1, random.Random(5))
-    prev = combiner.weights
+    assert combiner.excess == 0
     for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
         combiner.serve(t, page, h)
-        wa, wb = combiner.weights
-        assert wa > 0 and wb > 0
-        assert wa <= prev[0] and wb <= prev[1]
-        assert abs(wa / (wa + wb) + wb / (wa + wb) - 1.0) <= 1e-12
-        prev = combiner.weights
+        assert combiner.excess == _excess(combiner)
+
+
+class _CountingRandom(random.Random):
+    def __init__(self, seed):
+        self.draws = 0
+        super().__init__(seed)
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+class _StubRandom(random.Random):
+    value = 0.5
+
+    def random(self):
+        return self.value
+
+
+def test_mw_draws_only_when_the_followed_expert_alone_evicts():
+    trace = synthesize(
+        WorkloadSpec("zipf", universe=40, length=3000, alpha=0.8),
+        NoiseSpec("additive_uniform", width=200.0),
+        seed=14,
+    )
+    rng = _CountingRandom(2)
+    bo, lru = BlindOracle(4), LRU(4)
+    combiner = MwCombiner(bo, lru, 4, 0.2, rng)
+    assert rng.draws == 1
+    kinds = {"followed alone": 0, "other alone": 0, "both": 0}
+    switches = 0
+    for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
+        before = (bo.cost, lru.cost)
+        followed, draws = combiner.followed, rng.draws
+        combiner.serve(t, page, h)
+        evicted = [bo.cost - before[0], lru.cost - before[1]]
+        if evicted[followed] and not evicted[1 - followed]:
+            kinds["followed alone"] += 1
+            assert rng.draws == draws + 1, t
+        else:
+            if evicted[1 - followed]:
+                kinds["both" if evicted[followed] else "other alone"] += 1
+            assert rng.draws == draws, t
+        switches += combiner.followed != followed
+    # every kind of step occurs, and the followed expert changes
+    assert min(kinds.values()) > 200 and switches > 1, (kinds, switches)
+    assert combiner.excess == _excess(combiner)
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.1, 0.2, 0.24])
+def test_mw_switch_threshold_is_the_mass_lost(epsilon):
+    keep = 1 - Fraction(epsilon)
+    rng = _StubRandom()
+    combiner = MwCombiner(LRU(2), LRU(2), 2, epsilon, rng)
+    other = 10
+    for excess in range(-5, 6):
+        # the followed expert's cost went from other + excess - 1 to other + excess
+        before, after = keep ** (other + excess - 1), keep ** (other + excess)
+        prior = before / (before + keep**other)
+        posterior = after / (after + keep**other)
+        threshold = float((prior - posterior) / prior)
+        rng.value = threshold - 1e-12
+        assert combiner._switch(excess), excess
+        rng.value = threshold + 1e-12
+        assert not combiner._switch(excess), excess
 
 
 def test_mw_identical_experts_reproduce_the_expert():
@@ -237,13 +308,38 @@ def test_mw_tracks_a_perfect_expert():
 
 
 def test_mw_weight_rescale_keeps_running():
-    # long enough that raw weights would underflow without the common rescale
+    # long enough that raw float weights would underflow
     requests = [f"p{i % 40}" for i in range(30_000)]
     rng = random.Random(0)
     rng.shuffle(requests)
     trace = _trace(requests, [0.0] * len(requests))
     result = run_mw("blind_oracle", "marker", trace, 3, 0.2, seed=1)
     assert result.cost > 0
+    assert result.excess == _excess(result)
+
+
+def test_mw_switch_rule_survives_a_large_negative_excess(monkeypatch):
+    # blind_oracle is Belady on the cyclic part, where Marker evicts on nearly
+    # every request, so the excess falls to about -8,345: far below -3181,
+    # where 0.8**excess overflows a float.  In the tail the predictions are
+    # worthless, so blind_oracle evicts alone and the rule is asked there.
+    cyclic = synthesize(
+        WorkloadSpec("cyclic", universe=4, length=30_000), NoiseSpec("perfect"), seed=1
+    )
+    rng = random.Random(0)
+    tail = [f"p{rng.randrange(1, 5)}" for _ in range(200)]
+    trace = _trace([*cyclic.requests, *tail], [*cyclic.predictions, *[0.0] * len(tail)])
+    asked = []
+    switch = MwCombiner._switch
+
+    def recorded(self, excess):
+        asked.append(excess)
+        return switch(self, excess)
+
+    monkeypatch.setattr(MwCombiner, "_switch", recorded)
+    result = run_mw("blind_oracle", "marker", trace, 3, 0.2, seed=1)
+    assert min(asked) < -8000
+    assert result.excess == _excess(result) < -8000
 
 
 # ---------------------------------------------------------------- builder
