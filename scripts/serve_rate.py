@@ -5,14 +5,17 @@ uniform noise of width 64, LENGTH requests) alone, built by
 ``make_policies`` and run by ``simulate``; a combiner's time includes
 serving its experts.  The ``all`` row serves all six policies from one
 ``make_policies`` call in one ``simulate`` pass, as the CLI serves them, so
-each shared expert is served once.  Each cell is the best of REPEATS runs.
-The k=8 / k=512 column is the k=8 rate over the k=512 rate: how much a
+each shared expert is served once.  Each cell is the median of REPEATS
+runs, each timed between two runs of the benchmark's calibration loop
+(``bench/calibration.py``) and scaled to a host on which that loop takes
+its reference time, so cells measured minutes apart on a host whose speed
+drifts stay comparable.  The k=8 / k=512 column is the k=8 rate over the k=512 rate: how much a
 policy slows down as the cache grows.  The ``online`` column drives the same
 policy at k=8 through ``serve``, one call per request, as the adversary
 drives it (not defined for ``all``, whose experts are shared).  Prints a
 markdown table.
 
-A second table gives ``count_inversions_fast`` in ms, best of REPEATS, on
+A second table gives ``count_inversions_fast`` in ms, timed the same way, on
 the same trace and on three WORST_LENGTH-request cases over one zipf trace:
 predictions redrawn by ``random_replace`` with probability 1, predictions
 reversed (h = -y, so every pair with distinct arrivals is inverted), and all
@@ -21,6 +24,9 @@ predictions equal.
 Usage: python scripts/serve_rate.py
 """
 
+import sys
+from pathlib import Path
+from statistics import median
 from time import perf_counter
 
 from predcache import (
@@ -33,20 +39,27 @@ from predcache import (
     synthesize,
 )
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import calibration  # noqa: E402  (the benchmark's host-speed loop)
+
 KS = (8, 64, 512)
 LENGTH = 20000
 WORST_LENGTH = 50000
-REPEATS = 3
+REPEATS = 5
 
 
-def _best_s(run_once) -> float:
-    """Best wall time of REPEATS calls, in seconds."""
-    best = float("inf")
+def _timed_s(run_once) -> float:
+    """Median of REPEATS calls' wall times, in seconds, each calibrated."""
+    times = []
+    before = calibration.loop_s()
     for _ in range(REPEATS):
         start = perf_counter()
         run_once()
-        best = min(best, perf_counter() - start)
-    return best
+        wall = perf_counter() - start
+        after = calibration.loop_s()
+        times.append(calibration.normalize(wall, before, after))
+        before = after
+    return median(times)
 
 
 def _zipf(length: int, noise: NoiseSpec):
@@ -65,8 +78,8 @@ def inversion_table(trace) -> None:
     print("| count_inversions_fast | n | ms |")
     print("|---|---|---|")
     for label, arrivals, predictions in cases:
-        best = _best_s(lambda: count_inversions_fast(arrivals, predictions))
-        print(f"| {label} | {len(arrivals)} | {best * 1000:.1f} |")
+        elapsed = _timed_s(lambda: count_inversions_fast(arrivals, predictions))
+        print(f"| {label} | {len(arrivals)} | {elapsed * 1000:.1f} |")
 
 
 def main() -> None:
@@ -88,11 +101,11 @@ def main() -> None:
     print("|---" * (len(KS) + 3) + "|")
     rows = [(name, (name,)) for name in POLICY_NAMES] + [("all", POLICY_NAMES)]
     for name, names in rows:
-        rates = [trace.n / _best_s(lambda: batch(names, k)) for k in KS]
+        rates = [trace.n / _timed_s(lambda: batch(names, k)) for k in KS]
         cells = " | ".join(f"{rate / 1000:.0f}k" for rate in rates)
         served = "n/a"
         if name != "all":
-            served = f"{trace.n / _best_s(lambda: online(name)) / 1000:.0f}k"
+            served = f"{trace.n / _timed_s(lambda: online(name)) / 1000:.0f}k"
         print(f"| {name} | {cells} | {rates[0] / rates[-1]:.2f} | {served} |")
     print()
     inversion_table(trace)

@@ -17,12 +17,25 @@ strictly less.  ``MwCombiner`` follows expert i with probability
 proportional to (1-epsilon)**cost_i: it switches with probability equal to
 the share of that probability its expert just lost (mass coupling), so the
 expected number of switches is the total probability movement.
+
+The potential Phi is the number of own pages the followed expert does not
+hold.  Both caches fill up on the same request, so at Phi = 0 they are
+equal, and they stay equal until the followed expert alone evicts and the
+combiner switches: the combiner is then the followed expert, victim for
+victim.  ``simulate`` serves such a stretch from the experts' victim lists
+alone: it scans for the requests on which exactly one expert evicts, takes
+the switch rule's decisions there in order, and adds the followed expert's
+evictions to the cost.  After a switch the per-request body serves until
+Phi is 0 again; a stretch that reaches the end of the trace copies the
+followed expert's final cache.  ``serve`` sends every request to the body.
 """
 
 from __future__ import annotations
 
 import random
 from heapq import heappush
+from itertools import chain, count, islice
+from operator import countOf
 from typing import Sequence
 
 from .errors import ConfigError
@@ -47,6 +60,11 @@ POLICY_NAMES = ("lru", "belady", "marker", "blind_oracle", "ftl", "mw")
 EXPERTS = {bound.policy: bound.needs for bound in BOUNDS if bound.needs}
 
 
+def _count_live(heap: list, cache: dict) -> int:
+    """How many items of a ``(key, last, page)`` heap are live (see ``pop_live``)."""
+    return sum(cache.get(page) == last for _, last, page in heap)
+
+
 class _Combiner(Policy):
     """Two experts of the combiner's ``k``, and the own pages each one lacks.
 
@@ -64,10 +82,15 @@ class _Combiner(Policy):
     expert evicts.  When that is the followed expert, ``excess`` rises by 1
     and the subclass's ``_switch(excess)`` decides whether to follow the
     other expert instead, whose excess is the negation.
+
+    ``phi`` is the potential Phi: how many own pages the followed expert
+    does not hold.  The body counts it, and recounts it from the heap at a
+    switch.
     """
 
     followed = 0
     excess = 0
+    phi = 0
 
     def __init__(self, expert_a: Policy, expert_b: Policy, k: int):
         if expert_a.k != k or expert_b.k != k:
@@ -93,6 +116,7 @@ class _Combiner(Policy):
         switch = self._switch
         followed, excess = self.followed, self.excess
         outside = self._outside[followed]
+        phi = self.phi = _count_live(outside, own)
         evicted = None
         while True:
             t, page, victim_a, victim_b = yield evicted
@@ -109,9 +133,14 @@ class _Combiner(Policy):
                         heappush(outside_b, (last, last, victim_b))
                         if len(outside_b) > limit:
                             keep_live(outside_b, own)
+                victim = victim_b if followed else victim_a
+                if victim is not None:
+                    # the followed expert missed: it lets go of its victim and
+                    # takes in the page, either of which may be an own page
+                    phi += (victim in own) - (page in own)
                 # when both evict, the excess and the followed expert stand
                 if victim_a is None or victim_b is None:
-                    if (victim_b if followed else victim_a) is None:
+                    if victim is None:
                         excess -= 1
                     else:
                         excess += 1
@@ -119,7 +148,9 @@ class _Combiner(Policy):
                             followed, excess = 1 - followed, -excess
                             self.followed = followed
                             outside = self._outside[followed]
+                            phi = _count_live(outside, own)
                     self.excess = excess
+                self.phi = phi
             evicted = None
             if page in own:
                 del own[page]
@@ -127,7 +158,85 @@ class _Combiner(Policy):
                 evicted = pop_live(outside, own)
                 del own[evicted]
                 self.cost += 1
+                phi -= 1
+                self.phi = phi
             own[page] = t
+
+    def _serve_trace(self, requests, inputs, keep):
+        """Serve the trace in Phi = 0 stretches (see the module docstring).
+
+        A switch rebuilds, as of its request, the state the body reads.  The
+        heaps are rebuilt only then, so after the last stretch they no longer
+        list the pages each expert lacks.
+        """
+        victims_a, victims_b = inputs
+        own, n = self.cache, len(requests)
+        kept = [] if keep else None
+        start = 1  # phi is 0 and own is the followed expert's cache before it
+        while start <= n:
+            followed, excess = self.followed, self.excess
+            mine, theirs = (victims_b, victims_a) if followed else (victims_a, victims_b)
+            switch = self._switch
+            end = n + 1
+            for t, victim, other in zip(
+                count(start), islice(mine, start - 1, None), islice(theirs, start - 1, None)
+            ):
+                if victim is None:
+                    if other is not None:
+                        excess -= 1
+                elif other is None:
+                    excess += 1
+                    if switch(excess):
+                        end = t
+                        break
+            # islices, not copies: a stretch can span the whole trace
+            self.cost += end - start - countOf(islice(mine, start - 1, end - 1), None)
+            if keep:
+                kept += islice(mine, start - 1, end - 1)
+            if end > n:
+                self.excess = excess
+                own.clear()
+                own.update(self.experts[followed].cache)
+                break
+            # own, as the followed expert's cache before request end
+            for t, page, victim in zip(
+                count(start), islice(requests, start - 1, end - 1), islice(mine, start - 1, end - 1)
+            ):
+                if victim is None:
+                    own.pop(page, None)
+                else:
+                    del own[victim]
+                own[page] = t
+            # once request end's experts have served, the followed expert
+            # lacks only its victim there among the own pages, and the other
+            # expert lacks those it evicted after their last request
+            victim = mine[end - 1]
+            last = own[victim]
+            self._outside[followed][:] = [(last, last, victim)]
+            outside = self._outside[1 - followed]
+            for t, page in zip(count(start), islice(theirs, start - 1, end - 1)):
+                if page is not None:
+                    last = own.get(page)
+                    if last is not None and last < t:
+                        outside.append((last, last, page))
+            keep_live(outside, own)
+            self.followed, self.excess = 1 - followed, -excess
+            # the body serves request end's own step, then the requests after
+            # it, until phi is 0
+            steps = self._start()
+            start = end
+            for item in chain(((end, requests[end - 1], None, None),), zip(
+                count(end + 1), islice(requests, end, None),
+                islice(victims_a, end, None), islice(victims_b, end, None),
+            )):
+                evicted = steps.send(item)
+                if keep:
+                    kept.append(evicted)
+                start += 1
+                if not self.phi:
+                    break
+            steps.close()
+        return kept
 
 
 class FtlCombiner(_Combiner):

@@ -4,13 +4,17 @@ Cost model: serving a resident page or filling an empty slot is free; a miss
 with a full cache forces exactly one eviction, which costs 1.  A policy
 instance holds the cache state and running cost of one run, so separate
 instances can serve different (trace, seed) cells in parallel.  ``simulate``
-drives each run's body over a whole trace from C, once: a run that never
-reads a prediction (``lru``, ``belady``, ``marker``) can then stand in every
-trace that has its requests, whatever the predictions.  ``belady`` also
-stands in ``blind_oracle`` where the predictions equal the true arrivals:
-both key each page by them and break ties alike.  ``serve`` drives a
-body one request at a time, for callers that pick each request online (the
-adversary).
+serves each run over a whole trace once: a run that never reads a
+prediction (``lru``, ``belady``, ``marker``) can then stand in every trace
+that has its requests, whatever the predictions.  ``belady`` also stands in
+``blind_oracle`` where the predictions equal the true arrivals: both key
+each page by them and break ties alike.  A policy's body is driven from C
+over every request.  A combiner (``combine``) is served in stretches: while
+its potential Phi, the number of own pages outside the followed expert's
+cache, is 0, it evicts what that expert evicts and is served from the
+experts' victim lists; its body serves the requests from a switch until Phi
+is 0 again.  ``serve`` drives a body one request at a time, for callers
+that pick each request online (the adversary).
 """
 
 from __future__ import annotations
@@ -38,10 +42,11 @@ class Policy:
     ``_steps`` is the body: sent ``(t, page, key)``, it serves request t and
     yields the evicted page or None.  The key is the prediction (the true
     next arrival for ``belady``); a combiner is sent its experts' victims.
-    ``__init__`` replaces the method by the running body, primed, so a
-    subclass sets what its body reads (an RNG, the arrivals, the experts)
-    before calling ``Policy.__init__``.  The body mutates the very objects
-    it binds as locals, so they stay readable between requests.
+    ``_start`` makes a running body, primed, from the run's current state;
+    ``__init__`` replaces the method by one, so a subclass sets what its
+    body reads (an RNG, the arrivals, the experts) before calling
+    ``Policy.__init__``.  The body mutates the very objects it binds as
+    locals, so they stay readable between requests.
     """
 
     name = "base"
@@ -56,8 +61,13 @@ class Policy:
         self.k = k
         self.cache: dict[PageId, int] = {}
         self.cost = 0
-        self._steps = self._steps()
-        next(self._steps)
+        self._steps = self._start()
+
+    def _start(self):
+        """A running body, primed: it serves on from the run's state as it is."""
+        steps = type(self)._steps(self)
+        next(steps)
+        return steps
 
     def serve(self, t: int, page: PageId, prediction: float) -> PageId | None:
         """Serve request t alone; returns the evicted page on a full-cache miss."""
@@ -75,6 +85,17 @@ class Policy:
 
     def _steps(self):
         raise NotImplementedError
+
+    def _serve_trace(self, requests, inputs, keep):
+        """Serve requests 1..n, request t with the t-th item of each input.
+
+        Returns the victim of each request if ``keep``, else None.
+        """
+        served = map(self._steps.send, zip(count(1), requests, *inputs))
+        if keep:
+            return list(served)
+        deque(served, maxlen=0)
+        return None
 
 
 class LRU(Policy):
@@ -233,8 +254,9 @@ def _add_run(runs: dict[Policy, None], run: Policy) -> None:
 def simulate(trace: Trace, policies: Iterable[Policy]) -> None:
     """Serve every request of the trace once to each distinct run and its experts.
 
-    Each run is one ``map`` of its body's ``send`` over the whole trace, after
-    the experts it reads; a run some combiner reads keeps its ``victims``.
+    Each run is served by its ``_serve_trace`` after the experts it reads: a
+    ``map`` of its body's ``send`` over the whole trace, or a combiner's
+    stretches.  A run some combiner reads keeps its ``victims``.
     Every run is closed at the end.  A run an earlier call served is not
     served again; its requests must be the trace's (else ValueError), and a
     combiner reads the victims it kept.  So a run that never reads a
@@ -256,11 +278,7 @@ def simulate(trace: Trace, policies: Iterable[Policy]) -> None:
             inputs = [expert.victims for expert in run.experts]
         else:
             inputs = [run.arrivals if isinstance(run, Belady) else trace.predictions]
-        served = map(run._steps.send, zip(count(1), requests, *inputs))
-        if run in read:
-            run.victims = list(served)
-        else:
-            deque(served, maxlen=0)
+        run.victims = run._serve_trace(requests, inputs, run in read)
         run.served = requests
     for run in runs:
         run.close()

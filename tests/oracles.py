@@ -7,7 +7,9 @@ by exhaustive enumeration of eviction choices, a plain serve loop that
 records every request's victim, the O(k) reference victim rules of every
 policy, and the trace builders written with ``random.Random``'s own
 ``randrange``, ``uniform``, ``gauss`` and ``lognormvariate``.  It also
-holds ``request_runs``, the Hypothesis strategy for request lists.
+holds ``request_runs``, the Hypothesis strategy for request lists, and
+``check_potential``, the combiners' cost argument checked request by
+request.
 """
 
 from __future__ import annotations
@@ -285,6 +287,46 @@ class RefMw(RefPolicy):
 
     def victim(self, t, page, h):
         return ref_victim_outside(self.entries, self.experts[self.followed].entries)
+
+
+def check_potential(combiner, requests, predictions):
+    """Serve a combiner online and check its potential argument at every request.
+
+    Phi is the number of own pages outside the followed expert's cache, read
+    from the caches after each request.  On a request without a switch the
+    combiner pays for its eviction by a fall in Phi, unless the followed
+    expert evicted too:
+
+        own cost + (Phi after - Phi before) <= [the followed expert evicted].
+
+    On a switch, that left side less the right side is the jump, at most k.
+    Summed over the run, cost <= F + J <= F + k*S, with F the followed
+    expert's evictions (the expert followed after each request), J the sum
+    of the jumps and S the number of switches (Blum and Burch 2000).
+    Returns (F, J, S).
+    """
+    k = combiner.k
+    phi = followed_evictions = jumps = switches = 0
+    for t, (page, h) in enumerate(zip(requests, predictions), start=1):
+        before, cost = combiner.followed, combiner.cost
+        expert_costs = [expert.cost for expert in combiner.experts]
+        combiner.serve(t, page, h)
+        followed = combiner.followed
+        expert = combiner.experts[followed]
+        evicted = expert.cost - expert_costs[followed]
+        paid = combiner.cost - cost
+        after = sum(own not in expert.cache for own in combiner.cache)
+        change = paid + after - phi - evicted
+        if followed == before:
+            assert change <= 0, (t, paid, phi, after, evicted)
+        else:
+            assert change <= k, (t, paid, phi, after, evicted)
+            jumps += change
+            switches += 1
+        followed_evictions += evicted
+        phi = after
+    assert combiner.cost <= followed_evictions + jumps <= followed_evictions + k * switches
+    return followed_evictions, jumps, switches
 
 
 def ref_policy(name, k, arrivals, seed=0, epsilon=0.1):

@@ -23,6 +23,7 @@ from predcache.cli import (
     CSV_HEADER,
     ExperimentConfig,
     ResultRow,
+    _cell_costs,
     config_from_mapping,
     emit_csv,
     load_config,
@@ -365,6 +366,22 @@ def test_belady_keeps_victims_only_for_an_exact_cells_combiner(
     run_experiment(config)
     assert len(made) == len(config.seeds) * len(config.ks)
     assert all((run.victims is not None) == kept for run in made)
+
+
+def test_mw_bounds_read_the_standalone_marker_when_it_is_configured():
+    # mw combines its own child-seeded Marker, a run apart from the marker
+    # row.  The cell's marker cost, which mw_thm3 and cor2_rand read, is the
+    # marker row's when marker is configured, and mw's own Marker's only
+    # when it is not.
+    workload = {"kind": "uniform", "universe": 30, "length": 400}
+    trace = synthesize(WorkloadSpec(**workload), NoiseSpec("perfect"), seed=0)
+    runs = make_policies(("marker", "mw"), 4, arrivals=trace.arrivals, seed=0, epsilon=0.1)
+    simulate(trace, runs.values())
+    assert (runs["marker"].cost, runs["mw"].experts[1].cost) == (336, 338)
+    for policies, marker in ((["marker", "mw"], 336), (["mw"], 338), (["mw", "marker"], 336)):
+        config = _config(policies=policies, k=[4], seeds=[0], workload=workload, epsilon=0.1)
+        _, costs = _cell_costs(config, trace, 4, 0, {}, exact=True)
+        assert costs["marker"] == marker, policies
 
 
 def test_adversary_rows():

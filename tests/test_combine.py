@@ -3,6 +3,7 @@ import statistics
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from predcache import (
     BlindOracle,
@@ -15,13 +16,14 @@ from predcache import (
     WorkloadSpec,
     make_policies,
     next_arrivals,
+    perturb_predictions,
     run_ftl,
     run_mw,
     run_policy,
     simulate,
     synthesize,
 )
-from oracles import serve_all
+from oracles import check_potential, request_runs, serve_all
 
 
 def _trace(requests, predictions=None):
@@ -340,6 +342,115 @@ def test_mw_switch_rule_survives_a_large_negative_excess(monkeypatch):
     result = run_mw("blind_oracle", "marker", trace, 3, 0.2, seed=1)
     assert min(asked) < -8000
     assert result.excess == _excess(result) < -8000
+
+
+# ---------------------------------------------------------------- stretches and potential
+
+
+def _garbage_trace(requests, noise_seed):
+    """The requests with every prediction redrawn (random_replace, prob 1)."""
+    noise = NoiseSpec("random_replace", prob=1.0, limit=float(len(requests)))
+    predictions = perturb_predictions(next_arrivals(requests), noise, noise_seed)
+    return Trace.from_requests(requests, predictions)
+
+
+def _state(run):
+    rng = run.rng.getstate() if run.randomized else None
+    return run.cost, run.followed, run.excess, list(run.cache.items()), rng
+
+
+def _assert_simulate_matches_serve(trace, k, seed):
+    """ftl and mw alike under simulate and serve; each online run's switches.
+
+    A pair combiner over each run makes simulate keep its victims.  A switch
+    taken at phi = 0 is listed as (request, first request of its stretch),
+    the stretch being the requests since phi last became 0; one taken at
+    phi > 0 is served by the body under both drivers and is not listed.
+    """
+    def build(name):
+        return make_policies((name,), k, arrivals=trace.arrivals, seed=seed, epsilon=0.24)[name]
+
+    switches = {}
+    for name in ("ftl", "mw"):
+        batch, online = build(name), build(name)
+        reader = FtlCombiner(batch, batch, k)
+        simulate(trace, [reader])
+        victims, switches[name] = [], []
+        stretch = 1
+        for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
+            followed, phi = online.followed, online.phi
+            victims.append(online.serve(t, page, h))
+            if online.followed != followed and phi == 0:
+                switches[name].append((t, stretch))
+            if online.phi:
+                stretch = None
+            elif stretch is None:
+                stretch = t + 1
+        assert batch.victims == victims, name
+        assert _state(batch) == _state(online), name
+        assert reader.cost == batch.cost, name
+        assert list(reader.cache.items()) == list(batch.cache.items()), name
+    return switches
+
+
+# The last request of every trace switches at phi = 0 (under ftl for "bdcd",
+# under mw for "abfa" and "fcdd..."), and a switch comes on the first
+# request of its stretch, right after the body handed back (under ftl at
+# request 10 of "hhca...", under mw at request 18 of "fcdd...").  No switch
+# can come on request 1 of a trace: both experts start empty.
+STRETCH_EDGES = [
+    (list("bdcd"), 380, 2, 0),
+    (list("abfa"), 400, 2, 2),
+    (list("hhcahefhcae"), 313, 3, 1),
+    (list("fcddfcebbfbebafdca"), 352, 4, 2),
+]
+
+
+def test_stretch_edges_switch_where_listed():
+    switches = [_assert_simulate_matches_serve(_garbage_trace(r, s), k, seed)
+                for r, s, k, seed in STRETCH_EDGES]
+    assert (4, 1) in switches[0]["ftl"]
+    assert switches[1]["mw"][-1][0] == 4
+    assert (10, 10) in switches[2]["ftl"]
+    assert (18, 18) in switches[3]["mw"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(request_runs("abcdefgh", 6, 6), st.integers(0, 2**16), st.integers(1, 4), st.integers(0, 3))
+@example(*STRETCH_EDGES[0])
+@example(*STRETCH_EDGES[3])
+def test_simulated_stretches_match_serve(requests, noise_seed, k, seed):
+    # worthless predictions make blind_oracle a poor expert, so runs switch often
+    _assert_simulate_matches_serve(_garbage_trace(requests, noise_seed), k, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(request_runs(12, 10, 8), st.integers(0, 2**16), st.integers(1, 6), st.integers(0, 3))
+def test_combiners_pay_for_each_eviction_by_potential(requests, noise_seed, k, seed):
+    trace = _garbage_trace(requests, noise_seed)
+    for name in ("ftl", "mw"):
+        run = make_policies((name,), k, arrivals=trace.arrivals, seed=seed, epsilon=0.24)[name]
+        check_potential(run, trace.requests, trace.predictions)
+
+
+@pytest.mark.parametrize("name", ["ftl", "mw"])
+def test_potential_holds_on_sample_and_golden_cells(name):
+    # the golden sweep and uniform configs' cells, and the sample traces
+    cells = [(label, trace, k) for label, trace in _sample_traces() for k in (2, 5, 9)]
+    for seed in (1, 2):
+        for workload, noise, k in (
+            (WorkloadSpec("zipf", universe=60, length=600, alpha=1.0),
+             NoiseSpec("additive_uniform", width=8.0), 8),
+            (WorkloadSpec("uniform", universe=200, length=3000),
+             NoiseSpec("additive_uniform", width=20.0), 64),
+        ):
+            cells.append((f"{workload.kind} seed {seed}", synthesize(workload, noise, seed), k))
+    switched = 0
+    for label, trace, k in cells:
+        run = make_policies((name,), k, arrivals=trace.arrivals, seed=1, epsilon=0.1)[name]
+        _, _, switches = check_potential(run, trace.requests, trace.predictions)
+        switched += switches > 0
+    assert switched, name
 
 
 # ---------------------------------------------------------------- builder

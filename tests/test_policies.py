@@ -144,13 +144,19 @@ def test_every_policy_answers_a_repeated_index_from_its_store(name):
         recorders = _record([pair])
         if drive == "serve":
             _served(pair, trace)
+            assert recorders[policy].victims == victims, drive
+            assert [sent[2:] for sent in recorders[pair].sent] == list(zip(victims, victims))
         else:
             simulate(trace, [pair])
-        assert [sent[:2] for sent in recorders[policy].sent] == served, drive
-        assert recorders[policy].victims == victims, drive
-        assert [sent[2:] for sent in recorders[pair].sent] == list(zip(victims, victims)), drive
+            assert policy.victims == victims, drive  # kept: the pair reads them
+        # every body is sent every index once, except that simulate serves a
+        # combiner's body only from its switches (the pair never switches)
+        for run, recorder in recorders.items():
+            if drive == "serve" or not run.experts:
+                assert [sent[:2] for sent in recorder.sent] == served, (drive, run.name)
         assert state(policy) == state(alone), drive
         assert pair.cost == alone.cost, drive
+        assert list(pair.cache.items()) == list(alone.cache.items()), drive
 
 
 def test_simulate_serves_every_distinct_run_once_per_request():
@@ -164,11 +170,19 @@ def test_simulate_serves_every_distinct_run_once_per_request():
     runs = make_policies(POLICY_NAMES, 3, arrivals=trace.arrivals, seed=4, epsilon=0.1)
     recorders = _record(runs.values())
     assert len(recorders) == len(POLICY_NAMES) + 1  # mw's own marker
-    simulate(trace, [*runs.values(), runs["ftl"]])
+    # a pair over each combiner keeps its victims
+    readers = [FtlCombiner(runs[name], runs[name], 3) for name in ("ftl", "mw")]
+    simulate(trace, [*runs.values(), runs["ftl"], *readers])
     served = list(enumerate(trace.requests, start=1))
     for run, recorder in recorders.items():
-        assert [sent[:2] for sent in recorder.sent] == served, run.name
-        assert run.cost == sum(v is not None for v in recorder.victims) > 0, run.name
+        if run.experts:  # served in stretches, not through its body
+            victims = run.victims
+            assert len(victims) == trace.n, run.name
+        else:
+            assert [sent[:2] for sent in recorder.sent] == served, run.name
+            victims = recorder.victims
+        assert run.served is trace.requests, run.name
+        assert run.cost == sum(v is not None for v in victims) > 0, run.name
 
 
 def test_simulate_serves_a_run_once_and_only_over_its_requests():
@@ -437,15 +451,25 @@ def _record(runs):
 
 
 def _simulated(runs, trace):
-    """Each run's victims under ``simulate``; checks what each combiner was sent."""
+    """Each run's and expert's victims under ``simulate``.
+
+    A policy's body must be sent every request once.  A combiner is served in
+    stretches, its body only from each switch, so a pair combiner over it
+    makes ``simulate`` keep its victims; its heaps are checked at the end.
+    """
     recorders = _record(runs)
-    simulate(trace, runs)
+    simulate(trace, [*runs, *(FtlCombiner(run, run, run.k) for run in runs if run.experts)])
+    served = list(enumerate(trace.requests, start=1))
+    victims = {}
     for run, recorder in recorders.items():
-        assert len(recorder.victims) == trace.n, run.name
         if run.experts:
-            a, b = (recorders[expert].victims for expert in run.experts)
-            assert [sent[2:] for sent in recorder.sent] == list(zip(a, b)), run.name
-    return {run: recorder.victims for run, recorder in recorders.items()}
+            _assert_heaps_bounded(run)
+            victims[run] = run.victims
+        else:
+            assert [sent[:2] for sent in recorder.sent] == served, run.name
+            victims[run] = recorder.victims
+        assert len(victims[run]) == trace.n, run.name
+    return victims
 
 
 def _served(run, trace):
