@@ -87,10 +87,10 @@ def main() -> None:
     requests = list(enumerate(zip(trace.requests, trace.predictions), start=1))
 
     def build(names, k):
-        return make_policies(names, k, arrivals=trace.arrivals, seed=1, epsilon=0.1)
+        return make_policies(names, k, trace, seed=1, epsilon=0.1)
 
     def batch(names, k):
-        simulate(trace, build(names, k).values())
+        simulate(trace.requests, build(names, k).values())
 
     def online(name):
         serve = build((name,), KS[0])[name].serve

@@ -32,8 +32,8 @@ from typing import Callable
 
 from .errors import ConfigError, NondeterministicPolicyError
 from .metrics import BoundRecord, ell1_loss
-from .combine import make_policies, run_policy
-from .policies import PageId, Policy
+from .combine import make_policies
+from .policies import PageId, Policy, simulate
 from .trace import Trace
 
 
@@ -161,11 +161,13 @@ def run_adversary(policy: str | PolicyFactory, config: AdversaryConfig) -> Adver
             budget += 2.0 * k * k
         phases.append(PhaseStats(cost, eta_p, 2, budget))
 
+    opt = make_policies(("belady",), k, trace)["belady"]
+    simulate(trace.requests, (opt,))
     return AdversaryResult(
         config=config,
         trace=trace,
         alg_cost=sum(1 for e in evictions if e is not None),
-        opt_cost=run_policy("belady", trace, config.k).cost,
+        opt_cost=opt.cost,
         eta=ell1_loss(trace.arrivals, trace.predictions),
         phases=tuple(phases),
     )

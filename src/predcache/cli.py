@@ -21,8 +21,10 @@ import yaml
 
 from .adversary import AdversaryConfig, certify_lower_bound, run_adversary
 
-# run_policy, run_ftl, run_mw and synthesize are not called here;
-# bench/tracing.py wraps them by name on this module.
+# run_policy, run_ftl, run_mw and synthesize are not called here.  The
+# benchmark's tracer looks them up by name on this module, and its file
+# workload builds its trace with predcache.synthesize, so they stay until
+# the benchmark's set-up and tracer stop reading them.
 from .combine import POLICY_NAMES, make_policies, run_ftl, run_mw, run_policy  # noqa: F401
 from .combine import EXPERTS
 from .errors import ConfigError, TraceParseError
@@ -226,44 +228,37 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_mapping(data or {})
 
 
-def _cell_costs(
-    config: ExperimentConfig,
-    trace: Trace,
-    k: int,
-    seed: int,
-    shared: dict[str, Policy],
-    exact: bool,
-):
-    """Serve the cell in one pass; returns (opt, costs for the rows and bounds).
+def _cell_costs(config: ExperimentConfig, traces: list[Trace], k: int, seed: int):
+    """Serve a seed's cells at k in one pass; per trace, (opt, costs for the
+    rows and bounds).
 
-    Each configured policy maps to its own run; a combiner's expert that is
-    not configured maps to the combiner's copy, so its bounds stay checkable.
-    ``shared`` holds the (seed, k) runs that read no prediction; when the
-    cell is ``exact`` (its predictions are the true arrivals), blind_oracle
-    is among them, as the belady run.
+    The traces share their requests.  Each configured policy maps to its own
+    run; a combiner's expert that is not configured maps to the combiner's
+    copy, so its bounds stay checkable.  The cells share one ``shared`` dict
+    (see ``make_policies``), so the runs that read no prediction, and an
+    exact cell's blind_oracle, are served once for them all.
     """
     names = ("belady", *config.policies)
-    runs = make_policies(
-        names, k, arrivals=trace.arrivals, seed=seed, epsilon=config.epsilon,
-        shared=shared, exact=exact,
-    )
-    simulate(trace, runs.values())
-    costs = {name: runs[name].cost for name in config.policies}
-    for name in config.policies:
-        for expert_name, expert in zip(EXPERTS.get(name, ()), runs[name].experts):
-            costs.setdefault(expert_name, expert.cost)
-    return runs["belady"].cost, costs
+    shared: dict[str, Policy] = {}
+    cells = [
+        make_policies(names, k, trace, seed=seed, epsilon=config.epsilon, shared=shared)
+        for trace in traces
+    ]
+    simulate(traces[0].requests, [run for runs in cells for run in runs.values()])
+    out = []
+    for runs in cells:
+        costs = {name: runs[name].cost for name in config.policies}
+        for name in config.policies:
+            for expert_name, expert in zip(EXPERTS.get(name, ()), runs[name].experts):
+                costs.setdefault(expert_name, expert.cost)
+        out.append((runs["belady"].cost, costs))
+    return out
 
 
-def _measure(trace: Trace) -> tuple[bool, float, int]:
-    """Whether the predictions are the true arrivals, the l1 loss and inversions.
-
-    An exact trace has no inversions, so none are counted; the comparison
-    stops at the first prediction that differs.
-    """
-    exact = trace.predictions == trace.arrivals
-    inversions = 0 if exact else count_inversions_fast(trace.arrivals, trace.predictions)
-    return exact, ell1_loss(trace.arrivals, trace.predictions), inversions
+def _measure(trace: Trace) -> tuple[float, int]:
+    """The trace's l1 loss and inversions; an exact trace has none to count."""
+    inversions = 0 if trace.exact else count_inversions_fast(trace.arrivals, trace.predictions)
+    return ell1_loss(trace.arrivals, trace.predictions), inversions
 
 
 def _row(trace_id, k, noise_id, seed, policy, cost, opt, eta, inversions, records) -> ResultRow:
@@ -287,13 +282,12 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Run the configured sweep; rows come back in deterministic order.
 
     Each seed's requests are built once and re-noised under every noise model;
-    each (noise, seed) trace is measured once, then served at every k.  The
-    runs that never read a prediction (lru, belady, marker and mw's Marker)
-    are built and served once per (seed, k) and stand in every noise's cell.
-    A cell whose predictions equal the true arrivals is exact: blind_oracle,
-    standalone or as an expert, is that (seed, k)'s belady run, and its
-    inversion count is 0.  A seed serves its exact cells first, so the belady
-    run keeps its victims when an exact cell's combiner reads them.
+    each (noise, seed) trace is measured once.  At every k, one ``simulate``
+    call serves all of the seed's cells, so the runs that never read a
+    prediction (lru, belady, marker and mw's Marker) are served once and
+    stand in every noise's cell.  A cell whose predictions equal the true
+    arrivals is exact: blind_oracle, standalone or as an expert, is that
+    (seed, k)'s belady run, and its inversion count is 0.
     """
     config.validate()
     rows: list[ResultRow] = []
@@ -313,30 +307,27 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     # a workload needs a noise model to become traces; a file trace has its own
     if file_trace is not None or config.workload is not None and config.noises:
         cells: dict[tuple[str, int], list] = {}  # (noise id, k) -> one entry per seed
+        noise_ids = [noise.label for noise in config.noises] or ["file"]
         if not config.noises:  # the file's own predictions serve every seed
-            file_cells = [("file", file_trace, *_measure(file_trace))]
+            traces, measures = [file_trace], [_measure(file_trace)]
         for seed in config.seeds:
-            # per k, the runs that never read a prediction, for every noise of
-            # this seed; rebinding drops the previous seed's runs
-            shared: dict[int, dict[str, Policy]] = {k: {} for k in config.ks}
-            if file_trace is not None:
-                requests, arrivals, noise_seed = file_trace.requests, file_trace.arrivals, seed
-            else:
-                requests, arrivals, noise_seed = synthesize_requests(config.workload, seed)
             if config.noises:
-                seed_cells = []
-                for noise in config.noises:
-                    predictions = tuple(perturb_predictions(arrivals, noise, noise_seed))
-                    trace = Trace(requests, predictions, arrivals)
-                    seed_cells.append((noise.label, trace, *_measure(trace)))
-            else:
-                seed_cells = file_cells
-            # exact cells first; the sort is stable, and rows are sorted at the end
-            for noise_id, trace, exact, eta, inversions in sorted(
-                seed_cells, key=lambda cell: not cell[2]
-            ):
-                for k in config.ks:
-                    opt, costs = _cell_costs(config, trace, k, seed, shared[k], exact)
+                # rebound before it is filled, so the previous seed's traces go first
+                traces = []
+                if file_trace is not None:
+                    requests, arrivals, noise_seed = file_trace.requests, file_trace.arrivals, seed
+                else:
+                    requests, arrivals, noise_seed = synthesize_requests(config.workload, seed)
+                traces += (
+                    Trace(requests, tuple(perturb_predictions(arrivals, noise, noise_seed)),
+                          arrivals)
+                    for noise in config.noises
+                )
+                measures = [_measure(trace) for trace in traces]
+            for k in config.ks:
+                for noise_id, (eta, inversions), (opt, costs) in zip(
+                    noise_ids, measures, _cell_costs(config, traces, k, seed)
+                ):
                     cells.setdefault((noise_id, k), []).append((opt, eta, inversions, costs))
                     report = check_bounds(costs, opt, eta, inversions, k, config.epsilon)
                     rows.extend(
@@ -346,7 +337,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                         )
                         for name in config.policies
                     )
-        del shared, seed_cells  # the last seed's runs and traces
+        del traces  # the last seed's
         for (noise_id, k), cell in cells.items():
             rows.extend(_aggregate_rows(config, trace_id, k, noise_id, cell))
 

@@ -3,11 +3,11 @@
 A combiner watches two expert policies and keeps its own cache.  It reads
 only which page each expert evicts, so ``simulate`` serves every expert over
 the whole trace first and hands the combiner the experts' victim lists; an
-expert shared by several combiners (or also a standalone run) is served
-once.  Online, a combiner's ``serve`` serves its own experts first.  On a
-full-cache miss the combiner evicts its least recent page that the followed
-expert does not hold, so its cache drifts toward that expert's cache
-lazily, one miss at a time.
+expert shared by several combiners of one call (or also a standalone run)
+is served once.  Online, a combiner's ``serve`` serves its own experts
+first.  On a full-cache miss the combiner evicts its least recent page that
+the followed expert does not hold, so its cache drifts toward that expert's
+cache lazily, one miss at a time.
 
 Both combiners need only one integer: how many more evictions the followed
 expert has made than the other, which changes only when exactly one expert
@@ -292,35 +292,37 @@ def _child_seeds(seed: int) -> tuple[int, int, int]:
 def make_policies(
     names: Sequence[str],
     k: int,
+    trace: Trace | None = None,
     *,
-    arrivals: Sequence[int] | None = None,
     seed: int = 0,
     epsilon: float | None = None,
     shared: dict[str, Policy] | None = None,
-    exact: bool = False,
 ) -> dict[str, Policy]:
-    """Build one instance per distinct run of the named policies.
+    """Build one instance per distinct run of the named policies over ``trace``.
 
-    ``belady`` needs the trace's arrival vector; ``marker`` consumes the seed;
-    ``mw`` consumes it through child seeds and needs epsilon.  ``ftl`` (the
+    ``belady`` keys each request by the trace's true arrivals, so it needs
+    the trace; ``blind_oracle`` by its predictions (built without a trace,
+    it is driven by ``serve``).  ``marker`` consumes the seed; ``mw``
+    consumes it through child seeds and needs epsilon.  ``ftl`` (the
     deterministic combination of blind_oracle and lru) wraps the very
     ``blind_oracle`` and ``lru`` instances returned under those names, built
     for it when they are not named.  ``mw`` (blind_oracle with marker) wraps
-    that same ``blind_oracle`` plus its own child-seeded Marker, a run distinct
-    from the standalone ``marker``.
+    that same ``blind_oracle`` plus its own child-seeded Marker, a run
+    distinct from the standalone ``marker``.
 
     A run is keyed by what it reads.  ``shared`` holds the runs that read
     only the requests and arrivals (``lru``, ``belady``, ``marker`` and mw's
-    Marker), built on first use.  Calls for one k and seed over the same
-    requests may pass one dict, whatever their predictions: ``simulate``
-    then serves each of those runs once.  ``blind_oracle`` reads the
-    predictions and is built per call, unless ``exact`` says they equal the
-    true arrivals: it then keys every page as ``belady`` does, with the same
-    tie rule, so it is the ``belady`` run.  The combiners are built per call.
+    Marker), built on first use: the cells of one k and seed, whose traces
+    share their requests, pass one dict and go to one ``simulate`` call,
+    which serves each of those runs once.  ``blind_oracle`` is built per
+    call, unless the trace is exact (``Trace.exact``): it then keys every
+    page as ``belady`` does, with the same tie rule, so it is the ``belady``
+    run.  The combiners are built per call.
     """
     if shared is None:
         shared = {}
     own: dict[str, Policy] = {}  # blind_oracle reads the predictions: one per call
+    exact = trace is not None and trace.exact
 
     def base(name: str) -> Policy:
         if name == "blind_oracle" and exact:
@@ -330,11 +332,11 @@ def make_policies(
             if name == "lru":
                 built[name] = LRU(k)
             elif name == "blind_oracle":
-                built[name] = BlindOracle(k)
+                built[name] = BlindOracle(k, None if trace is None else trace.predictions)
             elif name == "belady":
-                if arrivals is None:
+                if trace is None:
                     raise ConfigError("belady needs the trace's true arrivals")
-                built[name] = Belady(k, arrivals)
+                built[name] = Belady(k, trace.arrivals)
             elif name == "marker":
                 built[name] = Marker(k, random.Random(seed))
             else:  # mw's Marker; the first child seed belongs to blind_oracle
@@ -366,14 +368,14 @@ def run_policy(policy: str | Policy, trace: Trace, k: int, seed: int = 0) -> Pol
     instance.  The run's ``cost`` is its eviction count.
     """
     if isinstance(policy, str):
-        policy = make_policies((policy,), k, arrivals=trace.arrivals, seed=seed)[policy]
-    simulate(trace, (policy,))
+        policy = make_policies((policy,), k, trace, seed=seed)[policy]
+    simulate(trace.requests, (policy,))
     return policy
 
 
 def run_ftl(policy_a: str, policy_b: str, trace: Trace, k: int) -> FtlCombiner:
     """Run the follow-the-leader combination of two deterministic policies."""
-    experts = make_policies((policy_a, policy_b), k, arrivals=trace.arrivals)
+    experts = make_policies((policy_a, policy_b), k, trace)
     a, b = experts[policy_a], experts[policy_b]
     if a.randomized or b.randomized:
         raise ConfigError("ftl requires deterministic experts")
@@ -385,6 +387,6 @@ def run_mw(
 ) -> MwCombiner:
     """Run the multiplicative-weights combination; one seed fixes everything."""
     seed_a, seed_b, mw_seed = _child_seeds(seed)
-    a = make_policies((policy_a,), k, arrivals=trace.arrivals, seed=seed_a)[policy_a]
-    b = make_policies((policy_b,), k, arrivals=trace.arrivals, seed=seed_b)[policy_b]
+    a = make_policies((policy_a,), k, trace, seed=seed_a)[policy_a]
+    b = make_policies((policy_b,), k, trace, seed=seed_b)[policy_b]
     return run_policy(MwCombiner(a, b, k, epsilon, random.Random(mw_seed)), trace, k)

@@ -4,17 +4,15 @@ Cost model: serving a resident page or filling an empty slot is free; a miss
 with a full cache forces exactly one eviction, which costs 1.  A policy
 instance holds the cache state and running cost of one run, so separate
 instances can serve different (trace, seed) cells in parallel.  ``simulate``
-serves each run over a whole trace once: a run that never reads a
-prediction (``lru``, ``belady``, ``marker``) can then stand in every trace
-that has its requests, whatever the predictions.  ``belady`` also stands in
-``blind_oracle`` where the predictions equal the true arrivals: both key
-each page by them and break ties alike.  A policy's body is driven from C
-over every request.  A combiner (``combine``) is served in stretches: while
-its potential Phi, the number of own pages outside the followed expert's
-cache, is 0, it evicts what that expert evicts and is served from the
-experts' victim lists; its body serves the requests from a switch until Phi
-is 0 again.  ``serve`` drives a body one request at a time, for callers
-that pick each request online (the adversary).
+serves each distinct run of one call over a request sequence once, so a run
+that never reads a prediction (``lru``, ``belady``, ``marker``) can stand in
+every cell of the call.  A policy's body is driven from C over every
+request.  A combiner (``combine``) is served in stretches: while its
+potential Phi, the number of own pages outside the followed expert's cache,
+is 0, it evicts what that expert evicts and is served from the experts'
+victim lists; its body serves the requests from a switch until Phi is 0
+again.  ``serve`` drives a body one request at a time, for callers that pick
+each request online (the adversary).
 """
 
 from __future__ import annotations
@@ -23,11 +21,11 @@ import random
 from bisect import bisect_left
 from collections import deque
 from heapq import heapify, heappop, heappush
-from itertools import count
+from itertools import count, repeat
 from typing import Iterable, Sequence
 
 from .errors import ConfigError
-from .trace import PageId, Trace
+from .trace import PageId
 
 
 class Policy:
@@ -35,16 +33,18 @@ class Policy:
 
     ``cache`` maps each resident page to its last request index, least recent
     first: a hit moves the page to the end.  ``cost`` counts this instance's
-    evictions so far.  ``experts`` lists the policies a combiner watches.
-    ``simulate`` sets ``served`` to the requests it served the run, and
-    ``victims`` to the run's victim per request when a combiner reads them.
+    evictions so far.  ``experts`` lists the policies a combiner watches, and
+    ``keys`` the key of each request for a run that reads one.  ``simulate``
+    sets ``served``, and ``victims`` to the run's victim per request when a
+    combiner reads them.
 
     ``_steps`` is the body: sent ``(t, page, key)``, it serves request t and
     yields the evicted page or None.  The key is the prediction (the true
-    next arrival for ``belady``); a combiner is sent its experts' victims.
+    next arrival for ``belady``), None for a run that reads none; a combiner
+    is sent its experts' victims.
     ``_start`` makes a running body, primed, from the run's current state;
     ``__init__`` replaces the method by one, so a subclass sets what its
-    body reads (an RNG, the arrivals, the experts) before calling
+    body reads (an RNG, the keys, the experts) before calling
     ``Policy.__init__``.  The body mutates the very objects it binds as
     locals, so they stay readable between requests.
     """
@@ -52,7 +52,8 @@ class Policy:
     name = "base"
     randomized = False
     experts: tuple[Policy, ...] = ()
-    served: tuple[PageId, ...] | None = None
+    keys: Sequence[float] | None = None
+    served = False
     victims: list[PageId | None] | None = None
 
     def __init__(self, k: int):
@@ -140,9 +141,14 @@ def pop_live(heap: list, cache: dict[PageId, int]) -> PageId:
 class _LargestKey(Policy):
     """Evict the resident page with the largest key; ties go to the least recent.
 
-    Every request pushes ``(-key, t, page)`` onto ``_heap``; the item goes
-    stale once its page is requested again or evicted.
+    ``simulate`` keys request t by the t-th of the bound ``keys``; ``serve``
+    is sent each key.  Every request pushes ``(-key, t, page)`` onto
+    ``_heap``; the item goes stale once its page is requested again or evicted.
     """
+
+    def __init__(self, k: int, keys: Sequence[float] | None = None):
+        self.keys = keys
+        super().__init__(k)
 
     def _steps(self):
         cache, k = self.cache, self.k
@@ -167,9 +173,9 @@ class _LargestKey(Policy):
 class BlindOracle(_LargestKey):
     """Evict the page whose stored prediction is furthest in the future.
 
-    A page keeps only the prediction issued at its own last request; stale
-    values (pointing into the past) are compared at face value.  Ties on the
-    prediction go to the least recently requested page.
+    Its keys are the trace's predictions.  A page keeps only the prediction
+    issued at its own last request; stale values (pointing into the past) are
+    compared at face value.  Ties go to the least recently requested page.
     """
 
     name = "blind_oracle"
@@ -178,19 +184,15 @@ class BlindOracle(_LargestKey):
 class Belady(_LargestKey):
     """Offline optimal: evict the page actually requested furthest in the future.
 
-    Needs the trace's true arrival vector; its key for request t is
-    ``arrivals[t - 1]``, exactly the page's next request after t.  Pages
-    never requested again tie at n+1 and fall back to least-recently-used.
+    Its keys are the trace's true arrivals, read online too: request t's key
+    is ``keys[t - 1]``, exactly the page's next request after t.  Pages never
+    requested again tie at n+1 and fall back to least-recently-used.
     """
 
     name = "belady"
 
-    def __init__(self, k: int, arrivals: Sequence[int]):
-        self.arrivals = arrivals
-        super().__init__(k)
-
     def serve(self, t, page, prediction):
-        return self._steps.send((t, page, self.arrivals[t - 1]))
+        return self._steps.send((t, page, self.keys[t - 1]))
 
 
 class Marker(Policy):
@@ -251,34 +253,28 @@ def _add_run(runs: dict[Policy, None], run: Policy) -> None:
     runs.setdefault(run)
 
 
-def simulate(trace: Trace, policies: Iterable[Policy]) -> None:
-    """Serve every request of the trace once to each distinct run and its experts.
+def simulate(requests: Sequence[PageId], policies: Iterable[Policy]) -> None:
+    """Serve requests 1..n once to each distinct run and its experts.
 
     Each run is served by its ``_serve_trace`` after the experts it reads: a
-    ``map`` of its body's ``send`` over the whole trace, or a combiner's
-    stretches.  A run some combiner reads keeps its ``victims``.
-    Every run is closed at the end.  A run an earlier call served is not
-    served again; its requests must be the trace's (else ValueError), and a
-    combiner reads the victims it kept.  So a run that never reads a
-    prediction is served once for every trace with its requests.
+    ``map`` of its body's ``send`` over the requests and its ``keys``, or a
+    combiner's stretches over its experts' victims.  A run some combiner of
+    the call reads keeps its ``victims``.  Every run is closed at the end; a
+    run is served once, so serving a served run again is a ValueError.
     """
     runs: dict[Policy, None] = {}  # each distinct run, after its experts
     for run in policies:
         _add_run(runs, run)
-    read = {expert for run in runs for expert in run.experts}
-    requests = trace.requests
     for run in runs:
-        if run.served is not None:
-            if run.served is not requests and run.served != requests:
-                raise ValueError(f"the {run.name} run was served other requests")
-            if run in read and run.victims is None:
-                raise ValueError(f"the {run.name} run was served without keeping its victims")
-            continue
+        if run.served:
+            raise ValueError(f"the {run.name} run was served already")
+    read = {expert for run in runs for expert in run.experts}
+    for run in runs:
         if run.experts:
             inputs = [expert.victims for expert in run.experts]
         else:
-            inputs = [run.arrivals if isinstance(run, Belady) else trace.predictions]
+            inputs = [repeat(None) if run.keys is None else run.keys]
         run.victims = run._serve_trace(requests, inputs, run in read)
-        run.served = requests
+        run.served = True
     for run in runs:
         run.close()

@@ -74,6 +74,11 @@ class Trace:
     def n(self) -> int:
         return len(self.requests)
 
+    @property
+    def exact(self) -> bool:
+        """Whether the predictions are the true arrivals; stops at the first that differs."""
+        return self.predictions == self.arrivals
+
 
 @dataclass(frozen=True)
 class WorkloadSpec:

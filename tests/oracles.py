@@ -2,14 +2,14 @@
 
 Everything here is deliberately simple and shares no code with the
 package: next arrivals by forward scan, the inversion count by pair
-enumeration and by a Fenwick tree over prediction ranks, the offline optimum
-by exhaustive enumeration of eviction choices, a plain serve loop that
-records every request's victim, the O(k) reference victim rules of every
-policy, and the trace builders written with ``random.Random``'s own
-``randrange``, ``uniform``, ``gauss`` and ``lognormvariate``.  It also
-holds ``request_runs``, the Hypothesis strategy for request lists, and
-``check_potential``, the combiners' cost argument checked request by
-request.
+enumeration, by a numpy broadcast of the same pair rule and by a Fenwick
+tree over prediction ranks, the offline optimum by exhaustive enumeration
+of eviction choices, a plain serve loop that records every request's
+victim, the O(k) reference victim rules of every policy, and the trace
+builders written with ``random.Random``'s own ``randrange``, ``uniform``,
+``gauss`` and ``lognormvariate``.  It also holds ``request_runs``, the
+Hypothesis strategy for request lists, and ``check_potential``, the
+combiners' cost argument checked request by request.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 from hypothesis import strategies as st
 
 
@@ -76,6 +77,18 @@ def count_inversions_naive(arrivals, predictions) -> int:
             elif yj < yi and hj >= hi:
                 count += 1
     return count
+
+
+def count_inversions_broadcast(arrivals, predictions) -> int:
+    """The pair rule of ``count_inversions_naive`` over all pairs at once:
+    a pair counts when its element with the smaller arrival has the
+    prediction >= the other's.  O(n^2) memory; for instances of a few
+    hundred elements."""
+    if len(arrivals) != len(predictions):
+        raise ValueError("arrivals and predictions must have equal length")
+    y = np.asarray(arrivals)
+    h = np.asarray(predictions, dtype=float)
+    return int(np.count_nonzero((y[:, None] < y) & (h[:, None] >= h)))
 
 
 def count_inversions_fenwick(arrivals, predictions) -> int:

@@ -13,6 +13,9 @@ import pytest
 
 from predcache import (
     AdversaryConfig,
+    BlindOracle,
+    Marker,
+    MwCombiner,
     NoiseSpec,
     Trace,
     WorkloadSpec,
@@ -20,14 +23,15 @@ from predcache import (
     count_inversions_fast,
     ell1_loss,
     harmonic,
+    make_policies,
     next_arrivals,
     run_adversary,
-    run_ftl,
-    run_mw,
     run_policy,
+    simulate,
     synthesize,
 )
-from oracles import brute_force_opt, count_inversions_naive
+from predcache.combine import _child_seeds
+from oracles import brute_force_opt, count_inversions_broadcast, count_inversions_naive
 
 WORKLOADS = [
     WorkloadSpec("uniform", universe=50, length=2000),
@@ -81,19 +85,19 @@ def corpus() -> list[Cell]:
             for noise in NOISES:
                 for seed in SEEDS:
                     trace = synthesize(workload, noise, seed)
-                    opt = run_policy("belady", trace, k).cost
-                    bo = run_policy("blind_oracle", trace, k).cost
-                    lru = run_policy("lru", trace, k).cost
-                    ftl = run_ftl("blind_oracle", "lru", trace, k)
+                    # ftl's experts are the blind_oracle and lru rows' runs
+                    runs = make_policies(("belady", "blind_oracle", "lru", "ftl"), k, trace)
+                    simulate(trace.requests, runs.values())
+                    ftl = runs["ftl"]
                     cells.append(
                         Cell(
                             label=f"{workload.label}/{noise.label}/s{seed}/k{k}",
                             k=k,
                             trace=trace,
-                            opt=opt,
+                            opt=runs["belady"].cost,
                             eta=ell1_loss(trace.arrivals, trace.predictions),
-                            bo=bo,
-                            lru=lru,
+                            bo=runs["blind_oracle"].cost,
+                            lru=runs["lru"].cost,
                             ftl=ftl.cost,
                             ftl_best_expert=min(ftl.experts[0].cost, ftl.experts[1].cost),
                         )
@@ -116,7 +120,9 @@ def test_c01_perfect_predictions_match_offline_optimum():
         k = rng.randint(2, 10)
         trace = synthesize(spec, NoiseSpec("perfect"), seed=rng.getrandbits(32))
         count += 1
-        if run_policy("blind_oracle", trace, k).cost != run_policy("belady", trace, k).cost:
+        # a BlindOracle built by hand: the builder would make it the belady run
+        blind_oracle = run_policy(BlindOracle(k, trace.predictions), trace, k)
+        if blind_oracle.cost != run_policy("belady", trace, k).cost:
             mismatches += 1
     _print_line(
         "C1",
@@ -178,11 +184,9 @@ def test_c04_loss_dominates_half_the_inversions():
     assert violations == 0
 
 
-def test_c05_inversion_count_matches_reference():
-    mismatches = 0
-    count = 0
-    # exhaustive: every request sequence of length <= 8 over 3 pages, with
-    # predictions drawn from permutations of the true arrivals
+def _exhaustive_inversion_instances():
+    """Every request sequence of length <= 8 over 3 pages, with predictions
+    drawn from permutations of the true arrivals."""
     for n in range(1, 9):
         for requests in itertools.product("abc", repeat=n):
             y = next_arrivals(list(requests))
@@ -193,11 +197,19 @@ def test_c05_inversion_count_matches_reference():
                 rng.shuffle(shuffled)
                 variants.append(shuffled)
             for h in variants:
-                hf = [float(v) for v in h]
-                count += 1
-                if count_inversions_fast(y, hf) != count_inversions_naive(y, hf):
-                    mismatches += 1
-    # randomized: larger instances with arbitrary real predictions
+                yield y, [float(v) for v in h]
+
+
+def test_c05_inversion_count_matches_reference():
+    mismatches = 0
+    count = 0
+    # exhaustive: against the pair enumeration
+    for y, h in _exhaustive_inversion_instances():
+        count += 1
+        if count_inversions_fast(y, h) != count_inversions_naive(y, h):
+            mismatches += 1
+    # randomized: larger instances with arbitrary real predictions, against
+    # the same pair rule broadcast over all pairs
     for i in range(10_000):
         rng = random.Random(90_000 + i)
         n = rng.randint(1, 200)
@@ -209,7 +221,7 @@ def test_c05_inversion_count_matches_reference():
         else:
             h = [rng.uniform(0, n + 2) for _ in range(n)]
         count += 1
-        if count_inversions_fast(y, h) != count_inversions_naive(y, h):
+        if count_inversions_fast(y, h) != count_inversions_broadcast(y, h):
             mismatches += 1
     _print_line(
         "C5",
@@ -218,6 +230,13 @@ def test_c05_inversion_count_matches_reference():
         f"({mismatches} mismatches)",
     )
     assert mismatches == 0
+
+
+def test_c05_references_agree_on_the_exhaustive_instances():
+    # the broadcast reference C5 checks its random instances against counts
+    # what the pair enumeration counts
+    for y, h in _exhaustive_inversion_instances():
+        assert count_inversions_broadcast(y, h) == count_inversions_naive(y, h), (y, h)
 
 
 def test_c06_belady_achieves_the_exhaustive_minimum():
@@ -276,15 +295,23 @@ def test_c08_randomized_combiner_within_budget():
     for k in (5, 10):
         for workload, noise in combos:
             trace = synthesize(workload, noise, seed=3)
-            for epsilon in (0.05, 0.1, 0.2):
-                total = total_a = total_b = 0
-                for seed in seeds:
-                    result = run_mw("blind_oracle", "marker", trace, k, epsilon, seed)
-                    total += result.cost
-                    total_a += result.experts[0].cost
-                    total_b += result.experts[1].cost
-                mean = total / len(seeds)
-                best = min(total_a, total_b) / len(seeds)
+            # one deterministic blind_oracle run for every epsilon and seed;
+            # each mw's Marker and generator are seeded as run_mw seeds them
+            blind_oracle = BlindOracle(k, trace.predictions)
+            runs = {
+                epsilon: [
+                    MwCombiner(
+                        blind_oracle, Marker(k, random.Random(marker_seed)), k, epsilon,
+                        random.Random(mw_seed),
+                    )
+                    for _, marker_seed, mw_seed in map(_child_seeds, seeds)
+                ]
+                for epsilon in (0.05, 0.1, 0.2)
+            }
+            simulate(trace.requests, [mw for mws in runs.values() for mw in mws])
+            for epsilon, mws in runs.items():
+                mean = sum(mw.cost for mw in mws) / len(seeds)
+                best = min(sum(mw.experts[i].cost for mw in mws) for i in (0, 1)) / len(seeds)
                 margin = mean - ((1 + epsilon) * best + 8 * k / epsilon)
                 constant = (mean - (1 + epsilon) * best) * epsilon / k
                 worst_margin = max(worst_margin, margin)

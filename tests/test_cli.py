@@ -9,7 +9,6 @@ import yaml
 
 from predcache import (
     POLICY_NAMES,
-    Belady,
     ConfigError,
     NoiseSpec,
     Policy,
@@ -32,6 +31,7 @@ from predcache.cli import (
     run_experiment,
 )
 from predcache.metrics import BOUNDS
+from oracles import serve_all
 
 WORKLOAD = {"kind": "uniform", "universe": 12, "length": 150}
 GOLDEN = Path(__file__).parent / "golden"
@@ -276,9 +276,9 @@ def test_runs_without_predictions_are_built_once_per_seed_and_k(monkeypatch):
             trace = synthesize(config.workload, noise, seed)
             for k in config.ks:
                 runs = make_policies(
-                    POLICY_NAMES, k, arrivals=trace.arrivals, seed=seed, epsilon=config.epsilon
+                    POLICY_NAMES, k, trace, seed=seed, epsilon=config.epsilon
                 )
-                simulate(trace, runs.values())
+                simulate(trace.requests, runs.values())
                 for row in rows:
                     if (row.noise_id, row.seed, row.k) == (noise.label, seed, k):
                         assert (row.cost, row.opt) == (
@@ -309,7 +309,8 @@ NOISY = [
 )
 def test_exact_cells_serve_alike_in_any_noise_order(noises, policies):
     # an exact cell's blind_oracle is the shared belady run; each row must
-    # equal its cell run alone, and its runs' costs built without sharing
+    # equal its cell run alone, and its policy built without the trace (so
+    # never the belady run) and served online
     data = {
         "policies": policies,
         "k": [1, 4],
@@ -327,45 +328,24 @@ def test_exact_cells_serve_alike_in_any_noise_order(noises, policies):
             alone = run_experiment(config_from_mapping({**data, "noise": raw, "seeds": [seed]}))
             trace = synthesize(config.workload, noise, seed)
             for k in config.ks:
-                runs = make_policies(
-                    ("belady", *policies), k, arrivals=trace.arrivals, seed=seed,
-                    epsilon=config.epsilon,
-                )
-                simulate(trace, runs.values())
+                belady = make_policies(("belady",), k, trace)["belady"]
+                simulate(trace.requests, [belady])
                 cell = [r for r in rows if (r.noise_id, r.seed, r.k) == (noise.label, seed, k)]
                 assert cell == [r for r in alone if r.k == k and r.seed == seed]
                 for row in cell:
-                    assert (row.cost, row.opt) == (runs[row.policy].cost, runs["belady"].cost)
+                    if row.policy == "belady":
+                        cost = belady.cost
+                    else:
+                        run = make_policies(
+                            (row.policy,), k, seed=seed, epsilon=config.epsilon
+                        )[row.policy]
+                        serve_all(run, trace.requests, trace.predictions)
+                        cost = run.cost
+                    assert (row.cost, row.opt) == (cost, belady.cost)
                     recorded = {b.removesuffix("(vacuous)") for b in row.bounds_passed}
                     assert recorded | set(row.bounds_failed) == {
                         b.bound_id for b in BOUNDS if b.policy in (None, row.policy)
                     }
-
-
-@pytest.mark.parametrize(
-    "policies, noises, kept",
-    [
-        (["ftl"], [NOISY[0], EXACT_NOISES[0]], True),
-        (["mw", "lru"], [EXACT_NOISES[1]], True),
-        (["blind_oracle", "ftl", "mw"], NOISY, False),
-        (["blind_oracle", "belady"], [NOISY[0], *EXACT_NOISES], False),
-    ],
-)
-def test_belady_keeps_victims_only_for_an_exact_cells_combiner(
-    monkeypatch, policies, noises, kept
-):
-    made = []
-    init = Belady.__init__
-
-    def recorded(self, k, arrivals):
-        made.append(self)
-        init(self, k, arrivals)
-
-    monkeypatch.setattr(Belady, "__init__", recorded)
-    config = _config(policies=policies, k=[1, 3], noise=noises)
-    run_experiment(config)
-    assert len(made) == len(config.seeds) * len(config.ks)
-    assert all((run.victims is not None) == kept for run in made)
 
 
 def test_mw_bounds_read_the_standalone_marker_when_it_is_configured():
@@ -375,12 +355,12 @@ def test_mw_bounds_read_the_standalone_marker_when_it_is_configured():
     # when it is not.
     workload = {"kind": "uniform", "universe": 30, "length": 400}
     trace = synthesize(WorkloadSpec(**workload), NoiseSpec("perfect"), seed=0)
-    runs = make_policies(("marker", "mw"), 4, arrivals=trace.arrivals, seed=0, epsilon=0.1)
-    simulate(trace, runs.values())
+    runs = make_policies(("marker", "mw"), 4, trace, seed=0, epsilon=0.1)
+    simulate(trace.requests, runs.values())
     assert (runs["marker"].cost, runs["mw"].experts[1].cost) == (336, 338)
     for policies, marker in ((["marker", "mw"], 336), (["mw"], 338), (["mw", "marker"], 336)):
         config = _config(policies=policies, k=[4], seeds=[0], workload=workload, epsilon=0.1)
-        _, costs = _cell_costs(config, trace, 4, 0, {}, exact=True)
+        [(_, costs)] = _cell_costs(config, [trace], 4, 0)
         assert costs["marker"] == marker, policies
 
 

@@ -368,13 +368,13 @@ def _assert_simulate_matches_serve(trace, k, seed):
     phi > 0 is served by the body under both drivers and is not listed.
     """
     def build(name):
-        return make_policies((name,), k, arrivals=trace.arrivals, seed=seed, epsilon=0.24)[name]
+        return make_policies((name,), k, trace, seed=seed, epsilon=0.24)[name]
 
     switches = {}
     for name in ("ftl", "mw"):
         batch, online = build(name), build(name)
         reader = FtlCombiner(batch, batch, k)
-        simulate(trace, [reader])
+        simulate(trace.requests, [reader])
         victims, switches[name] = [], []
         stretch = 1
         for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
@@ -429,7 +429,7 @@ def test_simulated_stretches_match_serve(requests, noise_seed, k, seed):
 def test_combiners_pay_for_each_eviction_by_potential(requests, noise_seed, k, seed):
     trace = _garbage_trace(requests, noise_seed)
     for name in ("ftl", "mw"):
-        run = make_policies((name,), k, arrivals=trace.arrivals, seed=seed, epsilon=0.24)[name]
+        run = make_policies((name,), k, trace, seed=seed, epsilon=0.24)[name]
         check_potential(run, trace.requests, trace.predictions)
 
 
@@ -447,7 +447,7 @@ def test_potential_holds_on_sample_and_golden_cells(name):
             cells.append((f"{workload.kind} seed {seed}", synthesize(workload, noise, seed), k))
     switched = 0
     for label, trace, k in cells:
-        run = make_policies((name,), k, arrivals=trace.arrivals, seed=1, epsilon=0.1)[name]
+        run = make_policies((name,), k, trace, seed=1, epsilon=0.1)[name]
         _, _, switches = check_potential(run, trace.requests, trace.predictions)
         switched += switches > 0
     assert switched, name
@@ -460,7 +460,7 @@ def test_make_policies_shares_experts_with_standalone_rows():
     runs = make_policies(
         ("lru", "belady", "blind_oracle", "marker", "ftl", "mw"),
         4,
-        arrivals=(2, 3, 4),
+        _trace("abc", [3.0, 1.0, 2.0]),
         seed=7,
         epsilon=0.1,
     )
@@ -476,19 +476,22 @@ def test_exact_predictions_make_blind_oracle_the_belady_run():
     trace = synthesize(
         WorkloadSpec("zipf", universe=30, length=400, alpha=1.0), NoiseSpec("perfect"), seed=5
     )
+    assert trace.exact
     shared = {}
     runs = make_policies(
-        ("blind_oracle", "ftl", "mw"), 4, arrivals=trace.arrivals, seed=3, epsilon=0.1,
-        shared=shared, exact=True,
+        ("blind_oracle", "ftl", "mw"), 4, trace, seed=3, epsilon=0.1, shared=shared
     )
     assert runs["blind_oracle"] is shared["belady"]
     assert runs["ftl"].experts[0] is runs["mw"].experts[0] is shared["belady"]
-    simulate(trace, runs.values())
-    alone = make_policies(("blind_oracle", "ftl", "mw"), 4, seed=3, epsilon=0.1)
-    simulate(trace, alone.values())
+    simulate(trace.requests, runs.values())
+    # built without the trace, each is a blind_oracle run driven online
     for name, run in runs.items():
-        assert run.cost == alone[name].cost, name
-    assert runs["blind_oracle"].victims == alone["blind_oracle"].victims
+        alone = make_policies((name,), 4, seed=3, epsilon=0.1)[name]
+        assert type((*alone.experts, alone)[0]) is BlindOracle, name
+        victims = serve_all(alone, trace.requests, trace.predictions)
+        assert run.cost == alone.cost, name
+        if name == "blind_oracle":
+            assert run.victims == victims
 
 
 def test_shared_experts_match_standalone_runs():
@@ -497,8 +500,8 @@ def test_shared_experts_match_standalone_runs():
         NoiseSpec("additive_uniform", width=4.0),
         seed=5,
     )
-    runs = make_policies(("ftl", "mw"), 4, seed=3, epsilon=0.1)
-    simulate(trace, runs.values())
+    runs = make_policies(("ftl", "mw"), 4, trace, seed=3, epsilon=0.1)
+    simulate(trace.requests, runs.values())
     shared = runs["ftl"].experts[0]
     assert runs["mw"].experts[0] is shared
     assert shared.cost == run_policy("blind_oracle", trace, 4).cost

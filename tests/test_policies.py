@@ -125,7 +125,7 @@ def test_every_policy_answers_a_repeated_index_from_its_store(name):
     )
 
     def build():
-        return make_policies((name,), 3, arrivals=trace.arrivals, seed=4, epsilon=0.1)[name]
+        return make_policies((name,), 3, trace, seed=4, epsilon=0.1)[name]
 
     def state(policy):
         runs = (policy, *policy.experts)
@@ -147,7 +147,7 @@ def test_every_policy_answers_a_repeated_index_from_its_store(name):
             assert recorders[policy].victims == victims, drive
             assert [sent[2:] for sent in recorders[pair].sent] == list(zip(victims, victims))
         else:
-            simulate(trace, [pair])
+            simulate(trace.requests, [pair])
             assert policy.victims == victims, drive  # kept: the pair reads them
         # every body is sent every index once, except that simulate serves a
         # combiner's body only from its switches (the pair never switches)
@@ -167,12 +167,14 @@ def test_simulate_serves_every_distinct_run_once_per_request():
         NoiseSpec("additive_uniform", width=3.0),
         seed=4,
     )
-    runs = make_policies(POLICY_NAMES, 3, arrivals=trace.arrivals, seed=4, epsilon=0.1)
+    runs = make_policies(POLICY_NAMES, 3, trace, seed=4, epsilon=0.1)
+    assert runs["blind_oracle"].keys is trace.predictions
+    assert runs["belady"].keys is trace.arrivals
     recorders = _record(runs.values())
     assert len(recorders) == len(POLICY_NAMES) + 1  # mw's own marker
     # a pair over each combiner keeps its victims
     readers = [FtlCombiner(runs[name], runs[name], 3) for name in ("ftl", "mw")]
-    simulate(trace, [*runs.values(), runs["ftl"], *readers])
+    simulate(trace.requests, [*runs.values(), runs["ftl"], *readers])
     served = list(enumerate(trace.requests, start=1))
     for run, recorder in recorders.items():
         if run.experts:  # served in stretches, not through its body
@@ -180,52 +182,53 @@ def test_simulate_serves_every_distinct_run_once_per_request():
             assert len(victims) == trace.n, run.name
         else:
             assert [sent[:2] for sent in recorder.sent] == served, run.name
+            # each request's key is the run's own: none, predictions or arrivals
+            keys = [None] * trace.n if run.keys is None else list(run.keys)
+            assert [sent[2] for sent in recorder.sent] == keys, run.name
             victims = recorder.victims
-        assert run.served is trace.requests, run.name
+        assert run.served, run.name
         assert run.cost == sum(v is not None for v in victims) > 0, run.name
 
 
 def test_simulate_serves_a_run_once_and_only_over_its_requests():
-    # a run served by an earlier call stands in a later call over the same
-    # requests, whatever the predictions, and its victims feed the combiner
+    # two cells over the same requests share the lru run through one dict;
+    # one call serves it once, and its victims feed both combiners
     trace = _trace("abcabdabeabfa")
     renoised = Trace(trace.requests, tuple(reversed(trace.predictions)), trace.arrivals)
     shared = {}
-    first = make_policies(("lru", "ftl"), 2, shared=shared)
-    simulate(trace, first.values())
-    lru_cost, victims = first["lru"].cost, first["lru"].victims
-    second = make_policies(("lru", "ftl"), 2, shared=shared)
+    first = make_policies(("lru", "ftl"), 2, trace, shared=shared)
+    second = make_policies(("lru", "ftl"), 2, renoised, shared=shared)
     assert second["lru"] is first["lru"] and second["ftl"] is not first["ftl"]
-    simulate(renoised, second.values())
-    assert first["lru"].cost == lru_cost and first["lru"].victims is victims
-    alone = make_policies(("ftl",), 2)["ftl"]
-    simulate(renoised, [alone])
-    assert second["ftl"].cost == alone.cost
-    assert second["ftl"].experts[0].victims == alone.experts[0].victims
+    simulate(trace.requests, [*first.values(), *second.values()])
+    for cell, runs in ((trace, first), (renoised, second)):
+        alone = make_policies(("ftl",), 2, cell)["ftl"]
+        simulate(cell.requests, [alone])
+        assert runs["ftl"].cost == alone.cost
+        assert runs["ftl"].experts[0].victims == alone.experts[0].victims
+        assert runs["lru"].cost == alone.experts[1].cost
 
-    # other requests: the stored victims are stale, so the call is refused
+    # a served run is not served again, over its requests or others, alone
+    # or under a new combiner; the refused call serves nothing
+    lru_cost = first["lru"].cost
     other = _trace("abcabdabeabfb")
-    for runs in ([first["lru"]], make_policies(("ftl",), 2, shared=shared).values()):
-        with pytest.raises(ValueError, match="served other requests"):
-            simulate(other, runs)
+    for requests in (trace.requests, other.requests):
+        fresh = make_policies(("ftl",), 2, renoised, shared=shared)["ftl"]
+        for runs in ([first["lru"]], [first["ftl"]], [fresh]):
+            with pytest.raises(ValueError, match="served already"):
+                simulate(requests, runs)
+        assert not fresh.served and not fresh.experts[0].served
     assert first["lru"].cost == lru_cost
-
-    # a run served where no combiner read it kept no victims to hand on
-    shared = {}
-    simulate(trace, make_policies(("lru",), 2, shared=shared).values())
-    with pytest.raises(ValueError, match="without keeping its victims"):
-        simulate(renoised, make_policies(("ftl",), 2, shared=shared).values())
 
 
 def test_simulated_runs_are_freed_without_the_cycle_collector():
     # a body refers to its run; simulate closes every run, so dropping the
     # runs frees them by reference counting alone
     trace = _trace("abcabdabeab")
-    runs = make_policies(POLICY_NAMES, 2, arrivals=trace.arrivals, seed=1, epsilon=0.1)
+    runs = make_policies(POLICY_NAMES, 2, trace, seed=1, epsilon=0.1)
     refs = [weakref.ref(run) for run in (*runs.values(), *runs["mw"].experts)]
     gc.disable()
     try:
-        simulate(trace, runs.values())
+        simulate(trace.requests, runs.values())
         del runs
         assert all(ref() is None for ref in refs)
     finally:
@@ -383,7 +386,7 @@ def test_capacity_and_eviction_invariants(requests, k, seed):
     costs = {}
     for name in POLICY_NAMES:
         # built alone, so no expert is shared with a run served earlier
-        policy = make_policies((name,), k, arrivals=trace.arrivals, seed=seed, epsilon=0.1)[name]
+        policy = make_policies((name,), k, trace, seed=seed, epsilon=0.1)[name]
         distinct = set()
         for t, page in enumerate(requests, start=1):
             was_resident = page in policy.cache
@@ -458,7 +461,8 @@ def _simulated(runs, trace):
     makes ``simulate`` keep its victims; its heaps are checked at the end.
     """
     recorders = _record(runs)
-    simulate(trace, [*runs, *(FtlCombiner(run, run, run.k) for run in runs if run.experts)])
+    readers = [FtlCombiner(run, run, run.k) for run in runs if run.experts]
+    simulate(trace.requests, [*runs, *readers])
     served = list(enumerate(trace.requests, start=1))
     victims = {}
     for run, recorder in recorders.items():
@@ -487,7 +491,7 @@ def _assert_same_victims(trace, k, seed=0):
     # (each policy built alone, then all six from one builder call in both
     # name orders, so shared experts feed two combiners) and the reference
     def build(names):
-        return make_policies(names, k, arrivals=trace.arrivals, seed=seed, epsilon=0.1)
+        return make_policies(names, k, trace, seed=seed, epsilon=0.1)
 
     expected = {}
     for name in POLICY_NAMES:
@@ -565,7 +569,7 @@ def _assert_inclusion(trace, k):
     """
     for name in STACK_POLICIES:
         small, large = (
-            make_policies((name,), size, arrivals=trace.arrivals)[name] for size in (k, k + 1)
+            make_policies((name,), size, trace)[name] for size in (k, k + 1)
         )
         for t, (page, prediction) in enumerate(zip(trace.requests, trace.predictions), 1):
             small.serve(t, page, prediction)
