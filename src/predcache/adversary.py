@@ -64,7 +64,6 @@ class AdversaryConfig:
 class PhaseStats:
     alg_cost: int
     eta: float
-    opt_upper_bound: int
     eta_upper_bound: float
 
 
@@ -80,13 +79,17 @@ class AdversaryResult:
 
 PolicyFactory = Callable[[], Policy]
 
+# The named policies the construction attacks: deterministic, and run online
+# without the future arrivals (belady needs them; marker and mw draw).
+ADVERSARY_POLICIES = ("lru", "blind_oracle", "ftl")
+
 
 def _factory(policy: str | PolicyFactory, k: int) -> PolicyFactory:
     if isinstance(policy, str):
-        if policy == "belady":
-            raise ConfigError("belady needs future arrivals and cannot be driven online")
-        if policy == "mw":
-            raise ConfigError("the adversary construction targets deterministic policies")
+        if policy not in ADVERSARY_POLICIES:
+            raise ConfigError(
+                f"the adversary attacks only {', '.join(ADVERSARY_POLICIES)}, got {policy!r}"
+            )
         return lambda: make_policies((policy,), k)[policy]
     if callable(policy):
         return policy
@@ -159,7 +162,7 @@ def run_adversary(policy: str | PolicyFactory, config: AdversaryConfig) -> Adver
             # dangling final-phase predictions, charged at y = n+1: the page
             # at offset i of steps 1-2 overshoots by i, k*(k+1)/2 at most
             budget += 2.0 * k * k
-        phases.append(PhaseStats(cost, eta_p, 2, budget))
+        phases.append(PhaseStats(cost, eta_p, budget))
 
     opt = make_policies(("belady",), k, trace)["belady"]
     simulate(trace.requests, (opt,))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import yaml
 
-from .adversary import AdversaryConfig, certify_lower_bound, run_adversary
+from .adversary import ADVERSARY_POLICIES, AdversaryConfig, certify_lower_bound, run_adversary
 
 # run_policy, run_ftl, run_mw and synthesize are not called here.  The
 # benchmark's tracer looks them up by name on this module, and its file
@@ -39,7 +39,7 @@ CSV_HEADER = (
     "bounds_passed,bounds_failed"
 )
 
-_ADVERSARY_POLICIES = ("lru", "blind_oracle", "ftl")
+_ADVERSARY_POLICIES = ADVERSARY_POLICIES  # the name bench/workloads.py cites
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,8 @@ class ExperimentConfig:
             raise ConfigError("no trace source: configure a workload, trace file or adversary")
         if self.workload is not None:
             self.workload.validate()
+            if not self.noises:
+                raise ConfigError("a workload needs at least one noise model")
         for noise in self.noises:
             noise.validate()
         if not self.ks and (self.workload is not None or self.trace_path is not None):
@@ -92,8 +94,8 @@ class ExperimentConfig:
                 raise ConfigError(f"cache sizes must be at most {sys.float_info.max / 8:.4g}")
         if self.adversary is not None:
             self.adversary.validate()
-            if not set(self.policies) & set(_ADVERSARY_POLICIES):
-                raise ConfigError(f"the adversary runs only {', '.join(_ADVERSARY_POLICIES)}")
+            if not set(self.policies) & set(ADVERSARY_POLICIES):
+                raise ConfigError(f"the adversary runs only {', '.join(ADVERSARY_POLICIES)}")
         for bound_id in self.fatal_bounds:
             if bound_id not in BOUND_IDS:
                 raise ConfigError(f"unknown bound id {bound_id!r} in fatal_bounds")
@@ -304,8 +306,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     elif config.workload is not None:
         trace_id = config.workload.label
 
-    # a workload needs a noise model to become traces; a file trace has its own
-    if file_trace is not None or config.workload is not None and config.noises:
+    if file_trace is not None or config.workload is not None:
         cells: dict[tuple[str, int], list] = {}  # (noise id, k) -> one entry per seed
         noise_ids = [noise.label for noise in config.noises] or ["file"]
         if not config.noises:  # the file's own predictions serve every seed
@@ -376,7 +377,7 @@ def _adversary_rows(config: ExperimentConfig) -> list[ResultRow]:
     adv = config.adversary
     rows = []
     for name in config.policies:
-        if name not in _ADVERSARY_POLICIES:
+        if name not in ADVERSARY_POLICIES:
             continue
         result = run_adversary(name, adv)
         inversions = count_inversions_fast(result.trace.arrivals, result.trace.predictions)

@@ -19,21 +19,23 @@ the share of that probability its expert just lost (mass coupling), so the
 expected number of switches is the total probability movement.
 
 The potential Phi is the number of own pages the followed expert does not
-hold.  Both caches fill up on the same request, so at Phi = 0 they are
-equal, and they stay equal until the followed expert alone evicts and the
-combiner switches: the combiner is then the followed expert, victim for
-victim.  ``simulate`` serves such a stretch from the experts' victim lists
-alone: it scans for the requests on which exactly one expert evicts, takes
-the switch rule's decisions there in order, and adds the followed expert's
-evictions to the cost.  After a switch the per-request body serves until
-Phi is 0 again; a stretch that reaches the end of the trace copies the
-followed expert's final cache.  ``serve`` sends every request to the body.
+hold: the live items of its heap of own pages it lacks, which the body keeps
+for its eviction rule anyway.  Both caches fill up on the same request, so
+at Phi = 0 they are equal, and they stay equal until the followed expert
+alone evicts and the combiner switches: the combiner is then the followed
+expert, victim for victim.  ``simulate`` serves such a stretch from the
+experts' victim lists alone: it scans for the requests on which exactly one
+expert evicts, takes the switch rule's decisions there in order, and adds
+the followed expert's evictions to the cost.  After a switch the
+per-request body serves until that heap has no live item again; a stretch
+that reaches the end of the trace copies the followed expert's final cache.
+``serve`` sends every request to the body.
 """
 
 from __future__ import annotations
 
 import random
-from heapq import heappush
+from heapq import heappop, heappush
 from itertools import chain, count, islice
 from operator import countOf
 from typing import Sequence
@@ -60,11 +62,6 @@ POLICY_NAMES = ("lru", "belady", "marker", "blind_oracle", "ftl", "mw")
 EXPERTS = {bound.policy: bound.needs for bound in BOUNDS if bound.needs}
 
 
-def _count_live(heap: list, cache: dict) -> int:
-    """How many items of a ``(key, last, page)`` heap are live (see ``pop_live``)."""
-    return sum(cache.get(page) == last for _, last, page in heap)
-
-
 class _Combiner(Policy):
     """Two experts of the combiner's ``k``, and the own pages each one lacks.
 
@@ -83,14 +80,12 @@ class _Combiner(Policy):
     and the subclass's ``_switch(excess)`` decides whether to follow the
     other expert instead, whose excess is the negation.
 
-    ``phi`` is the potential Phi: how many own pages the followed expert
-    does not hold.  The body counts it, and recounts it from the heap at a
-    switch.
+    The potential Phi, how many own pages the followed expert does not
+    hold, is the number of live items of that expert's heap.
     """
 
     followed = 0
     excess = 0
-    phi = 0
 
     def __init__(self, expert_a: Policy, expert_b: Policy, k: int):
         if expert_a.k != k or expert_b.k != k:
@@ -116,7 +111,6 @@ class _Combiner(Policy):
         switch = self._switch
         followed, excess = self.followed, self.excess
         outside = self._outside[followed]
-        phi = self.phi = _count_live(outside, own)
         evicted = None
         while True:
             t, page, victim_a, victim_b = yield evicted
@@ -133,14 +127,9 @@ class _Combiner(Policy):
                         heappush(outside_b, (last, last, victim_b))
                         if len(outside_b) > limit:
                             keep_live(outside_b, own)
-                victim = victim_b if followed else victim_a
-                if victim is not None:
-                    # the followed expert missed: it lets go of its victim and
-                    # takes in the page, either of which may be an own page
-                    phi += (victim in own) - (page in own)
                 # when both evict, the excess and the followed expert stand
                 if victim_a is None or victim_b is None:
-                    if victim is None:
+                    if (victim_b if followed else victim_a) is None:
                         excess -= 1
                     else:
                         excess += 1
@@ -148,9 +137,7 @@ class _Combiner(Policy):
                             followed, excess = 1 - followed, -excess
                             self.followed = followed
                             outside = self._outside[followed]
-                            phi = _count_live(outside, own)
                     self.excess = excess
-                self.phi = phi
             evicted = None
             if page in own:
                 del own[page]
@@ -158,8 +145,6 @@ class _Combiner(Policy):
                 evicted = pop_live(outside, own)
                 del own[evicted]
                 self.cost += 1
-                phi -= 1
-                self.phi = phi
             own[page] = t
 
     def _serve_trace(self, requests, inputs, keep):
@@ -172,7 +157,7 @@ class _Combiner(Policy):
         victims_a, victims_b = inputs
         own, n = self.cache, len(requests)
         kept = [] if keep else None
-        start = 1  # phi is 0 and own is the followed expert's cache before it
+        start = 1  # Phi is 0 and own is the followed expert's cache before it
         while start <= n:
             followed, excess = self.followed, self.excess
             mine, theirs = (victims_b, victims_a) if followed else (victims_a, victims_b)
@@ -222,7 +207,8 @@ class _Combiner(Policy):
             keep_live(outside, own)
             self.followed, self.excess = 1 - followed, -excess
             # the body serves request end's own step, then the requests after
-            # it, until phi is 0
+            # it, until the followed expert's heap has no live item: Phi is 0.
+            # The stale items on its top go, as pop_live would skip them.
             steps = self._start()
             start = end
             for item in chain(((end, requests[end - 1], None, None),), zip(
@@ -233,7 +219,10 @@ class _Combiner(Policy):
                 if keep:
                     kept.append(evicted)
                 start += 1
-                if not self.phi:
+                heap = self._outside[self.followed]
+                while heap and own.get(heap[0][2]) != heap[0][1]:
+                    heappop(heap)
+                if not heap:
                     break
             steps.close()
         return kept

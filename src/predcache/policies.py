@@ -260,7 +260,8 @@ def simulate(requests: Sequence[PageId], policies: Iterable[Policy]) -> None:
     ``map`` of its body's ``send`` over the requests and its ``keys``, or a
     combiner's stretches over its experts' victims.  A run some combiner of
     the call reads keeps its ``victims``.  Every run is closed at the end; a
-    run is served once, so serving a served run again is a ValueError.
+    run is served once, so serving a served run again is a ValueError, as is
+    serving a ``blind_oracle`` or ``belady`` run built without its keys.
     """
     runs: dict[Policy, None] = {}  # each distinct run, after its experts
     for run in policies:
@@ -268,6 +269,10 @@ def simulate(requests: Sequence[PageId], policies: Iterable[Policy]) -> None:
     for run in runs:
         if run.served:
             raise ValueError(f"the {run.name} run was served already")
+        if isinstance(run, _LargestKey) and run.keys is None:
+            raise ValueError(
+                f"the {run.name} run has no keys: build it over a trace, or drive it with serve"
+            )
     read = {expert for run in runs for expert in run.experts}
     for run in runs:
         if run.experts:

@@ -8,8 +8,9 @@ of eviction choices, a plain serve loop that records every request's
 victim, the O(k) reference victim rules of every policy, and the trace
 builders written with ``random.Random``'s own ``randrange``, ``uniform``,
 ``gauss`` and ``lognormvariate``.  It also holds ``request_runs``, the
-Hypothesis strategy for request lists, and ``check_potential``, the
-combiners' cost argument checked request by request.
+Hypothesis strategy for request lists, ``potential``, a combiner's Phi,
+and ``check_potential``, the combiners' cost argument checked request by
+request.
 """
 
 from __future__ import annotations
@@ -302,6 +303,12 @@ class RefMw(RefPolicy):
         return ref_victim_outside(self.entries, self.experts[self.followed].entries)
 
 
+def potential(combiner) -> int:
+    """Phi: how many own pages of a combiner its followed expert does not hold."""
+    expert = combiner.experts[combiner.followed]
+    return sum(page not in expert.cache for page in combiner.cache)
+
+
 def check_potential(combiner, requests, predictions):
     """Serve a combiner online and check its potential argument at every request.
 
@@ -328,7 +335,7 @@ def check_potential(combiner, requests, predictions):
         expert = combiner.experts[followed]
         evicted = expert.cost - expert_costs[followed]
         paid = combiner.cost - cost
-        after = sum(own not in expert.cache for own in combiner.cache)
+        after = potential(combiner)
         change = paid + after - phi - evicted
         if followed == before:
             assert change <= 0, (t, paid, phi, after, evicted)

@@ -36,6 +36,8 @@ def test_rejects_unusable_policies():
     with pytest.raises(ConfigError):
         run_adversary("mw", AdversaryConfig(k=3, j=1))
     with pytest.raises(ConfigError):
+        run_adversary("marker", AdversaryConfig(k=3, j=1))
+    with pytest.raises(ConfigError):
         run_adversary(lambda: LRU(4), AdversaryConfig(k=3, j=1))
 
 

@@ -91,6 +91,7 @@ def test_malformed_config_mappings(data):
         dict(workload=None, trace_path=None),
         dict(ks=()),
         dict(ks=(0,)),
+        dict(noises=()),
     ],
 )
 def test_config_validation(kwargs):

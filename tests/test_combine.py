@@ -23,7 +23,7 @@ from predcache import (
     simulate,
     synthesize,
 )
-from oracles import check_potential, request_runs, serve_all
+from oracles import check_potential, potential, request_runs, serve_all
 
 
 def _trace(requests, predictions=None):
@@ -378,11 +378,11 @@ def _assert_simulate_matches_serve(trace, k, seed):
         victims, switches[name] = [], []
         stretch = 1
         for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
-            followed, phi = online.followed, online.phi
+            followed, phi = online.followed, potential(online)
             victims.append(online.serve(t, page, h))
             if online.followed != followed and phi == 0:
                 switches[name].append((t, stretch))
-            if online.phi:
+            if potential(online):
                 stretch = None
             elif stretch is None:
                 stretch = t + 1
@@ -422,6 +422,53 @@ def test_stretch_edges_switch_where_listed():
 def test_simulated_stretches_match_serve(requests, noise_seed, k, seed):
     # worthless predictions make blind_oracle a poor expert, so runs switch often
     _assert_simulate_matches_serve(_garbage_trace(requests, noise_seed), k, seed)
+
+
+def _recording_start(run, sent):
+    """Make each body ``run`` starts record the request of every item sent to it."""
+    start = run._start
+
+    def recording():
+        steps = start()
+
+        def body():
+            evicted = None
+            while True:
+                item = yield evicted
+                sent.append(item[0])
+                evicted = steps.send(item)
+
+        proxy = body()
+        next(proxy)
+        return proxy
+
+    run._start = recording
+
+
+@settings(max_examples=300, deadline=None)
+@given(request_runs("abcdefgh", 6, 6), st.integers(0, 2**16), st.integers(1, 4), st.integers(0, 3))
+@example(*STRETCH_EDGES[0])
+@example(*STRETCH_EDGES[1])
+@example(*STRETCH_EDGES[2])
+@example(*STRETCH_EDGES[3])
+def test_simulate_hands_back_to_stretches_once_phi_is_0(requests, noise_seed, k, seed):
+    # simulate sends request t to a body exactly when the online run had
+    # phi > 0 after request t-1, or switched at t
+    trace = _garbage_trace(requests, noise_seed)
+    for name in ("ftl", "mw"):
+        batch, online = (
+            make_policies((name,), k, trace, seed=seed, epsilon=0.24)[name] for _ in range(2)
+        )
+        sent = []
+        _recording_start(batch, sent)
+        simulate(trace.requests, [batch])
+        expected = []
+        for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
+            followed, phi = online.followed, potential(online)
+            online.serve(t, page, h)
+            if phi or online.followed != followed:
+                expected.append(t)
+        assert sent == expected, name
 
 
 @settings(max_examples=200, deadline=None)

@@ -219,6 +219,11 @@ def test_simulate_serves_a_run_once_and_only_over_its_requests():
         assert not fresh.served and not fresh.experts[0].served
     assert first["lru"].cost == lru_cost
 
+    # a run built without the keys it reads is refused, alone or as an expert
+    for keyless in (BlindOracle(2), make_policies(("ftl",), 2)["ftl"]):
+        with pytest.raises(ValueError, match="the blind_oracle run has no keys"):
+            simulate(trace.requests, [keyless])
+
 
 def test_simulated_runs_are_freed_without_the_cycle_collector():
     # a body refers to its run; simulate closes every run, so dropping the
