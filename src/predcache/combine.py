@@ -247,7 +247,6 @@ class MwCombiner(_Combiner):
     """
 
     name = "mw"
-    randomized = True
 
     def __init__(
         self,
@@ -273,7 +272,10 @@ class MwCombiner(_Combiner):
 
 
 def _child_seeds(seed: int) -> tuple[int, int, int]:
-    """Seeds of mw's two experts and of its own generator, in that order."""
+    """Three seeds from ``seed``: mw's Marker takes the second, its generator the third.
+
+    The first is drawn and unused, so the other two keep their values.
+    """
     root = random.Random(seed)
     return root.getrandbits(63), root.getrandbits(63), root.getrandbits(63)
 
@@ -328,7 +330,7 @@ def make_policies(
                 built[name] = Belady(k, trace.arrivals)
             elif name == "marker":
                 built[name] = Marker(k, random.Random(seed))
-            else:  # mw's Marker; the first child seed belongs to blind_oracle
+            else:  # mw's Marker
                 built[name] = Marker(k, random.Random(_child_seeds(seed)[1]))
         return built[name]
 
@@ -350,32 +352,13 @@ def make_policies(
     return runs
 
 
-def run_policy(policy: str | Policy, trace: Trace, k: int, seed: int = 0) -> Policy:
-    """Serve every request of the trace to one run; returns the run.
+def run_policy(
+    name: str, trace: Trace, k: int, seed: int = 0, epsilon: float | None = None
+) -> Policy:
+    """Build the named run over the trace with ``make_policies`` and serve it.
 
-    ``policy`` is a name from POLICY_NAMES or an already-built (fresh)
-    instance.  The run's ``cost`` is its eviction count.
+    Returns the run; its ``cost`` is its eviction count.
     """
-    if isinstance(policy, str):
-        policy = make_policies((policy,), k, trace, seed=seed)[policy]
-    simulate(trace.requests, (policy,))
-    return policy
-
-
-def run_ftl(policy_a: str, policy_b: str, trace: Trace, k: int) -> FtlCombiner:
-    """Run the follow-the-leader combination of two deterministic policies."""
-    experts = make_policies((policy_a, policy_b), k, trace)
-    a, b = experts[policy_a], experts[policy_b]
-    if a.randomized or b.randomized:
-        raise ConfigError("ftl requires deterministic experts")
-    return run_policy(FtlCombiner(a, b, k), trace, k)
-
-
-def run_mw(
-    policy_a: str, policy_b: str, trace: Trace, k: int, epsilon: float, seed: int
-) -> MwCombiner:
-    """Run the multiplicative-weights combination; one seed fixes everything."""
-    seed_a, seed_b, mw_seed = _child_seeds(seed)
-    a = make_policies((policy_a,), k, trace, seed=seed_a)[policy_a]
-    b = make_policies((policy_b,), k, trace, seed=seed_b)[policy_b]
-    return run_policy(MwCombiner(a, b, k, epsilon, random.Random(mw_seed)), trace, k)
+    run = make_policies((name,), k, trace, seed=seed, epsilon=epsilon)[name]
+    simulate(trace.requests, (run,))
+    return run

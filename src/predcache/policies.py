@@ -50,7 +50,6 @@ class Policy:
     """
 
     name = "base"
-    randomized = False
     experts: tuple[Policy, ...] = ()
     keys: Sequence[float] | None = None
     served = False
@@ -191,6 +190,9 @@ class Belady(_LargestKey):
 
     name = "belady"
 
+    def __init__(self, k: int, keys: Sequence[int]):
+        super().__init__(k, keys)
+
     def serve(self, t, page, prediction):
         return self._steps.send((t, page, self.keys[t - 1]))
 
@@ -210,7 +212,6 @@ class Marker(Policy):
     """
 
     name = "marker"
-    randomized = True
 
     def __init__(self, k: int, rng: random.Random):
         self.rng = rng
@@ -261,7 +262,7 @@ def simulate(requests: Sequence[PageId], policies: Iterable[Policy]) -> None:
     combiner's stretches over its experts' victims.  A run some combiner of
     the call reads keeps its ``victims``.  Every run is closed at the end; a
     run is served once, so serving a served run again is a ValueError, as is
-    serving a ``blind_oracle`` or ``belady`` run built without its keys.
+    serving a ``blind_oracle`` run built without its keys.
     """
     runs: dict[Policy, None] = {}  # each distinct run, after its experts
     for run in policies:

@@ -167,7 +167,6 @@ def serve_all(policy, requests, predictions) -> list:
 
 
 class RefPolicy:
-    randomized = False
     experts = ()
 
     def __init__(self, k):
@@ -216,8 +215,6 @@ class RefBelady(RefPolicy):
 
 
 class RefMarker(RefPolicy):
-    randomized = True
-
     def __init__(self, k, rng):
         super().__init__(k)
         self.rng = rng
@@ -270,8 +267,6 @@ class RefMw(RefPolicy):
     that it just lost.  Any other step leaves that chance where it was or
     raises it, and the followed expert stays.
     """
-
-    randomized = True
 
     def __init__(self, a, b, k, epsilon, rng):
         super().__init__(k)

@@ -121,7 +121,8 @@ def test_c01_perfect_predictions_match_offline_optimum():
         trace = synthesize(spec, NoiseSpec("perfect"), seed=rng.getrandbits(32))
         count += 1
         # a BlindOracle built by hand: the builder would make it the belady run
-        blind_oracle = run_policy(BlindOracle(k, trace.predictions), trace, k)
+        blind_oracle = BlindOracle(k, trace.predictions)
+        simulate(trace.requests, [blind_oracle])
         if blind_oracle.cost != run_policy("belady", trace, k).cost:
             mismatches += 1
     _print_line(
@@ -296,7 +297,7 @@ def test_c08_randomized_combiner_within_budget():
         for workload, noise in combos:
             trace = synthesize(workload, noise, seed=3)
             # one deterministic blind_oracle run for every epsilon and seed;
-            # each mw's Marker and generator are seeded as run_mw seeds them
+            # each mw's Marker and generator are seeded as make_policies seeds them
             blind_oracle = BlindOracle(k, trace.predictions)
             runs = {
                 epsilon: [

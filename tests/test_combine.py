@@ -17,8 +17,6 @@ from predcache import (
     make_policies,
     next_arrivals,
     perturb_predictions,
-    run_ftl,
-    run_mw,
     run_policy,
     simulate,
     synthesize,
@@ -103,7 +101,9 @@ def test_identical_experts_reproduce_the_expert_exactly():
     trace = synthesize(
         WorkloadSpec("uniform", universe=25, length=800), NoiseSpec("perfect"), seed=9
     )
-    combined = run_ftl("lru", "lru", trace, k=5)
+    expert = LRU(5)
+    combined = FtlCombiner(expert, expert, 5)
+    simulate(trace.requests, [combined])
     alone = run_policy("lru", trace, k=5)
     a, b = combined.experts
     assert combined.cost == alone.cost == a.cost == b.cost
@@ -118,7 +118,7 @@ def test_identical_experts_reproduce_the_expert_exactly():
 @pytest.mark.parametrize("k", [2, 5, 9])
 def test_ftl_within_twice_the_better_expert(k):
     for label, trace in _sample_traces():
-        result = run_ftl("blind_oracle", "lru", trace, k)
+        result = run_policy("ftl", trace, k)
         a, b = result.experts
         assert result.cost <= 2 * min(a.cost, b.cost) + 2 * k, label
 
@@ -129,7 +129,7 @@ def test_ftl_expert_costs_match_standalone_runs():
         NoiseSpec("additive_uniform", width=6.0),
         seed=12,
     )
-    result = run_ftl("blind_oracle", "lru", trace, k=4)
+    result = run_policy("ftl", trace, k=4)
     assert result.experts[0].cost == run_policy("blind_oracle", trace, 4).cost
     assert result.experts[1].cost == run_policy("lru", trace, 4).cost
 
@@ -140,15 +140,9 @@ def test_ftl_is_deterministic():
         NoiseSpec("additive_gaussian", sigma=4.0),
         seed=6,
     )
-    a = run_ftl("blind_oracle", "lru", trace, 4)
-    b = run_ftl("blind_oracle", "lru", trace, 4)
+    a = run_policy("ftl", trace, 4)
+    b = run_policy("ftl", trace, 4)
     assert _costs(a) == _costs(b)
-
-
-def test_ftl_rejects_randomized_experts():
-    trace = _trace("abcabc")
-    with pytest.raises(ConfigError):
-        run_ftl("blind_oracle", "marker", trace, 2)
 
 
 # ---------------------------------------------------------------- MW update rule
@@ -180,7 +174,7 @@ def test_mw_epsilon_range_enforced():
     trace = _trace("abcabc")
     for eps in (0.0, 0.25, 0.3, -0.1):
         with pytest.raises(ConfigError):
-            run_mw("blind_oracle", "marker", trace, 2, eps, seed=0)
+            run_policy("mw", trace, 2, seed=0, epsilon=eps)
 
 
 # ---------------------------------------------------------------- MW combiner
@@ -284,8 +278,8 @@ def test_mw_deterministic_for_fixed_seed():
         NoiseSpec("additive_gaussian", sigma=6.0),
         seed=11,
     )
-    a = run_mw("blind_oracle", "marker", trace, 5, 0.1, seed=17)
-    b = run_mw("blind_oracle", "marker", trace, 5, 0.1, seed=17)
+    a = run_policy("mw", trace, 5, seed=17, epsilon=0.1)
+    b = run_policy("mw", trace, 5, seed=17, epsilon=0.1)
     assert _costs(a) == _costs(b)
 
     def victims(seed):
@@ -304,7 +298,7 @@ def test_mw_tracks_a_perfect_expert():
     )
     k, eps = 5, 0.2
     bo = run_policy("blind_oracle", trace, k).cost
-    costs = [run_mw("blind_oracle", "marker", trace, k, eps, seed=s).cost for s in range(100)]
+    costs = [run_policy("mw", trace, k, seed=s, epsilon=eps).cost for s in range(100)]
     mean = statistics.fmean(costs)
     assert mean <= (1 + eps) * bo + 4 * k / eps
 
@@ -315,7 +309,7 @@ def test_mw_weight_rescale_keeps_running():
     rng = random.Random(0)
     rng.shuffle(requests)
     trace = _trace(requests, [0.0] * len(requests))
-    result = run_mw("blind_oracle", "marker", trace, 3, 0.2, seed=1)
+    result = run_policy("mw", trace, 3, seed=1, epsilon=0.2)
     assert result.cost > 0
     assert result.excess == _excess(result)
 
@@ -339,7 +333,7 @@ def test_mw_switch_rule_survives_a_large_negative_excess(monkeypatch):
         return switch(self, excess)
 
     monkeypatch.setattr(MwCombiner, "_switch", recorded)
-    result = run_mw("blind_oracle", "marker", trace, 3, 0.2, seed=1)
+    result = run_policy("mw", trace, 3, seed=1, epsilon=0.2)
     assert min(asked) < -8000
     assert result.excess == _excess(result) < -8000
 
@@ -355,7 +349,7 @@ def _garbage_trace(requests, noise_seed):
 
 
 def _state(run):
-    rng = run.rng.getstate() if run.randomized else None
+    rng = run.rng.getstate() if hasattr(run, "rng") else None
     return run.cost, run.followed, run.excess, list(run.cache.items()), rng
 
 
@@ -552,5 +546,5 @@ def test_shared_experts_match_standalone_runs():
     shared = runs["ftl"].experts[0]
     assert runs["mw"].experts[0] is shared
     assert shared.cost == run_policy("blind_oracle", trace, 4).cost
-    assert runs["ftl"].cost == run_ftl("blind_oracle", "lru", trace, 4).cost
-    assert runs["mw"].cost == run_mw("blind_oracle", "marker", trace, 4, 0.1, seed=3).cost
+    assert runs["ftl"].cost == run_policy("ftl", trace, 4).cost
+    assert runs["mw"].cost == run_policy("mw", trace, 4, seed=3, epsilon=0.1).cost

@@ -130,7 +130,7 @@ def test_every_policy_answers_a_repeated_index_from_its_store(name):
     def state(policy):
         runs = (policy, *policy.experts)
         return [
-            (dict(run.cache), run.cost, run.rng.getstate() if run.randomized else None)
+            (dict(run.cache), run.cost, run.rng.getstate() if hasattr(run, "rng") else None)
             for run in runs
         ]
 
@@ -219,10 +219,13 @@ def test_simulate_serves_a_run_once_and_only_over_its_requests():
         assert not fresh.served and not fresh.experts[0].served
     assert first["lru"].cost == lru_cost
 
-    # a run built without the keys it reads is refused, alone or as an expert
+    # a run built without the keys it reads is refused, alone or as an expert,
+    # and a belady run cannot be built without its keys
     for keyless in (BlindOracle(2), make_policies(("ftl",), 2)["ftl"]):
         with pytest.raises(ValueError, match="the blind_oracle run has no keys"):
             simulate(trace.requests, [keyless])
+    with pytest.raises(TypeError, match="keys"):
+        Belady(2)
 
 
 def test_simulated_runs_are_freed_without_the_cycle_collector():
