@@ -27,8 +27,7 @@ error budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError, NondeterministicPolicyError
 from .metrics import BoundRecord, ell1_loss
@@ -37,8 +36,7 @@ from .policies import PageId, Policy, simulate
 from .trace import Trace
 
 
-@dataclass(frozen=True)
-class AdversaryConfig:
+class AdversaryConfig(NamedTuple):
     k: int
     j: int
     num_phases: int = 1
@@ -60,15 +58,13 @@ class AdversaryConfig:
         return f"adversary-k{self.k}-j{self.j}-p{self.num_phases}"
 
 
-@dataclass(frozen=True)
-class PhaseStats:
+class PhaseStats(NamedTuple):
     alg_cost: int
     eta: float
     eta_upper_bound: float
 
 
-@dataclass(frozen=True)
-class AdversaryResult:
+class AdversaryResult(NamedTuple):
     config: AdversaryConfig
     trace: Trace
     alg_cost: int

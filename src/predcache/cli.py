@@ -12,10 +12,10 @@ check listed in ``fatal_bounds`` fails.
 from __future__ import annotations
 
 import argparse
-import statistics
+import math
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple, get_type_hints
 
 import yaml
 
@@ -44,8 +44,7 @@ CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     policies: tuple[str, ...]
     ks: tuple[int, ...]
     seeds: tuple[int, ...]
@@ -103,8 +102,7 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown bound id {bound_id!r} in fatal_bounds")
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     trace_id: str
     k: int
     noise_id: str
@@ -138,23 +136,23 @@ def _number(what: str, value, integer: bool = False):
 
 
 def _section(cls, section: str, data):
-    """Build ``cls`` from a config section; its dataclass fields give the keys.
+    """Build ``cls`` from a config section; its NamedTuple fields give the keys.
 
     Fields without a default are required; every value but the ``kind`` string
     must be a number, an integer where the field is annotated ``int``.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{section} must be a mapping, got {data!r}")
-    declared = {f.name: f for f in fields(cls)}
-    unknown = set(data) - set(declared)
+    unknown = set(data) - set(cls._fields)
     if unknown:
-        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
-    for name, f in declared.items():
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown, key=str)}")
+    types = get_type_hints(cls)
+    for name in cls._fields:
         if name not in data:
-            if f.default is MISSING:
+            if name not in cls._field_defaults:
                 raise ConfigError(f"{section} needs {name!r}")
         elif name != "kind":
-            _number(f"{section} {name}", data[name], integer=f.type == "int")
+            _number(f"{section} {name}", data[name], integer=types[name] is int)
     return cls(**data)
 
 
@@ -176,7 +174,7 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     }
     unknown = set(data) - allowed
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
 
     trace_path, out_path = data.get("trace"), data.get("out", "results.csv")
     if not isinstance(trace_path, (str, type(None))) or not isinstance(out_path, str):
@@ -229,7 +227,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     except RecursionError:
         raise ConfigError(f"invalid YAML in {path}: nested too deeply") from None
-    return config_from_mapping(data or {})
+    return config_from_mapping({} if data is None else data)
 
 
 def _cell_costs(config: ExperimentConfig, traces: list[Trace], k: int, seed: int):
@@ -360,13 +358,13 @@ def _aggregate_rows(config, trace_id, k, noise_id, cells) -> list[ResultRow]:
     out = []
     if len(config.seeds) < 2:
         return out
-    opt, eta, inversions = (statistics.fmean(cell[i] for cell in cells) for i in range(3))
+    opt, eta, inversions = (math.fsum(cell[i] for cell in cells) / len(cells) for i in range(3))
     for name in config.policies:
         bounds = [b for b in BOUNDS if b.policy == name and b.in_expectation]
         if not bounds:
             continue
         needed = dict.fromkeys(p for b in bounds for p in (name, *b.needs))
-        costs = {p: statistics.fmean(cell[3][p] for cell in cells) for p in needed}
+        costs = {p: math.fsum(cell[3][p] for cell in cells) / len(cells) for p in needed}
         report = check_bounds(costs, opt, eta, inversions, k, config.epsilon)
         out.append(
             _row(trace_id, k, noise_id, None, name, costs[name], opt, eta, inversions,
@@ -462,19 +460,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config) if args.config else config_from_mapping({})
         if args.trace is not None:
-            config = replace(config, trace_path=args.trace, workload=None)
+            config = config._replace(trace_path=args.trace, workload=None)
         if args.out is not None:
-            config = replace(config, out_path=args.out)
+            config = config._replace(out_path=args.out)
         if args.seed is not None:
-            config = replace(config, seeds=(args.seed,))
+            config = config._replace(seeds=(args.seed,))
         if args.k is not None:
-            config = replace(config, ks=(args.k,))
+            config = config._replace(ks=(args.k,))
         if args.policy:
-            config = replace(config, policies=tuple(args.policy))
+            config = config._replace(policies=tuple(args.policy))
         if args.epsilon is not None:
-            config = replace(config, epsilon=args.epsilon)
+            config = config._replace(epsilon=args.epsilon)
         if not config.ks:
-            config = replace(config, ks=(8,))
+            config = config._replace(ks=(8,))
         rows = run_experiment(config)
     except (ConfigError, TraceParseError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError
 
@@ -110,8 +109,7 @@ BOUNDS = (
 BOUND_IDS = tuple(bound.bound_id for bound in BOUNDS) + ("lower_bound_thm4",)
 
 
-@dataclass(frozen=True)
-class BoundRecord:
+class BoundRecord(NamedTuple):
     bound_id: str
     lhs: float
     rhs: float

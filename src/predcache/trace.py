@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConfigError, TraceParseError
 
@@ -44,23 +43,31 @@ def next_arrivals(requests: list[PageId]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Trace:
-    """Immutable request sequence with predictions and derived true arrivals."""
-
+class _TraceFields(NamedTuple):
     requests: tuple[PageId, ...]
     predictions: tuple[float, ...]
     arrivals: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.requests)
+
+class Trace(_TraceFields):
+    """Immutable request sequence with predictions and derived true arrivals.
+
+    ``__new__`` validates every trace, so build one by calling ``Trace``,
+    never through ``_make`` or ``_replace``, which skip it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, requests, predictions, arrivals):
+        n = len(requests)
         if n == 0:
             raise ValueError("empty trace")
-        if len(self.predictions) != n or len(self.arrivals) != n:
+        if len(predictions) != n or len(arrivals) != n:
             raise ValueError("requests, predictions and arrivals must have equal length")
-        for h in self.predictions:
+        for h in predictions:
             if not math.isfinite(h) or h < 0:
                 raise ValueError(f"prediction {h!r} is not a finite non-negative real")
+        return super().__new__(cls, requests, predictions, arrivals)
 
     @classmethod
     def from_requests(cls, requests: list[PageId], predictions: list[float]) -> "Trace":
@@ -80,8 +87,7 @@ class Trace:
         return self.predictions == self.arrivals
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(NamedTuple):
     """Synthetic workload description.
 
     kinds:
@@ -127,8 +133,7 @@ class WorkloadSpec:
         return base
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(NamedTuple):
     """Prediction noise model applied to the true arrival times.
 
     kinds: ``perfect``, ``additive_uniform`` (width), ``additive_gaussian``

@@ -1,5 +1,8 @@
 import math
+import os
 import statistics
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -7,11 +10,14 @@ from pathlib import Path
 import pytest
 import yaml
 
+import predcache
 from predcache import (
     POLICY_NAMES,
+    BoundRecord,
     ConfigError,
     NoiseSpec,
     Policy,
+    Trace,
     WorkloadSpec,
     make_policies,
     simulate,
@@ -131,6 +137,51 @@ def test_load_config_yaml(tmp_path):
     assert config.workload.kind == "cyclic"
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.yaml"))
+
+
+@pytest.mark.parametrize("root", ["[]", "0", "false", "[policies]", "lru"])
+def test_load_config_rejects_a_root_that_is_not_a_mapping(tmp_path, root):
+    path = tmp_path / "exp.yaml"
+    path.write_text(root + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="config root must be a mapping"):
+        load_config(str(path))
+
+
+def test_load_config_reads_an_empty_document_as_the_defaults(tmp_path):
+    path = tmp_path / "exp.yaml"
+    path.write_text("# nothing configured\n", encoding="utf-8")
+    assert load_config(str(path)) == config_from_mapping({})
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        Trace(("a",), (2.0,), (2,)),
+        ExperimentConfig(policies=("lru",), ks=(2,), seeds=(0,)),
+        ResultRow("tr", 2, "perfect", 0, "lru", 1, 1, 0.0, 0, 0.0, (), ()),
+        BoundRecord("lru_k", 1.0, 2.0, 0.0, True),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_records_are_immutable(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_statistics():
+    # Every CLI run pays for its imports; the records are NamedTuples and the
+    # means use math.fsum, so none of these (nor what they import) is needed.
+    src = str(Path(predcache.__file__).resolve().parents[1])
+    code = (
+        "import sys; before = set(sys.modules); import predcache.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'statistics'} & (set(sys.modules) - before)))"
+    )
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------- experiments
@@ -561,6 +612,8 @@ def test_main_fatal_bound_exit_code(tmp_path, monkeypatch):
         {"epsilon": 10**400},
         {"workload": {"kind": "zipf", "universe": 8, "length": 20, "alpha": 10**400}},
         {"seeds": 10**20},
+        {1: "x", "foo": "y"},
+        {"workload": {"kind": "uniform", "universe": 8, "length": 20, 1: "x", "foo": "y"}},
     ],
     ids=["k_text", "k_fraction", "seed_text", "epsilon_text", "noise_width_text",
          "adversary_k_text", "fatal_bound_unknown", "adversary_without_its_policies",
@@ -569,7 +622,8 @@ def test_main_fatal_bound_exit_code(tmp_path, monkeypatch):
          "noise_sigma_inf", "noise_sigma_nan", "noise_width_inf", "noise_shift_minus_inf",
          "noise_limit_nan", "k_repeated", "seeds_repeated", "noise_repeated",
          "noise_shift_beyond_float", "noise_width_beyond_float", "epsilon_beyond_float",
-         "zipf_alpha_beyond_float", "seeds_count_beyond_a_list"],
+         "zipf_alpha_beyond_float", "seeds_count_beyond_a_list", "keys_of_mixed_types",
+         "workload_keys_of_mixed_types"],
 )
 def test_main_rejects_malformed_input(tmp_path, capsys, overrides):
     data = {
@@ -581,7 +635,8 @@ def test_main_rejects_malformed_input(tmp_path, capsys, overrides):
     }
     data.update(overrides)
     cfg = tmp_path / "exp.yaml"
-    cfg.write_text(yaml.safe_dump(data), encoding="utf-8")
+    # unsorted: sorting keys of mixed types would fail here, not in the CLI
+    cfg.write_text(yaml.safe_dump(data, sort_keys=False), encoding="utf-8")
     assert main(["--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")

@@ -299,6 +299,11 @@ def test_trace_validation():
         Trace.from_requests(["a"], [-1.0])
     with pytest.raises(ValueError):
         Trace.from_requests([], [])
+    # a direct construction is validated too
+    with pytest.raises(ValueError, match="finite non-negative"):
+        Trace(("a",), (math.nan,), (2,))
+    with pytest.raises(ValueError, match="equal length"):
+        Trace(("a", "b"), (3.0, 3.0), (3,))
 
 
 def test_synthesize_same_requests_across_noise_models():
