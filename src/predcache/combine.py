@@ -23,13 +23,16 @@ hold: the live items of its heap of own pages it lacks, which the body keeps
 for its eviction rule anyway.  Both caches fill up on the same request, so
 at Phi = 0 they are equal, and they stay equal until the followed expert
 alone evicts and the combiner switches: the combiner is then the followed
-expert, victim for victim.  ``simulate`` serves such a stretch from the
-experts' victim lists alone: it scans for the requests on which exactly one
-expert evicts, takes the switch rule's decisions there in order, and adds
-the followed expert's evictions to the cost.  After a switch the
-per-request body serves until that heap has no live item again; a stretch
-that reaches the end of the trace copies the followed expert's final cache.
-``serve`` sends every request to the body.
+expert, victim for victim.  ``simulate`` serves a combiner in one forward
+pass over the requests and the experts' victim lists, alternating Phi = 0
+stretches and body segments.  A stretch is served from the victims alone:
+the pass scans for the requests on which exactly one expert evicts, takes
+the switch rule's decisions there in order, and adds the followed expert's
+evictions to the cost.  A switch replays the stretch into the own cache and
+the other expert's heap, and the per-request body serves on until that heap
+has no live item again; a stretch that reaches the end of the trace copies
+the followed expert's final cache.  ``serve`` sends every request to the
+body.
 """
 
 from __future__ import annotations
@@ -148,83 +151,78 @@ class _Combiner(Policy):
             own[page] = t
 
     def _serve_trace(self, requests, inputs, keep):
-        """Serve the trace in Phi = 0 stretches (see the module docstring).
+        """Serve the trace in one forward pass (see the module docstring).
 
-        A switch rebuilds, as of its request, the state the body reads.  The
-        heaps are rebuilt only then, so after the last stretch they no longer
-        list the pages each expert lacks.
+        The stretch scan and the body advance one iterator over the requests
+        and one over each expert's victims, so no list is walked from its
+        head again but to count the stretch that ends the trace.  After that
+        stretch the heaps no longer list the pages each expert lacks.
         """
-        victims_a, victims_b = inputs
         own, n = self.cache, len(requests)
         kept = [] if keep else None
+        pages, victims = iter(requests), [iter(v) for v in inputs]
         start = 1  # Phi is 0 and own is the followed expert's cache before it
         while start <= n:
             followed, excess = self.followed, self.excess
-            mine, theirs = (victims_b, victims_a) if followed else (victims_a, victims_b)
+            mine, theirs = inputs[followed], inputs[1 - followed]
             switch = self._switch
-            end = n + 1
-            for t, victim, other in zip(
-                count(start), islice(mine, start - 1, None), islice(theirs, start - 1, None)
-            ):
+            for t, victim, other in zip(count(start), victims[followed], victims[1 - followed]):
                 if victim is None:
                     if other is not None:
                         excess -= 1
                 elif other is None:
                     excess += 1
                     if switch(excess):
-                        end = t
                         break
-            # islices, not copies: a stretch can span the whole trace
-            self.cost += end - start - countOf(islice(mine, start - 1, end - 1), None)
-            if keep:
-                kept += islice(mine, start - 1, end - 1)
-            if end > n:
+            else:
+                # counted in place: a final stretch can span the whole trace
+                self.cost += n + 1 - start - countOf(islice(mine, start - 1, None), None)
+                if keep:
+                    kept += mine[start - 1:]
                 self.excess = excess
                 own.clear()
                 own.update(self.experts[followed].cache)
                 break
-            # own, as the followed expert's cache before request end
-            for t, page, victim in zip(
-                count(start), islice(requests, start - 1, end - 1), islice(mine, start - 1, end - 1)
+            end = t
+            stretch = mine[start - 1:end - 1]
+            self.cost += end - start - countOf(stretch, None)
+            if keep:
+                kept += stretch
+            # own becomes the followed expert's cache before request end; the
+            # other expert's heap gets the body's pushes, less the stale items.
+            # The followed expert then lacks only its victim at end.
+            outside = self._outside[1 - followed]
+            for t, page, lost, other in zip(
+                count(start), islice(pages, end - start), stretch, theirs[start - 1:end - 1]
             ):
-                if victim is None:
+                if other is not None:
+                    last = own.get(other)
+                    if last is not None:
+                        outside.append((last, last, other))
+                if lost is None:
                     own.pop(page, None)
                 else:
-                    del own[victim]
+                    del own[lost]
                 own[page] = t
-            # once request end's experts have served, the followed expert
-            # lacks only its victim there among the own pages, and the other
-            # expert lacks those it evicted after their last request
-            victim = mine[end - 1]
+            keep_live(outside, own)
             last = own[victim]
             self._outside[followed][:] = [(last, last, victim)]
-            outside = self._outside[1 - followed]
-            for t, page in zip(count(start), islice(theirs, start - 1, end - 1)):
-                if page is not None:
-                    last = own.get(page)
-                    if last is not None and last < t:
-                        outside.append((last, last, page))
-            keep_live(outside, own)
             self.followed, self.excess = 1 - followed, -excess
             # the body serves request end's own step, then the requests after
             # it, until the followed expert's heap has no live item: Phi is 0.
             # The stale items on its top go, as pop_live would skip them.
             steps = self._start()
-            start = end
-            for item in chain(((end, requests[end - 1], None, None),), zip(
-                count(end + 1), islice(requests, end, None),
-                islice(victims_a, end, None), islice(victims_b, end, None),
-            )):
+            for item in chain(((end, next(pages), None, None),), zip(count(end + 1), pages, *victims)):
                 evicted = steps.send(item)
                 if keep:
                     kept.append(evicted)
-                start += 1
                 heap = self._outside[self.followed]
                 while heap and own.get(heap[0][2]) != heap[0][1]:
                     heappop(heap)
                 if not heap:
                     break
             steps.close()
+            start = item[0] + 1
         return kept
 
 

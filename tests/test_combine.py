@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from predcache import (
+    AdversaryConfig,
     BlindOracle,
     ConfigError,
     FtlCombiner,
@@ -17,6 +18,7 @@ from predcache import (
     make_policies,
     next_arrivals,
     perturb_predictions,
+    run_adversary,
     run_policy,
     simulate,
     synthesize,
@@ -416,6 +418,46 @@ def test_stretch_edges_switch_where_listed():
 def test_simulated_stretches_match_serve(requests, noise_seed, k, seed):
     # worthless predictions make blind_oracle a poor expert, so runs switch often
     _assert_simulate_matches_serve(_garbage_trace(requests, noise_seed), k, seed)
+
+
+def _ftl_adversary_trace():
+    """The adversary's trace against ftl: n = 1,600, about 200 switches at phi = 0."""
+    return run_adversary("ftl", AdversaryConfig(k=8, j=7, num_phases=100)).trace
+
+
+def test_simulated_stretches_match_serve_over_hundreds_of_switches():
+    switches = _assert_simulate_matches_serve(_ftl_adversary_trace(), 8, 1)
+    assert len(switches["ftl"]) > 200
+
+
+class _CountedList(list):
+    """A list that counts the items read from it, by iteration or by index."""
+
+    reads = 0
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+    def __getitem__(self, index):
+        got = super().__getitem__(index)
+        self.reads += len(got) if isinstance(index, slice) else 1
+        return got
+
+
+def test_combiner_reads_its_experts_victims_in_one_pass():
+    # the scan or the body reads each request's two victims once, a switch's
+    # replay its stretch's again, and counting the stretch that ends the
+    # trace up to n more; a walk from the head per switch reads about 500
+    # items per request here
+    trace = _ftl_adversary_trace()
+    probe, run = (make_policies(("ftl",), 8, trace)["ftl"] for _ in range(2))
+    simulate(trace.requests, [probe])
+    victims = [_CountedList(expert.victims) for expert in probe.experts]
+    run._serve_trace(trace.requests, victims, False)
+    assert run.cost == probe.cost
+    assert sum(v.reads for v in victims) <= 4 * len(trace.requests)
 
 
 def _recording_start(run, sent):

@@ -51,6 +51,13 @@ def test_ell1_examples():
         ell1_loss([1, 2], [1.0])
 
 
+def test_sums_add_left_to_right_on_every_python():
+    # sum() of floats compensates from Python 3.12 (1.0000000000000004e16 and
+    # 8.178368103610282 there), which would move the CSV's eta bytes
+    assert ell1_loss([0] * 5, [1e16, 1.0, 1.0, 1.0, 1.0]) == 1e16
+    assert harmonic(2000) == 8.178368103610284
+
+
 def test_inversion_examples():
     # sigma = (a,b,a,b): only the first pair is inverted
     y, h = [3, 4, 5, 5], [4.0, 3.0, 5.0, 5.0]
