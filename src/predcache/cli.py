@@ -1,9 +1,11 @@
 """Experiment runner: sweeps policies over traces, noise models and seeds.
 
-Configuration lives in a YAML file (nested key-value sections); command-line
-flags override individual values.  Results are written as a CSV whose rows are
-fully determined by the configuration, so re-running an identical config
-reproduces the output byte for byte.
+Configuration lives in a YAML file (nested key-value sections).  Each
+command-line flag sets the config key it names, and ``--trace`` also drops a
+configured workload; a key left out takes its ``ExperimentConfig`` default.
+Results are written as a CSV whose columns are ``ResultRow``'s fields and
+whose rows are fully determined by the configuration, so re-running an
+identical config reproduces the output byte for byte.
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 when a bound
 check listed in ``fatal_bounds`` fails.
@@ -11,9 +13,9 @@ check listed in ``fatal_bounds`` fails.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
@@ -38,16 +40,13 @@ from .trace import synthesize  # noqa: F401
 
 run_ftl = run_mw = None
 
-CSV_HEADER = (
-    "trace_id,k,noise_id,seed,policy,cost,opt,eta,inversions,eps_ratio,"
-    "bounds_passed,bounds_failed"
-)
-
 
 class ExperimentConfig(NamedTuple):
-    policies: tuple[str, ...]
-    ks: tuple[int, ...]
-    seeds: tuple[int, ...]
+    """One sweep; a config key left out keeps its field's default."""
+
+    policies: tuple[str, ...] = ("lru", "belady", "blind_oracle", "marker")
+    ks: tuple[int, ...] = (8,)
+    seeds: tuple[int, ...] = (0,)
     workload: WorkloadSpec | None = None
     trace_path: str | None = None
     noises: tuple[NoiseSpec, ...] = ()
@@ -62,6 +61,8 @@ class ExperimentConfig(NamedTuple):
         for name in self.policies:
             if name not in POLICY_NAMES:
                 raise ConfigError(f"unknown policy {name!r}")
+        for noise in self.noises:  # before their labels are read
+            noise.validate()
         # a repeat, or two noises of one label (the rows' noise_id), would write rows twice
         for what, values in (
             ("policies", self.policies),
@@ -81,9 +82,7 @@ class ExperimentConfig(NamedTuple):
             self.workload.validate()
             if not self.noises:
                 raise ConfigError("a workload needs at least one noise model")
-        for noise in self.noises:
-            noise.validate()
-        if not self.ks and (self.workload is not None or self.trace_path is not None):
+        if not self.ks:
             raise ConfigError("at least one cache size k is required")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
@@ -115,6 +114,9 @@ class ResultRow(NamedTuple):
     eps_ratio: float | None
     bounds_passed: tuple[str, ...]
     bounds_failed: tuple[str, ...]
+
+
+CSV_HEADER = ",".join(ResultRow._fields)
 
 
 def _number(what: str, value, integer: bool = False):
@@ -156,67 +158,67 @@ def _section(cls, section: str, data):
     return cls(**data)
 
 
+def _listed(value) -> tuple:
+    """A single value stands for a one-element list."""
+    return tuple(value) if isinstance(value, list) else (value,)
+
+
+def _seeds(value) -> tuple[int, ...]:
+    """The seeds of a list, or of a count n: 0..n-1."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        if value > sys.maxsize:
+            bits = value.bit_length()
+            raise ConfigError(f"a seeds count must be at most {sys.maxsize}, got a {bits}-bit int")
+        return tuple(range(value))
+    return tuple(_number("seeds", seed, integer=True) for seed in _listed(value))
+
+
+def _path(what: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a path, got {value!r}")
+    return value
+
+
+def _or_none(read):
+    """``read``, but a null value stands for none (no workload, trace or adversary)."""
+    return lambda value: None if value is None else read(value)
+
+
+# Each config key: the ExperimentConfig field it sets, and the reader of its value.
+_KEYS = {
+    "policies": ("policies", _listed),
+    "k": ("ks", lambda v: tuple(_number("k", k, integer=True) for k in _listed(v))),
+    "seeds": ("seeds", _seeds),
+    "workload": ("workload", _or_none(partial(_section, WorkloadSpec, "workload"))),
+    "trace": ("trace_path", _or_none(partial(_path, "trace"))),
+    "noise": ("noises", lambda v: tuple(_section(NoiseSpec, "noise", n) for n in _listed(v))),
+    "epsilon": ("epsilon", lambda v: float(_number("epsilon", v))),
+    "adversary": ("adversary", _or_none(partial(_section, AdversaryConfig, "adversary"))),
+    "out": ("out_path", partial(_path, "out")),
+    "fatal_bounds": ("fatal_bounds", _listed),
+}
+
+
 def config_from_mapping(data: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a parsed YAML mapping."""
+    """Build an ExperimentConfig from a parsed YAML mapping.
+
+    Only the keys present are read.  A workload without a noise section is
+    read under perfect predictions; a trace file without one keeps its own.
+    """
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    allowed = {
-        "policies",
-        "k",
-        "seeds",
-        "workload",
-        "trace",
-        "noise",
-        "epsilon",
-        "adversary",
-        "out",
-        "fatal_bounds",
-    }
-    unknown = set(data) - allowed
+    unknown = set(data) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
-
-    trace_path, out_path = data.get("trace"), data.get("out", "results.csv")
-    if not isinstance(trace_path, (str, type(None))) or not isinstance(out_path, str):
-        raise ConfigError(f"trace and out must be paths, got {trace_path!r} and {out_path!r}")
-    seeds = data.get("seeds", [0])
-    if isinstance(seeds, int) and not isinstance(seeds, bool):
-        if seeds > sys.maxsize:
-            bits = seeds.bit_length()
-            raise ConfigError(f"a seeds count must be at most {sys.maxsize}, got a {bits}-bit int")
-        seeds = list(range(seeds))
-    # a single value stands for a one-element list
-    ks, seeds, noises, policies, fatal_bounds = (
-        v if isinstance(v, list) else [v]
-        for v in (
-            data.get("k", []),
-            seeds,
-            data.get("noise", []),
-            data.get("policies", ["lru", "belady", "blind_oracle", "marker"]),
-            data.get("fatal_bounds", []),
-        )
-    )
-    workload = data.get("workload")
-    if workload is not None and not noises:
-        noises = [{"kind": "perfect"}]
-    adversary = data.get("adversary")
-    return ExperimentConfig(
-        policies=tuple(policies),
-        ks=tuple(_number("k", k, integer=True) for k in ks),
-        seeds=tuple(_number("seeds", s, integer=True) for s in seeds),
-        workload=_section(WorkloadSpec, "workload", workload) if workload is not None else None,
-        trace_path=trace_path,
-        noises=tuple(_section(NoiseSpec, "noise", n) for n in noises),
-        epsilon=float(_number("epsilon", data.get("epsilon", 0.1))),
-        adversary=(
-            _section(AdversaryConfig, "adversary", adversary) if adversary is not None else None
-        ),
-        out_path=out_path,
-        fatal_bounds=tuple(fatal_bounds),
-    )
+    fields = {_KEYS[key][0]: _KEYS[key][1](value) for key, value in data.items()}
+    config = ExperimentConfig(**fields)
+    if config.workload is not None and not config.noises:
+        config = config._replace(noises=(NoiseSpec("perfect"),))
+    return config
 
 
-def load_config(path: str) -> ExperimentConfig:
+def _read_yaml(path: str):
+    """The parsed YAML document at ``path``; an empty document reads as ``{}``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -227,7 +229,11 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     except RecursionError:
         raise ConfigError(f"invalid YAML in {path}: nested too deeply") from None
-    return config_from_mapping({} if data is None else data)
+    return {} if data is None else data
+
+
+def load_config(path: str) -> ExperimentConfig:
+    return config_from_mapping(_read_yaml(path))
 
 
 def _cell_costs(config: ExperimentConfig, traces: list[Trace], k: int, seed: int):
@@ -401,8 +407,11 @@ def _row_key(row: ResultRow):
 
 
 def _fmt(value) -> str:
+    """A CSV cell: None is empty, a tuple joins with ';', an integral float drops '.0'."""
     if value is None:
         return ""
+    if isinstance(value, tuple):
+        return ";".join(value)
     if isinstance(value, float):
         return repr(value) if not value.is_integer() else str(int(value))
     return str(value)
@@ -411,24 +420,9 @@ def _fmt(value) -> str:
 def render_csv(rows: list[ResultRow]) -> str:
     lines = [CSV_HEADER]
     for row in sorted(rows, key=_row_key):
-        lines.append(
-            ",".join(
-                (
-                    row.trace_id,
-                    str(row.k),
-                    row.noise_id,
-                    "agg" if row.seed is None else str(row.seed),
-                    row.policy,
-                    _fmt(row.cost),
-                    _fmt(row.opt),
-                    _fmt(row.eta),
-                    _fmt(row.inversions),
-                    _fmt(row.eps_ratio),
-                    ";".join(row.bounds_passed),
-                    ";".join(row.bounds_failed),
-                )
-            )
-        )
+        if row.seed is None:
+            row = row._replace(seed="agg")
+        lines.append(",".join(map(_fmt, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -436,43 +430,31 @@ def emit_csv(rows: list[ResultRow], path: str) -> None:
     Path(path).write_text(render_csv(rows), encoding="utf-8")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def main(argv: list[str] | None = None) -> int:
+    import argparse  # here, so that library callers never load it
+    # each flag's dest is the config key it sets; a flag not given is not parsed
     parser = argparse.ArgumentParser(
         prog="predcache",
         description="Run caching-with-predictions experiments and write a results CSV.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--config", help="YAML experiment config")
-    parser.add_argument("--trace", help="trace CSV file (overrides the config's source)")
+    parser.add_argument("--trace", help="trace CSV file (replaces the config's workload)")
     parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--seed", type=int, help="single seed (overrides the config's seeds)")
-    parser.add_argument("--k", type=int, help="single cache size (overrides the config's list)")
+    parser.add_argument("--seed", dest="seeds", nargs=1, type=int, metavar="N", help="single seed")
+    parser.add_argument("--k", nargs=1, type=int, metavar="N", help="single cache size")
     parser.add_argument(
-        "--policy",
-        action="append",
-        help="policy to run; repeatable (overrides the config's list)",
+        "--policy", dest="policies", action="append", metavar="NAME",
+        help="policy to run; repeatable",
     )
     parser.add_argument("--epsilon", type=float, help="epsilon for the mw combiner")
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    flags = vars(parser.parse_args(argv))
+    config_path = flags.pop("config", None)
+    if "trace" in flags:  # a trace file replaces a configured workload
+        flags["workload"] = None
     try:
-        config = load_config(args.config) if args.config else config_from_mapping({})
-        if args.trace is not None:
-            config = config._replace(trace_path=args.trace, workload=None)
-        if args.out is not None:
-            config = config._replace(out_path=args.out)
-        if args.seed is not None:
-            config = config._replace(seeds=(args.seed,))
-        if args.k is not None:
-            config = config._replace(ks=(args.k,))
-        if args.policy:
-            config = config._replace(policies=tuple(args.policy))
-        if args.epsilon is not None:
-            config = config._replace(epsilon=args.epsilon)
-        if not config.ks:
-            config = config._replace(ks=(8,))
+        data = _read_yaml(config_path) if config_path else {}
+        config = config_from_mapping({**data, **flags} if isinstance(data, dict) else data)
         rows = run_experiment(config)
     except (ConfigError, TraceParseError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

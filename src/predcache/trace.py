@@ -133,12 +133,23 @@ class WorkloadSpec(NamedTuple):
         return base
 
 
+# Each noise kind and its label, the results CSV's noise_id, which names the
+# parameters the kind reads.
+NOISE_LABELS = {
+    "perfect": "perfect",
+    "additive_uniform": "additive_uniform-w{width:g}",
+    "additive_gaussian": "additive_gaussian-s{sigma:g}",
+    "lognormal_scale": "lognormal_scale-s{sigma:g}",
+    "constant_shift": "constant_shift-c{shift:g}",
+    "random_replace": "random_replace-p{prob:g}-r{limit:g}",
+}
+
+
 class NoiseSpec(NamedTuple):
     """Prediction noise model applied to the true arrival times.
 
-    kinds: ``perfect``, ``additive_uniform`` (width), ``additive_gaussian``
-    (sigma), ``lognormal_scale`` (sigma), ``constant_shift`` (shift),
-    ``random_replace`` (prob, limit).  Outputs are clamped to finite values >= 0.
+    The kinds, and the parameters each reads, are those of ``NOISE_LABELS``.
+    Outputs are clamped to finite values >= 0.
     """
 
     kind: str
@@ -149,14 +160,7 @@ class NoiseSpec(NamedTuple):
     limit: float = 0.0
 
     def validate(self) -> None:
-        if self.kind not in (
-            "perfect",
-            "additive_uniform",
-            "additive_gaussian",
-            "lognormal_scale",
-            "constant_shift",
-            "random_replace",
-        ):
+        if self.kind not in NOISE_LABELS:
             raise ConfigError(f"unknown noise kind {self.kind!r}")
         for value in (self.width, self.sigma, self.shift, self.limit):
             if not math.isfinite(value):
@@ -173,17 +177,7 @@ class NoiseSpec(NamedTuple):
 
     @property
     def label(self) -> str:
-        if self.kind == "perfect":
-            return "perfect"
-        if self.kind == "additive_uniform":
-            return f"additive_uniform-w{self.width:g}"
-        if self.kind == "additive_gaussian":
-            return f"additive_gaussian-s{self.sigma:g}"
-        if self.kind == "lognormal_scale":
-            return f"lognormal_scale-s{self.sigma:g}"
-        if self.kind == "constant_shift":
-            return f"constant_shift-c{self.shift:g}"
-        return f"random_replace-p{self.prob:g}-r{self.limit:g}"
+        return NOISE_LABELS[self.kind].format_map(self._asdict())
 
 
 def _page(index: int) -> PageId:
@@ -303,18 +297,20 @@ def parse_trace(text: str) -> Trace:
         if len(parts) != 3:
             raise TraceParseError(f"expected 3 comma-separated fields, got {len(parts)}", lineno)
         t_text, page, h_text = parts
-        try:
-            t = int(t_text)
-        except ValueError:
-            raise TraceParseError(f"non-integer index {t_text!r}", lineno) from None
-        if t != len(requests) + 1:
-            raise TraceParseError(f"index {t} out of order (expected {len(requests) + 1})", lineno)
+        # the index as write_trace writes it: int() also reads signs, blanks,
+        # '_', leading zeros and non-ASCII digits
+        if t_text != str(lineno - 1):
+            raise TraceParseError(f"index {t_text!r} where {lineno - 1} was expected", lineno)
         if not page:
             raise TraceParseError("empty page token", lineno)
         try:
             h = float(h_text)
         except ValueError:
             raise TraceParseError(f"non-numeric prediction {h_text!r}", lineno) from None
+        # float() also reads blanks, a '+', '_' and non-ASCII digits (and inf
+        # and nan, which the isfinite test rejects)
+        if h_text != h_text.strip() or h_text[0] == "+" or "_" in h_text or not h_text.isascii():
+            raise TraceParseError(f"prediction {h_text!r} is not a decimal", lineno)
         if not math.isfinite(h):
             raise TraceParseError(f"non-finite prediction {h_text!r}", lineno)
         if h < 0:
@@ -323,6 +319,7 @@ def parse_trace(text: str) -> Trace:
         predictions.append(h)
     if not requests:
         raise TraceParseError("empty trace (no request rows)", 1 + len(lines))
+    del lines  # freed before the Trace is built, the peak of a trace file's sweep
     return Trace.from_requests(requests, predictions)
 
 

@@ -171,10 +171,11 @@ def test_records_are_immutable(record):
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_statistics():
     # Every CLI run pays for its imports; the records are NamedTuples and the
     # means use math.fsum, so none of these (nor what they import) is needed.
+    # argparse is loaded by main alone, which library callers never run.
     src = str(Path(predcache.__file__).resolve().parents[1])
     code = (
-        "import sys; before = set(sys.modules); import predcache.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'statistics'} & (set(sys.modules) - before)))"
+        "import sys; before = set(sys.modules); import predcache.cli; print(sorted("
+        "{'argparse', 'dataclasses', 'inspect', 'statistics'} & (set(sys.modules) - before)))"
     )
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
@@ -543,6 +544,85 @@ def test_main_flag_overrides(tmp_path, capsys):
     assert ",lru," in lines[1]
 
 
+def _main_csv(tmp_path, data, *flags) -> bytes:
+    """The CSV bytes ``main`` writes for the YAML config ``data`` and ``flags``."""
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert main(["--config", str(cfg), *flags]) == 0
+    return Path(flags[flags.index("--out") + 1] if "--out" in flags else data["out"]).read_bytes()
+
+
+def _trace_file(tmp_path, name="t", seed=0) -> str:
+    workload = WorkloadSpec("zipf", universe=15, length=120)
+    trace = synthesize(workload, NoiseSpec("additive_uniform", width=6.0), seed)
+    path = tmp_path / f"{name}.csv"
+    path.write_text(write_trace(trace), encoding="utf-8")
+    return str(path)
+
+
+def test_trace_flag_keeps_the_files_predictions_over_a_workload_config(tmp_path):
+    # --trace replaces a configured workload; without a noise section the
+    # file's own predictions are read, as from a config without a workload
+    trace = _trace_file(tmp_path)
+    base = {"policies": ["lru", "blind_oracle"], "k": [3], "out": str(tmp_path / "res.csv")}
+    from_workload = _main_csv(tmp_path, {**base, "workload": dict(WORKLOAD)}, "--trace", trace)
+    assert from_workload == _main_csv(tmp_path, base, "--trace", trace)
+    assert from_workload == _main_csv(tmp_path, {**base, "trace": trace})
+    rows = from_workload.decode().splitlines()[1:]
+    assert rows and all(row.split(",")[2] == "file" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "key,value,flags",
+    [
+        ("trace", "{other}", ["--trace", "{other}"]),
+        ("out", "{out}", ["--out", "{out}"]),
+        ("seeds", [7], ["--seed", "7"]),
+        ("k", [5], ["--k", "5"]),
+        ("policies", ["mw", "lru"], ["--policy", "mw", "--policy", "lru"]),
+        ("epsilon", 0.2, ["--epsilon", "0.2"]),
+    ],
+)
+def test_each_flag_gives_the_bytes_of_its_config_key(tmp_path, key, value, flags):
+    names = {"other": _trace_file(tmp_path, "other", seed=1), "out": str(tmp_path / "o.csv")}
+    value = value.format(**names) if isinstance(value, str) else value
+    flags = [flag.format(**names) for flag in flags]
+    base = {
+        "policies": ["lru", "marker", "mw"],
+        "k": [2, 3],
+        "seeds": [1, 2],
+        "trace": _trace_file(tmp_path),
+        "out": str(tmp_path / "res.csv"),
+    }
+    from_flag = _main_csv(tmp_path, base, *flags)
+    assert from_flag == _main_csv(tmp_path, {**base, key: value})
+    if key != "out":
+        assert from_flag != _main_csv(tmp_path, base)
+
+
+def test_a_config_without_k_runs_at_k_8(tmp_path):
+    data = {"policies": ["lru"], "workload": dict(WORKLOAD)}
+    cfg = tmp_path / "lib.yaml"
+    cfg.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert {row.k for row in run_experiment(load_config(str(cfg)))} == {8}
+    rows = _main_csv(tmp_path, data, "--out", str(tmp_path / "res.csv")).decode().splitlines()[1:]
+    assert rows and all(row.split(",")[1] == "8" for row in rows)
+
+
+def test_an_empty_k_list_is_a_configuration_error(tmp_path, capsys):
+    cfg, out = tmp_path / "exp.yaml", tmp_path / "res.csv"
+    cfg.write_text(
+        "policies: [lru]\nk: []\nworkload: {kind: uniform, universe: 8, length: 20}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ConfigError, match="at least one cache size k is required"):
+        run_experiment(load_config(str(cfg)))
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "configuration error: at least one cache size k is required\n"
+    assert not out.exists()
+
+
 def test_main_configuration_error_exit_code(tmp_path):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("policies: [nope]\nk: [2]\n", encoding="utf-8")
@@ -753,6 +833,28 @@ def test_main_rejects_a_config_nested_too_deeply(tmp_path, capsys):
     assert err.startswith(f"configuration error: invalid YAML in {cfg}: nested too deeply")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(predcache.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = tmp_path / "sweep.csv"
+    run = subprocess.run(
+        [sys.executable, "-m", "predcache", "--config", "sweep.yaml", "--out", str(out)],
+        cwd=GOLDEN, env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert out.read_bytes() == (GOLDEN / "sweep.expected.csv").read_bytes()
+
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("policies: [nope]\n", encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, "-m", "predcache", "--config", str(bad), "--out", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith("configuration error: ")
 
 
 @pytest.mark.parametrize("name", ["sweep", "file", "file_noise", "uniform", "exact_late"])

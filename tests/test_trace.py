@@ -246,6 +246,64 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize(
+    "row",
+    ["1,a,3_0", " 1,a,3", "+1,a,3", "\u0661,a,3", "01,a,3", "1,a,+3", "1,a, 3", "1,a,3 ",
+     "1,a,\u0663"],
+    ids=["h_underscore", "t_blank", "t_plus", "t_arabic_digit", "t_leading_zero", "h_plus",
+         "h_leading_blank", "h_trailing_blank", "h_arabic_digit"],
+)
+def test_parse_reads_only_the_written_numerals(row):
+    # int() and float() read each of these; the format does not
+    with pytest.raises(TraceParseError) as err:
+        parse_trace(f"t,page,h\n{row}\n")
+    assert err.value.line == 2
+
+
+def test_parse_reads_every_written_prediction():
+    predictions = [1e30, 1.5e-07, -0.0, 0.0, 3.0, 123456789.0, 1e16, 0.1]
+    trace = Trace.from_requests(list("abcabcab"), predictions)
+    again = parse_trace(write_trace(trace))
+    assert again == trace
+    assert [math.copysign(1.0, h) for h in again.predictions] == [
+        math.copysign(1.0, h) for h in predictions
+    ]
+
+
+def test_every_label():
+    # the labels are the CSV's trace_id and noise_id columns
+    noises = [
+        NoiseSpec("perfect", width=2.0),
+        NoiseSpec("additive_uniform", width=2.5),
+        NoiseSpec("additive_gaussian", sigma=0.75),
+        NoiseSpec("lognormal_scale", sigma=1.5),
+        NoiseSpec("constant_shift", shift=-3.0),
+        NoiseSpec("random_replace", prob=0.25, limit=1e6),
+    ]
+    assert [noise.label for noise in noises] == [
+        "perfect",
+        "additive_uniform-w2.5",
+        "additive_gaussian-s0.75",
+        "lognormal_scale-s1.5",
+        "constant_shift-c-3",
+        "random_replace-p0.25-r1e+06",
+    ]
+    workloads = [
+        WorkloadSpec("uniform", universe=12, length=150, alpha=2.0),
+        WorkloadSpec("zipf", universe=40, length=600, alpha=1.25),
+        WorkloadSpec("cyclic", universe=12, length=30, cycle=5),
+        WorkloadSpec("cyclic", universe=12, length=30),
+        WorkloadSpec("phased", universe=4000, length=25000, cycle=8, phase_len=100),
+    ]
+    assert [workload.label for workload in workloads] == [
+        "uniform-u12-n150",
+        "zipf-u40-n600-a1.25",
+        "cyclic-u12-n30-m5",
+        "cyclic-u12-n30",
+        "phased-u4000-n25000-m8-pl100",
+    ]
+
+
 def test_write_then_parse_round_trip():
     trace = synthesize(
         WorkloadSpec("uniform", universe=10, length=50),
