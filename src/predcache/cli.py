@@ -24,7 +24,7 @@ import yaml
 from .adversary import ADVERSARY_POLICIES, AdversaryConfig, certify_lower_bound, run_adversary
 from .combine import EXPERTS, POLICY_NAMES, make_policies
 from .errors import ConfigError, TraceParseError
-from .metrics import BOUND_IDS, BOUNDS, BoundRecord, check_bounds, count_inversions_fast
+from .metrics import BOUND_IDS, BOUNDS, check_bounds, count_inversions_fast
 from .metrics import ell1_loss
 from .policies import Policy, simulate
 from .trace import NoiseSpec, Trace, WorkloadSpec, parse_trace, perturb_predictions
@@ -140,8 +140,8 @@ def _number(what: str, value, integer: bool = False):
 def _section(cls, section: str, data):
     """Build ``cls`` from a config section; its NamedTuple fields give the keys.
 
-    Fields without a default are required; every value but the ``kind`` string
-    must be a number, an integer where the field is annotated ``int``.
+    Fields without a default are required.  A value must be a string where the
+    field is annotated ``str``, else a number, an integer where it is ``int``.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{section} must be a mapping, got {data!r}")
@@ -153,7 +153,10 @@ def _section(cls, section: str, data):
         if name not in data:
             if name not in cls._field_defaults:
                 raise ConfigError(f"{section} needs {name!r}")
-        elif name != "kind":
+        elif types[name] is str:
+            if not isinstance(data[name], str):
+                raise ConfigError(f"{section} {name} must be a string, got {data[name]!r}")
+        else:
             _number(f"{section} {name}", data[name], integer=types[name] is int)
     return cls(**data)
 
@@ -269,6 +272,36 @@ def _measure(trace: Trace) -> tuple[float, int]:
     return ell1_loss(trace.arrivals, trace.predictions), inversions
 
 
+def _seed_traces(config: ExperimentConfig):
+    """Yield each seed, its traces (one per noise label) and their measures.
+
+    Each noise model re-noises the seed's requests, a workload's or a trace
+    file's; without one the file keeps its own predictions, measured once.
+    """
+    file_trace = None
+    if config.trace_path is not None:
+        try:
+            text = Path(config.trace_path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"trace {config.trace_path} is not UTF-8: {exc}") from exc
+        file_trace = parse_trace(text)
+    if not config.noises:
+        measures = [_measure(file_trace)]
+        yield from ((seed, [file_trace], measures) for seed in config.seeds)
+        return
+    for seed in config.seeds:
+        traces = []  # rebound before it is filled, so the previous seed's go first
+        if file_trace is None:
+            requests, arrivals, noise_seed = synthesize_requests(config.workload, seed)
+        else:
+            requests, arrivals, noise_seed = file_trace.requests, file_trace.arrivals, seed
+        traces += (
+            Trace(requests, tuple(perturb_predictions(arrivals, noise, noise_seed)), arrivals)
+            for noise in config.noises
+        )
+        yield seed, traces, [_measure(trace) for trace in traces]
+
+
 def _row(trace_id, k, noise_id, seed, policy, cost, opt, eta, inversions, records) -> ResultRow:
     """The result row, its verdicts read from ``records``: passed, failed."""
     passed = tuple(
@@ -281,9 +314,17 @@ def _row(trace_id, k, noise_id, seed, policy, cost, opt, eta, inversions, record
     )
 
 
-def _on_row(report: dict[str, BoundRecord], policy: str) -> list[BoundRecord]:
-    """The report's records that go on ``policy``'s row: lemma1, then its own."""
-    return [report[b.bound_id] for b in BOUNDS if b.policy in (None, policy)]
+def _cell_rows(config, trace_id, k, noise_id, seed, costs, opt, eta, inversions):
+    """A cell's rows, from one ``check_bounds`` over every cost it holds: one per
+    policy, or for a mean over seeds (seed None) one per policy with a bound in
+    expectation.  Each row gets lemma1's verdict and its own bounds'."""
+    report = check_bounds(costs, opt, eta, inversions, k, config.epsilon)
+    return [
+        _row(trace_id, k, noise_id, seed, name, costs[name], opt, eta, inversions,
+             [report[b.bound_id] for b in BOUNDS if b.policy in (None, name)])
+        for name in config.policies
+        if seed is not None or any(b.in_expectation for b in BOUNDS if b.policy == name)
+    ]
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
@@ -295,88 +336,37 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     prediction (lru, belady, marker and mw's Marker) are served once and
     stand in every noise's cell.  A cell whose predictions equal the true
     arrivals is exact: blind_oracle, standalone or as an expert, is that
-    (seed, k)'s belady run, and its inversion count is 0.
+    (seed, k)'s belady run, and its inversion count is 0.  With two or more
+    seeds, the seed means of a (noise, k)'s costs and measures form one more
+    cell, and its rows are made like a seed's.
     """
     config.validate()
     rows: list[ResultRow] = []
 
-    file_trace = None
-    trace_id = ""
-    if config.trace_path is not None:
-        try:
-            text = Path(config.trace_path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"trace {config.trace_path} is not UTF-8: {exc}") from exc
-        file_trace = parse_trace(text)
-        trace_id = Path(config.trace_path).stem
-    elif config.workload is not None:
-        trace_id = config.workload.label
-
-    if file_trace is not None or config.workload is not None:
-        cells: dict[tuple[str, int], list] = {}  # (noise id, k) -> one entry per seed
+    if config.workload is not None or config.trace_path is not None:
+        trace_id = config.workload.label if config.workload else Path(config.trace_path).stem
         noise_ids = [noise.label for noise in config.noises] or ["file"]
-        if not config.noises:  # the file's own predictions serve every seed
-            traces, measures = [file_trace], [_measure(file_trace)]
-        for seed in config.seeds:
-            if config.noises:
-                # rebound before it is filled, so the previous seed's traces go first
-                traces = []
-                if file_trace is not None:
-                    requests, arrivals, noise_seed = file_trace.requests, file_trace.arrivals, seed
-                else:
-                    requests, arrivals, noise_seed = synthesize_requests(config.workload, seed)
-                traces += (
-                    Trace(requests, tuple(perturb_predictions(arrivals, noise, noise_seed)),
-                          arrivals)
-                    for noise in config.noises
-                )
-                measures = [_measure(trace) for trace in traces]
+        cells: dict[tuple[str, int], list] = {}  # (noise id, k) -> one cell per seed
+        for seed, traces, measures in _seed_traces(config):
             for k in config.ks:
-                for noise_id, (eta, inversions), (opt, costs) in zip(
-                    noise_ids, measures, _cell_costs(config, traces, k, seed)
+                for noise_id, (opt, costs), measure in zip(
+                    noise_ids, _cell_costs(config, traces, k, seed), measures
                 ):
-                    cells.setdefault((noise_id, k), []).append((opt, eta, inversions, costs))
-                    report = check_bounds(costs, opt, eta, inversions, k, config.epsilon)
-                    rows.extend(
-                        _row(
-                            trace_id, k, noise_id, seed, name, costs[name], opt, eta,
-                            inversions, _on_row(report, name),
-                        )
-                        for name in config.policies
-                    )
-        del traces  # the last seed's
-        for (noise_id, k), cell in cells.items():
-            rows.extend(_aggregate_rows(config, trace_id, k, noise_id, cell))
+                    cells.setdefault((noise_id, k), []).append((seed, costs, opt, *measure))
+            del traces  # before the next seed's are built
+        for (noise_id, k), seeds in cells.items():
+            if len(seeds) > 1:
+                _, costs, *columns = zip(*seeds)  # opt, eta, inversions
+                mean = {p: math.fsum(cost[p] for cost in costs) / len(costs) for p in costs[0]}
+                seeds.append((None, mean, *(math.fsum(c) / len(costs) for c in columns)))
+            for seed, *cell in seeds:
+                rows += _cell_rows(config, trace_id, k, noise_id, seed, *cell)
 
     if config.adversary is not None:
         rows.extend(_adversary_rows(config))
 
     rows.sort(key=_row_key)
     return rows
-
-
-def _aggregate_rows(config, trace_id, k, noise_id, cells) -> list[ResultRow]:
-    """Mean-over-seeds rows (seed column 'agg') for each policy with a bound
-    that holds in expectation, over the costs those bounds need.
-
-    ``cells`` holds one ``(opt, eta, inversions, costs)`` per seed.
-    """
-    out = []
-    if len(config.seeds) < 2:
-        return out
-    opt, eta, inversions = (math.fsum(cell[i] for cell in cells) / len(cells) for i in range(3))
-    for name in config.policies:
-        bounds = [b for b in BOUNDS if b.policy == name and b.in_expectation]
-        if not bounds:
-            continue
-        needed = dict.fromkeys(p for b in bounds for p in (name, *b.needs))
-        costs = {p: math.fsum(cell[3][p] for cell in cells) / len(cells) for p in needed}
-        report = check_bounds(costs, opt, eta, inversions, k, config.epsilon)
-        out.append(
-            _row(trace_id, k, noise_id, None, name, costs[name], opt, eta, inversions,
-                 _on_row(report, name))
-        )
-    return out
 
 
 def _adversary_rows(config: ExperimentConfig) -> list[ResultRow]:
@@ -386,11 +376,11 @@ def _adversary_rows(config: ExperimentConfig) -> list[ResultRow]:
         if name not in ADVERSARY_POLICIES:
             continue
         result = run_adversary(name, adv)
-        inversions = count_inversions_fast(result.trace.arrivals, result.trace.predictions)
+        eta, inversions = _measure(result.trace)
         rows.append(
             _row(
                 adv.label, adv.k, "adaptive", 0, name, result.alg_cost, result.opt_cost,
-                result.eta, inversions, [certify_lower_bound(result)],
+                eta, inversions, [certify_lower_bound(result)],
             )
         )
     return rows
@@ -407,13 +397,17 @@ def _row_key(row: ResultRow):
 
 
 def _fmt(value) -> str:
-    """A CSV cell: None is empty, a tuple joins with ';', an integral float drops '.0'."""
+    """A CSV cell: None is empty, a tuple joins with ';', an integral float drops
+    '.0', and a string holding a comma, quote or line break is quoted, its
+    quotes doubled."""
     if value is None:
         return ""
     if isinstance(value, tuple):
         return ";".join(value)
     if isinstance(value, float):
         return repr(value) if not value.is_integer() else str(int(value))
+    if isinstance(value, str) and any(char in value for char in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
     return str(value)
 
 

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import statistics
@@ -36,7 +37,7 @@ from predcache.cli import (
     render_csv,
     run_experiment,
 )
-from predcache.metrics import BOUNDS
+from predcache.metrics import BOUNDS, count_inversions_fast
 from oracles import serve_all
 
 WORKLOAD = {"kind": "uniform", "universe": 12, "length": 150}
@@ -544,6 +545,19 @@ def test_main_flag_overrides(tmp_path, capsys):
     assert ",lru," in lines[1]
 
 
+def test_a_trace_id_with_a_comma_or_quote_is_quoted(tmp_path):
+    trace = _trace_file(tmp_path)
+    path = tmp_path / 'a,b "c".csv'
+    Path(trace).rename(path)
+    out = tmp_path / "res.csv"
+    assert main(["--trace", str(path), "--policy", "lru", "--out", str(out)]) == 0
+    with out.open(newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == list(ResultRow._fields)
+    assert rows and all(len(row) == len(header) for row in rows)
+    assert {row[0] for row in rows} == {'a,b "c"'}
+
+
 def _main_csv(tmp_path, data, *flags) -> bytes:
     """The CSV bytes ``main`` writes for the YAML config ``data`` and ``flags``."""
     cfg = tmp_path / "exp.yaml"
@@ -694,6 +708,8 @@ def test_main_fatal_bound_exit_code(tmp_path, monkeypatch):
         {"seeds": 10**20},
         {1: "x", "foo": "y"},
         {"workload": {"kind": "uniform", "universe": 8, "length": 20, 1: "x", "foo": "y"}},
+        {"noise": {"kind": [1]}},
+        {"workload": {"kind": {"a": 1}, "universe": 8, "length": 20}},
     ],
     ids=["k_text", "k_fraction", "seed_text", "epsilon_text", "noise_width_text",
          "adversary_k_text", "fatal_bound_unknown", "adversary_without_its_policies",
@@ -703,7 +719,8 @@ def test_main_fatal_bound_exit_code(tmp_path, monkeypatch):
          "noise_limit_nan", "k_repeated", "seeds_repeated", "noise_repeated",
          "noise_shift_beyond_float", "noise_width_beyond_float", "epsilon_beyond_float",
          "zipf_alpha_beyond_float", "seeds_count_beyond_a_list", "keys_of_mixed_types",
-         "workload_keys_of_mixed_types"],
+         "workload_keys_of_mixed_types", "noise_kind_not_a_string",
+         "workload_kind_not_a_string"],
 )
 def test_main_rejects_malformed_input(tmp_path, capsys, overrides):
     data = {
@@ -855,6 +872,25 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert run.returncode == 1
     assert run.stderr.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize(
+    "name,calls", [("file", 1), ("sweep", 5), ("file_noise", 2), ("exact_late", 2)]
+)
+def test_each_golden_trace_is_counted_once(tmp_path, monkeypatch, name, calls):
+    # a (noise, seed) trace is counted once for every k, the file's own
+    # predictions once for every seed, an exact trace never, and each
+    # adversary row once
+    counted = []
+
+    def count(arrivals, predictions):
+        counted.append(len(arrivals))
+        return count_inversions_fast(arrivals, predictions)
+
+    monkeypatch.setattr(predcache.cli, "count_inversions_fast", count)
+    monkeypatch.chdir(GOLDEN)
+    assert main(["--config", f"{name}.yaml", "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(counted) == calls
 
 
 @pytest.mark.parametrize("name", ["sweep", "file", "file_noise", "uniform", "exact_late"])
