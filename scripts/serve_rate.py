@@ -15,11 +15,14 @@ policy at k=8 through ``serve``, one call per request, as the adversary
 drives it (not defined for ``all``, whose experts are shared).  Prints a
 markdown table.
 
-A second table gives ``count_inversions_fast`` in ms, timed the same way, on
-the same trace and on three WORST_LENGTH-request cases over one zipf trace:
-predictions redrawn by ``random_replace`` with probability 1, predictions
-reversed (h = -y, so every pair with distinct arrivals is inverted), and all
-predictions equal.
+A second table gives ``count_inversions_fast`` in ms, timed the same way, and
+the trace's inversion count.  Its rows: the same trace; a trace shaped like
+each benchmark workload's (``bench/workloads.py``) and ``ftl``'s own
+adversary trace (k=8, j=7, 100 phases), which have few inversions per
+request; and five WORST_LENGTH-request cases over one zipf trace with many:
+Gaussian noise of sigma 500 and 5000, predictions redrawn by
+``random_replace`` with probability 1, predictions reversed (h = -y, so every
+pair with distinct arrivals is inverted), and all predictions equal.
 
 Usage: python scripts/serve_rate.py
 """
@@ -31,10 +34,12 @@ from time import perf_counter
 
 from predcache import (
     POLICY_NAMES,
+    AdversaryConfig,
     NoiseSpec,
     WorkloadSpec,
     count_inversions_fast,
     make_policies,
+    run_adversary,
     simulate,
     synthesize,
 )
@@ -67,19 +72,37 @@ def _zipf(length: int, noise: NoiseSpec):
 
 
 def inversion_table(trace) -> None:
-    worst = _zipf(WORST_LENGTH, NoiseSpec("random_replace", prob=1.0, limit=float(WORST_LENGTH)))
-    y = worst.arrivals
-    cases = [
-        ("zipf, additive_uniform(64)", trace.arrivals, trace.predictions),
-        ("zipf, random_replace(1)", y, worst.predictions),
-        ("zipf, reversed", y, tuple(-float(v) for v in y)),
-        ("zipf, all equal", y, (0.0,) * len(y)),
+    traces = [
+        ("zipf(4096), additive_uniform(64)", trace),
+        ("file_k64_adversary: phased(4000), additive_uniform(4)", synthesize(
+            WorkloadSpec("phased", universe=4000, length=25000, cycle=64, phase_len=1000),
+            NoiseSpec("additive_uniform", width=4.0), seed=1)),
+        ("zipf_k8_all: zipf(200), additive_uniform(8)", synthesize(
+            WorkloadSpec("zipf", universe=200, length=5000, alpha=1.0),
+            NoiseSpec("additive_uniform", width=8.0), seed=1)),
+        ("uniform_k512_all: uniform(1024), additive_gaussian(50)", synthesize(
+            WorkloadSpec("uniform", universe=1024, length=2500),
+            NoiseSpec("additive_gaussian", sigma=50.0), seed=1)),
+        ("ftl's adversary, k=8, j=7, 100 phases",
+         run_adversary("ftl", AdversaryConfig(k=8, j=7, num_phases=100)).trace),
     ]
-    print("| count_inversions_fast | n | ms |")
-    print("|---|---|---|")
+    for sigma in (500, 5000):
+        noise = NoiseSpec("additive_gaussian", sigma=float(sigma))
+        traces.append((f"zipf(4096), additive_gaussian({sigma})", _zipf(WORST_LENGTH, noise)))
+    worst = _zipf(WORST_LENGTH, NoiseSpec("random_replace", prob=1.0, limit=float(WORST_LENGTH)))
+    cases = [(label, t.arrivals, t.predictions) for label, t in traces]
+    y = worst.arrivals
+    cases += [
+        ("zipf(4096), random_replace(1)", y, worst.predictions),
+        ("zipf(4096), reversed", y, tuple(-float(v) for v in y)),
+        ("zipf(4096), all equal", y, (0.0,) * len(y)),
+    ]
+    print("| count_inversions_fast | n | inversions | ms |")
+    print("|---|---|---|---|")
     for label, arrivals, predictions in cases:
         elapsed = _timed_s(lambda: count_inversions_fast(arrivals, predictions))
-        print(f"| {label} | {len(arrivals)} | {elapsed * 1000:.1f} |")
+        inversions = count_inversions_fast(arrivals, predictions)
+        print(f"| {label} | {len(arrivals)} | {inversions} | {elapsed * 1000:.1f} |")
 
 
 def main() -> None:

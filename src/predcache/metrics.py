@@ -4,13 +4,18 @@ The two error measures are the l1 loss (sum of |prediction - true arrival|)
 and the inversion count: ordered pairs (i, j) whose true arrivals satisfy
 y_i < y_j while the predictions order the other way, h_i >= h_j.  The l1 loss
 is always at least half the inversion count, which ``check_bounds`` verifies
-alongside the cost bounds of the individual policies and combiners.
+alongside the cost bounds of the individual policies and combiners.  The
+inversions are counted by insertion into a sorted list in arrival order, in
+O(n log n + I) for I inversions (Knuth, TAOCP vol. 3, 5.2.1), and by a
+blocked bitset over the same order when I is large.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter, namedtuple
+from itertools import repeat
 from types import SimpleNamespace
 from typing import Mapping, NamedTuple, Sequence
 
@@ -36,26 +41,77 @@ def ell1_loss(arrivals: Sequence[int], predictions: Sequence[float]) -> float:
 
 
 _BLOCK_BITS = 11  # count_inversions_fast keeps an int bitset per 2**_BLOCK_BITS positions
+_INSERTION_BUDGET = 16  # inversions per element before insertion gives way to the bitset
 
 
 def count_inversions_fast(arrivals: Sequence[int], predictions: Sequence[float]) -> int:
-    """Inversion count from three sorts and a few C-level int operations per element.
+    """Inversion count by insertion over the arrival order, O(n log n + I).
 
-    Taken by arrival, tied arrivals by prediction descending, an earlier
-    element pairs with a later one exactly when its prediction is >=; that
-    also counts each tied-arrival pair, so sum C(g, 2) over the arrival
-    groups is subtracted.  Ranked by prediction, ties ranking higher the
-    earlier they come, the positions listed by rank form a permutation whose
-    inversions are exactly those pairs: each position adds the set bits above
-    it in its block's bitset and the counts of later blocks, then sets its bit."""
+    When the arrivals up to n are distinct and the rest are n + 1 (pages
+    never requested again), as ``next_arrivals`` gives them, one pass puts
+    each prediction in its arrival's slot and the n + 1 group in a tail.  In
+    slot order each prediction is inserted into a sorted list, whose items
+    >= it are its inversions and what the insert's memmove shifts (Knuth,
+    TAOCP vol. 3, 5.2.1).  The tail is counted against the finished list, so
+    its tied pairs never count.
+
+    Past ``_INSERTION_BUDGET`` inversions per element the count starts over
+    on the same order, the tail descending; other arrivals are sorted, tied
+    arrivals by prediction descending.  There an earlier element pairs with a
+    later one exactly when its prediction is >=, which also counts each
+    tied-arrival pair, so sum C(g, 2) over the arrival groups is subtracted.
+    Ranked by prediction, ties ranking higher the earlier they come, the
+    positions listed by rank form a permutation whose inversions are exactly
+    those pairs: each position adds the set bits above it in its block's
+    bitset and the counts of later blocks, then sets its bit."""
     if len(arrivals) != len(predictions):
         raise ValueError("arrivals and predictions must have equal length")
     n = len(arrivals)
-    total = -sum(g * (g - 1) // 2 for g in Counter(arrivals).values())
-    order = sorted(range(n), key=predictions.__getitem__, reverse=True)
-    order.sort(key=arrivals.__getitem__)
-    ordered = list(map(predictions.__getitem__, order))
-    del order  # the rank sort makes n new ints; free these first to lower the peak
+    last = n + 1
+    slots: list[float | None] | None = [None] * last
+    tail: list[float] = []
+    try:
+        for y, h in zip(arrivals, predictions):
+            if y == last:
+                tail.append(h)
+            elif 0 < y < last and slots[y] is None:
+                slots[y] = h
+            else:
+                slots = None
+                break
+    except TypeError:  # an arrival that is not an int, such as 3.0
+        slots = None
+    if slots is not None:
+        budget = _INSERTION_BUDGET * n
+        done: list[float] = []
+        insert = done.insert
+        total = size = 0
+        for h in slots:
+            if h is None:
+                continue
+            if size > 16 and done[size - 16] < h:  # search the last 16 items
+                i = bisect_left(done, h, size - 15)
+            else:
+                i = bisect_left(done, h)
+            total += size - i
+            if total > budget:
+                break
+            insert(i, h)
+            size += 1
+        else:
+            return total + len(tail) * size - sum(map(bisect_left, repeat(done), tail))
+        del done, insert  # free the list before the bitset's n new ints
+        ordered = [h for h in slots if h is not None]
+        del slots
+        tail.sort(reverse=True)
+        ordered += tail
+        total = -(len(tail) * (len(tail) - 1) // 2)
+    else:
+        total = -sum(g * (g - 1) // 2 for g in Counter(arrivals).values())
+        order = sorted(range(n), key=predictions.__getitem__, reverse=True)
+        order.sort(key=arrivals.__getitem__)
+        ordered = list(map(predictions.__getitem__, order))
+        del order  # the rank sort makes n new ints; free these first to lower the peak
     by_rank = sorted(range(n - 1, -1, -1), key=ordered.__getitem__)
     shift, mask = _BLOCK_BITS, (1 << _BLOCK_BITS) - 1
     words = [0] * ((n >> shift) + 1)

@@ -29,13 +29,18 @@ from oracles import count_inversions_fenwick, count_inversions_naive, request_ru
 # The package's block width, then blocks of 1, 2 and 4 positions, so that
 # small instances cross many block boundaries.
 BLOCK_BITS = (metrics._BLOCK_BITS, 0, 1, 2)
+# The package's insertion budget, then none, so that every instance with an
+# inversion also takes the bitset count.
+INSERTION_BUDGETS = (metrics._INSERTION_BUDGET, 0)
 
 
 def _assert_fast_matches_naive(y, h):
     expected = count_inversions_naive(y, h)
     for bits in BLOCK_BITS:
-        with patch.object(metrics, "_BLOCK_BITS", bits):
-            assert count_inversions_fast(y, h) == expected, bits
+        for budget in INSERTION_BUDGETS:
+            with patch.object(metrics, "_BLOCK_BITS", bits), \
+                    patch.object(metrics, "_INSERTION_BUDGET", budget):
+                assert count_inversions_fast(y, h) == expected, (bits, budget)
 
 
 def test_harmonic():
@@ -123,12 +128,15 @@ def _adversary_trace():
     [
         lambda: _zipf_trace(NoiseSpec("perfect")),
         lambda: _zipf_trace(NoiseSpec("additive_uniform", width=8.0)),
+        # about 6.6 inversions per element, hundreds with exactly 15 or 16:
+        # the insertion's search starts on both sides of 16 from the end
+        lambda: _zipf_trace(NoiseSpec("additive_gaussian", sigma=16.0)),
         lambda: _zipf_trace(NoiseSpec("random_replace", prob=1.0, limit=20_000.0)),
         _adversary_trace,
         _heavy_ties,
     ],
-    ids=["zipf_perfect", "zipf_additive_uniform", "zipf_random_replace", "adversary",
-         "heavy_ties"],
+    ids=["zipf_perfect", "zipf_additive_uniform", "zipf_additive_gaussian",
+         "zipf_random_replace", "adversary", "heavy_ties"],
 )
 def test_fast_matches_fenwick_across_many_blocks(instance):
     y, h = instance()
@@ -154,6 +162,73 @@ def test_loss_dominates_half_the_inversions(requests, seed, noise):
     y = next_arrivals(requests)
     h = perturb_predictions(y, noise, seed)
     assert ell1_loss(y, h) >= count_inversions_naive(y, h) / 2
+
+
+def _with_inversions(n, inversions):
+    """Arrivals 1..n and distinct predictions with exactly ``inversions``
+    inverted pairs: element j sits below min(j, what is left) earlier ones."""
+    below = []
+    for j in range(n):
+        below.append(min(j, inversions))
+        inversions -= below[-1]
+    assert inversions == 0
+    free = list(range(n))  # the values of elements 0..j, in order
+    h = [0.0] * n
+    for j in range(n - 1, -1, -1):
+        h[j] = float(free.pop(j - below[j]))
+    return list(range(1, n + 1)), h
+
+
+def _count_and_sorts(y, h):
+    """count_inversions_fast's count and the sorts it ran: none by insertion,
+    the bitset's rank sort past the budget, and one more on the sort path."""
+    with patch.object(metrics, "sorted", wraps=sorted, create=True) as spy:
+        return count_inversions_fast(y, h), spy.call_count
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["at_the_budget", "past_the_budget"])
+def test_insertion_counts_up_to_its_budget_and_the_bitset_past_it(extra):
+    n = 100
+    inversions = metrics._INSERTION_BUDGET * n + extra
+    y, h = _with_inversions(n, inversions)
+    assert count_inversions_fenwick(y, h) == inversions
+    assert _count_and_sorts(y, h) == (inversions, extra)
+
+
+def test_a_large_never_requested_group_counts_against_the_rest():
+    # 8,000 pages requested once among 20,000 requests: arrival n + 1 ties a
+    # group of 8,000 plus the recurring pages' last requests, with the once
+    # pages' predictions in descending order across the trace
+    rng = random.Random(5)
+    requests = [f"once{i}" for i in range(8_000)]
+    requests += [f"p{rng.randrange(200)}" for _ in range(12_000)]
+    rng.shuffle(requests)
+    y = next_arrivals(requests)
+    n = len(y)
+    falling = iter(range(8_000, 0, -1))
+    h = [float(next(falling)) * n / 8_000 if page.startswith("once") else y_t + rng.uniform(-4, 4)
+         for page, y_t in zip(requests, y)]
+    expected = count_inversions_fenwick(y, h)
+    assert _count_and_sorts(y, h) == (expected, 0)
+    with patch.object(metrics, "_INSERTION_BUDGET", 0):
+        assert _count_and_sorts(y, h) == (expected, 1)
+
+
+@pytest.mark.parametrize(
+    "y, h",
+    [
+        ([2, 2, 4, 5], [3.0, 1.0, 2.0, 0.0]),  # arrival 2 <= n repeated
+        ([0, 3, 1, 5], [1.0, 2.0, 0.5, 0.5]),  # an arrival of 0
+        ([2, 7, 1, 3], [4.0, 2.0, 3.0, 3.0]),  # an arrival above n + 1
+        ([-1, 2, 4], [1.0, 0.0, 2.0]),  # a negative arrival
+        ([3.0, 4.0, 4.0], [5.0, 4.0, 2.0]),  # float arrivals
+        ([1.5, 2, 4], [2.0, 1.0, 1.0]),
+    ],
+    ids=["repeated", "zero", "above_n_plus_1", "negative", "floats", "fraction"],
+)
+def test_arrivals_not_shaped_like_next_arrivals_take_the_sort_path(y, h):
+    _assert_fast_matches_naive(y, h)
+    assert _count_and_sorts(y, h)[1] == 2
 
 
 def test_zero_loss_means_zero_inversions():
