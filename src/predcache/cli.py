@@ -285,6 +285,7 @@ def _seed_traces(config: ExperimentConfig):
         except UnicodeDecodeError as exc:
             raise ConfigError(f"trace {config.trace_path} is not UTF-8: {exc}") from exc
         file_trace = parse_trace(text)
+        del text  # the sweep keeps the parsed trace, not the file's text
     if not config.noises:
         measures = [_measure(file_trace)]
         yield from ((seed, [file_trace], measures) for seed in config.seeds)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 from .errors import ConfigError, TraceParseError
@@ -25,11 +26,12 @@ TRACE_HEADER = "t,page,h"
 _MAX_PREDICTION = 1e30
 
 
-def next_arrivals(requests: list[PageId]) -> list[int]:
+def next_arrivals(requests: Sequence[PageId]) -> list[int]:
     """True next-arrival index for each request (n+1 if the page never recurs).
 
-    Single backward pass; position t's value is the smallest t' > t with the
-    same page, using 1-based indices.
+    Takes any sequence of pages, a list or a ``Trace``'s tuple alike.  Single
+    backward pass; position t's value is the smallest t' > t with the same
+    page, using 1-based indices.
     """
     if not requests:
         raise ValueError("requests must be non-empty")
@@ -70,12 +72,12 @@ class Trace(_TraceFields):
         return super().__new__(cls, requests, predictions, arrivals)
 
     @classmethod
-    def from_requests(cls, requests: list[PageId], predictions: list[float]) -> "Trace":
+    def from_requests(cls, requests: Sequence[PageId], predictions: Sequence[float]) -> "Trace":
         """Build a trace, deriving true arrivals from the request sequence."""
         if len(requests) != len(predictions):
             raise ValueError("requests and predictions must have equal length")
-        arrivals = next_arrivals(list(requests))
-        return cls(tuple(requests), tuple(float(h) for h in predictions), tuple(arrivals))
+        arrivals = next_arrivals(requests)
+        return cls(tuple(requests), tuple(map(float, predictions)), tuple(arrivals))
 
     @property
     def n(self) -> int:
@@ -285,6 +287,7 @@ def synthesize(workload: WorkloadSpec, noise: NoiseSpec, seed: int) -> Trace:
 def parse_trace(text: str) -> Trace:
     """Parse the CSV trace format (header ``t,page,h``; see ``write_trace``).
 
+    Each distinct page token becomes one str, shared by all its requests.
     Raises TraceParseError with the 1-based line number on malformed input.
     """
     lines = text.splitlines()
@@ -292,7 +295,8 @@ def parse_trace(text: str) -> Trace:
         raise TraceParseError(f"expected header {TRACE_HEADER!r}", 1)
     requests: list[PageId] = []
     predictions: list[float] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    pages: dict[PageId, PageId] = {}  # each token's first str, kept for every request
+    for lineno, line in enumerate(islice(lines, 1, None), start=2):
         parts = line.split(",")
         if len(parts) != 3:
             raise TraceParseError(f"expected 3 comma-separated fields, got {len(parts)}", lineno)
@@ -315,7 +319,7 @@ def parse_trace(text: str) -> Trace:
             raise TraceParseError(f"non-finite prediction {h_text!r}", lineno)
         if h < 0:
             raise TraceParseError(f"negative prediction {h_text!r}", lineno)
-        requests.append(page)
+        requests.append(pages.setdefault(page, page))
         predictions.append(h)
     if not requests:
         raise TraceParseError("empty trace (no request rows)", 1 + len(lines))

@@ -21,6 +21,7 @@ from predcache import (
     Trace,
     WorkloadSpec,
     make_policies,
+    parse_trace,
     simulate,
     synthesize,
     write_trace,
@@ -891,6 +892,21 @@ def test_each_golden_trace_is_counted_once(tmp_path, monkeypatch, name, calls):
     monkeypatch.chdir(GOLDEN)
     assert main(["--config", f"{name}.yaml", "--out", str(tmp_path / "out.csv")]) == 0
     assert len(counted) == calls
+
+
+@pytest.mark.parametrize("name", ["file", "file_noise"])
+def test_a_trace_file_is_parsed_once_per_sweep(tmp_path, monkeypatch, name):
+    # both sweep 2 seeds and k 1 and 8 over phased.csv: one parse serves them all
+    parsed = []
+
+    def parse(text):
+        parsed.append(len(text))
+        return parse_trace(text)
+
+    monkeypatch.setattr(predcache.cli, "parse_trace", parse)
+    monkeypatch.chdir(GOLDEN)
+    assert main(["--config", f"{name}.yaml", "--out", str(tmp_path / "out.csv")]) == 0
+    assert parsed == [(GOLDEN / "phased.csv").stat().st_size]
 
 
 @pytest.mark.parametrize("name", ["sweep", "file", "file_noise", "uniform", "exact_late"])

@@ -231,6 +231,29 @@ def test_arrivals_not_shaped_like_next_arrivals_take_the_sort_path(y, h):
     assert _count_and_sorts(y, h)[1] == 2
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fast_matches_naive_on_next_arrivals(data):
+    # arrivals as next_arrivals gives them, so every instance takes the
+    # insertion path, and with no budget the bitset over its arrival order
+    n = data.draw(st.integers(1, 60))
+    pages = data.draw(st.integers(1, n))
+    y = next_arrivals(data.draw(st.lists(st.integers(1, pages), min_size=n, max_size=n)))
+    h = data.draw(
+        st.lists(
+            st.one_of(st.integers(0, n + 2).map(float), st.floats(0, n + 2)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    expected = count_inversions_naive(y, h)
+    for budget in INSERTION_BUDGETS:
+        with patch.object(metrics, "_INSERTION_BUDGET", budget):
+            count, sorts = _count_and_sorts(y, h)
+        assert count == expected, budget
+        assert sorts < 2, budget  # the two-sort path would run two
+
+
 def test_zero_loss_means_zero_inversions():
     requests = [f"p{i % 7}" for i in range(50)]
     y = next_arrivals(requests)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +20,7 @@ from predcache import (
     synthesize,
     write_trace,
 )
+from predcache.cli import ExperimentConfig, _seed_traces
 from oracles import (
     ref_generate_workload,
     ref_perturb_predictions,
@@ -315,6 +317,38 @@ def test_write_then_parse_round_trip():
     assert again.requests == trace.requests
     assert again.predictions == trace.predictions  # bit-exact through repr
     assert write_trace(again) == text
+
+
+def test_a_parsed_trace_holds_one_str_per_distinct_page():
+    # pages of two or more characters: CPython already shares one-character strs
+    trace = synthesize(
+        WorkloadSpec("uniform", universe=30, length=400), NoiseSpec("perfect"), seed=8
+    )
+    again = parse_trace(write_trace(trace))
+    assert again == trace
+    assert len({id(p) for p in again.requests}) == len(set(again.requests)) == 30
+
+
+def test_a_file_sweep_keeps_no_text_once_parsed(tmp_path):
+    # each row is longer than the 8 bytes a tuple spends per request, so the
+    # file's text is the largest block a sweep could still hold after the parse
+    trace = synthesize(
+        WorkloadSpec("uniform", universe=50, length=5_000),
+        NoiseSpec("additive_gaussian", sigma=3.0),
+        seed=9,
+    )
+    path = tmp_path / "trace.csv"
+    path.write_text(write_trace(trace), encoding="utf-8")
+    config = ExperimentConfig(policies=("lru",), seeds=(1, 2), trace_path=str(path))
+    tracemalloc.start()
+    try:
+        steps = _seed_traces(config)
+        _, (parsed,), _ = next(steps)
+        largest = max(block.size for block in tracemalloc.take_snapshot().traces)
+    finally:
+        tracemalloc.stop()
+    assert parsed == trace
+    assert largest < path.stat().st_size / 2
 
 
 def test_write_rejects_commas_in_pages():
