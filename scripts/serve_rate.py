@@ -21,8 +21,8 @@ each benchmark workload's (``bench/workloads.py``) and ``ftl``'s own
 adversary trace (k=8, j=7, 100 phases), which have few inversions per
 request; and five WORST_LENGTH-request cases over one zipf trace with many:
 Gaussian noise of sigma 500 and 5000, predictions redrawn by
-``random_replace`` with probability 1, predictions reversed (h = -y, so every
-pair with distinct arrivals is inverted), and all predictions equal.
+``random_replace`` with probability 1, predictions reversed (h = n + 1 - y, so
+every pair with distinct arrivals is inverted), and all predictions equal.
 
 Usage: python scripts/serve_rate.py
 """
@@ -90,19 +90,17 @@ def inversion_table(trace) -> None:
         noise = NoiseSpec("additive_gaussian", sigma=float(sigma))
         traces.append((f"zipf(4096), additive_gaussian({sigma})", _zipf(WORST_LENGTH, noise)))
     worst = _zipf(WORST_LENGTH, NoiseSpec("random_replace", prob=1.0, limit=float(WORST_LENGTH)))
-    cases = [(label, t.arrivals, t.predictions) for label, t in traces]
-    y = worst.arrivals
-    cases += [
-        ("zipf(4096), random_replace(1)", y, worst.predictions),
-        ("zipf(4096), reversed", y, tuple(-float(v) for v in y)),
-        ("zipf(4096), all equal", y, (0.0,) * len(y)),
+    last = worst.n + 1
+    traces += [
+        ("zipf(4096), random_replace(1)", worst),
+        ("zipf(4096), reversed", worst.renoised([last - y for y in worst.arrivals])),
+        ("zipf(4096), all equal", worst.renoised((0.0,) * worst.n)),
     ]
     print("| count_inversions_fast | n | inversions | ms |")
     print("|---|---|---|---|")
-    for label, arrivals, predictions in cases:
-        elapsed = _timed_s(lambda: count_inversions_fast(arrivals, predictions))
-        inversions = count_inversions_fast(arrivals, predictions)
-        print(f"| {label} | {len(arrivals)} | {inversions} | {elapsed * 1000:.1f} |")
+    for label, case in traces:
+        elapsed = _timed_s(lambda: count_inversions_fast(case))
+        print(f"| {label} | {case.n} | {count_inversions_fast(case)} | {elapsed * 1000:.1f} |")
 
 
 def main() -> None:

@@ -36,7 +36,7 @@ from .trace import (
     parse_trace,
     perturb_predictions,
     synthesize,
-    synthesize_requests,
+    synthesize_traces,
     write_trace,
 )
 

@@ -136,7 +136,7 @@ def run_adversary(policy: str | PolicyFactory, config: AdversaryConfig) -> Adver
                 target = _fallback_page(p_pages, instance)
             issue(target, last_prediction[target])
 
-    trace = Trace.from_requests(requests, predictions)
+    trace = Trace(requests, predictions)
 
     replay = factory()
     for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):

@@ -28,7 +28,7 @@ from .metrics import BOUND_IDS, BOUNDS, check_bounds, count_inversions_fast
 from .metrics import ell1_loss
 from .policies import Policy, simulate
 from .trace import NoiseSpec, Trace, WorkloadSpec, parse_trace, perturb_predictions
-from .trace import synthesize_requests
+from .trace import synthesize_traces
 
 # The benchmark's tracer (bench/tracing.py) patches run_policy, run_ftl,
 # run_mw and synthesize on this module; the sweep calls none of them.  The
@@ -268,7 +268,7 @@ def _cell_costs(config: ExperimentConfig, traces: list[Trace], k: int, seed: int
 
 def _measure(trace: Trace) -> tuple[float, int]:
     """The trace's l1 loss and inversions; an exact trace has none to count."""
-    inversions = 0 if trace.exact else count_inversions_fast(trace.arrivals, trace.predictions)
+    inversions = 0 if trace.exact else count_inversions_fast(trace)
     return ell1_loss(trace.arrivals, trace.predictions), inversions
 
 
@@ -291,16 +291,15 @@ def _seed_traces(config: ExperimentConfig):
         yield from ((seed, [file_trace], measures) for seed in config.seeds)
         return
     for seed in config.seeds:
-        traces = []  # rebound before it is filled, so the previous seed's go first
         if file_trace is None:
-            requests, arrivals, noise_seed = synthesize_requests(config.workload, seed)
+            traces = synthesize_traces(config.workload, config.noises, seed)
         else:
-            requests, arrivals, noise_seed = file_trace.requests, file_trace.arrivals, seed
-        traces += (
-            Trace(requests, tuple(perturb_predictions(arrivals, noise, noise_seed)), arrivals)
-            for noise in config.noises
-        )
+            traces = [
+                file_trace.renoised(perturb_predictions(file_trace.arrivals, noise, seed))
+                for noise in config.noises
+            ]
         yield seed, traces, [_measure(trace) for trace in traces]
+        del traces  # before the next seed's are built
 
 
 def _row(trace_id, k, noise_id, seed, policy, cost, opt, eta, inversions, records) -> ResultRow:

@@ -3,6 +3,9 @@
 A trace is a sequence of page requests together with, for each request, a
 real-valued prediction of when that page will next be requested.  Times are
 1-based request indices; a page that never recurs has true next arrival n+1.
+A ``Trace`` derives its true arrivals from its requests with one
+``next_arrivals`` pass, and ``Trace.renoised`` pairs the same requests and
+arrivals with new predictions, so no trace holds arrivals it did not derive.
 
 All randomness in this package comes from ``random.Random`` (Mersenne Twister)
 seeded explicitly, so every generated trace is reproducible from its seed.
@@ -12,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import islice
 from typing import NamedTuple, Sequence
 
 from .errors import ConfigError, TraceParseError
@@ -54,30 +56,29 @@ class _TraceFields(NamedTuple):
 class Trace(_TraceFields):
     """Immutable request sequence with predictions and derived true arrivals.
 
-    ``__new__`` validates every trace, so build one by calling ``Trace``,
-    never through ``_make`` or ``_replace``, which skip it.
+    ``Trace(requests, predictions)`` derives the arrivals; ``renoised`` swaps
+    the predictions.  Both validate the predictions.  ``_make`` and
+    ``_replace``, which would take any arrivals, raise ``TypeError``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, requests, predictions, arrivals):
-        n = len(requests)
-        if n == 0:
+    def __new__(cls, requests: Sequence[PageId], predictions: Sequence[float]):
+        if not requests:
             raise ValueError("empty trace")
-        if len(predictions) != n or len(arrivals) != n:
-            raise ValueError("requests, predictions and arrivals must have equal length")
-        for h in predictions:
-            if not math.isfinite(h) or h < 0:
-                raise ValueError(f"prediction {h!r} is not a finite non-negative real")
-        return super().__new__(cls, requests, predictions, arrivals)
+        return _derived(tuple(requests), predictions, next_arrivals(requests))
 
-    @classmethod
-    def from_requests(cls, requests: Sequence[PageId], predictions: Sequence[float]) -> "Trace":
-        """Build a trace, deriving true arrivals from the request sequence."""
-        if len(requests) != len(predictions):
-            raise ValueError("requests and predictions must have equal length")
-        arrivals = next_arrivals(requests)
-        return cls(tuple(requests), tuple(map(float, predictions)), tuple(arrivals))
+    def __getnewargs__(self):  # what pickle and copy rebuild a trace from
+        return self.requests, self.predictions
+
+    def _make(*args, **kwargs):
+        raise TypeError("build a trace with Trace(requests, predictions) or renoised")
+
+    _replace = _make
+
+    def renoised(self, predictions: Sequence[float]) -> "Trace":
+        """This trace's requests and arrivals under other predictions."""
+        return _derived(self.requests, predictions, self.arrivals)
 
     @property
     def n(self) -> int:
@@ -87,6 +88,17 @@ class Trace(_TraceFields):
     def exact(self) -> bool:
         """Whether the predictions are the true arrivals; stops at the first that differs."""
         return self.predictions == self.arrivals
+
+
+def _derived(requests: tuple[PageId, ...], predictions, arrivals: Sequence[int]) -> Trace:
+    """The trace of ``requests``, whose ``next_arrivals`` are ``arrivals``."""
+    predictions, arrivals = tuple(map(float, predictions)), tuple(arrivals)
+    if len(predictions) != len(requests):
+        raise ValueError("requests and predictions must have equal length")
+    for h in predictions:
+        if not math.isfinite(h) or h < 0:
+            raise ValueError(f"prediction {h!r} is not a finite non-negative real")
+    return tuple.__new__(Trace, (requests, predictions, arrivals))
 
 
 class WorkloadSpec(NamedTuple):
@@ -262,26 +274,28 @@ def perturb_predictions(arrivals: Sequence[int], noise: NoiseSpec, seed: int) ->
     return [h if 0.0 <= h <= top else 0.0 if -inf < h < 0.0 else top for h in out]
 
 
-def synthesize_requests(
-    workload: WorkloadSpec, seed: int
-) -> tuple[tuple[PageId, ...], tuple[int, ...], int]:
-    """A synthetic trace's requests and true arrivals, and its noise seed.
+def synthesize_traces(workload: WorkloadSpec, noises: Sequence[NoiseSpec], seed: int) -> list[Trace]:
+    """A seed's synthetic traces, one per noise model, over the same requests.
 
     The workload and noise streams get independent child seeds derived from
-    ``seed``, so the same requests can be re-noised under every noise model:
-    ``perturb_predictions(arrivals, noise, noise_seed)``.
+    ``seed``; every noise model perturbs the one set of true arrivals with
+    the same noise seed.
     """
     root = random.Random(seed)
     wseed = root.getrandbits(63)
     nseed = root.getrandbits(63)
-    requests = generate_workload(workload, wseed)
-    return tuple(requests), tuple(next_arrivals(requests)), nseed
+    requests = tuple(generate_workload(workload, wseed))
+    arrivals = tuple(next_arrivals(requests))
+    return [
+        _derived(requests, perturb_predictions(arrivals, noise, nseed), arrivals)
+        for noise in noises
+    ]
 
 
 def synthesize(workload: WorkloadSpec, noise: NoiseSpec, seed: int) -> Trace:
-    """Generate a complete trace: ``synthesize_requests`` plus noisy predictions."""
-    requests, arrivals, nseed = synthesize_requests(workload, seed)
-    return Trace(requests, tuple(perturb_predictions(arrivals, noise, nseed)), arrivals)
+    """Generate a complete trace: ``synthesize_traces`` under one noise model."""
+    (trace,) = synthesize_traces(workload, (noise,), seed)
+    return trace
 
 
 def parse_trace(text: str) -> Trace:
@@ -293,11 +307,13 @@ def parse_trace(text: str) -> Trace:
     lines = text.splitlines()
     if not lines or lines[0].strip() != TRACE_HEADER:
         raise TraceParseError(f"expected header {TRACE_HEADER!r}", 1)
+    lines.reverse()  # rows are popped off the end, so each row's str goes once it is read
+    lines.pop()
     requests: list[PageId] = []
     predictions: list[float] = []
     pages: dict[PageId, PageId] = {}  # each token's first str, kept for every request
-    for lineno, line in enumerate(islice(lines, 1, None), start=2):
-        parts = line.split(",")
+    for lineno in range(2, len(lines) + 2):
+        parts = lines.pop().split(",")
         if len(parts) != 3:
             raise TraceParseError(f"expected 3 comma-separated fields, got {len(parts)}", lineno)
         t_text, page, h_text = parts
@@ -322,9 +338,8 @@ def parse_trace(text: str) -> Trace:
         requests.append(pages.setdefault(page, page))
         predictions.append(h)
     if not requests:
-        raise TraceParseError("empty trace (no request rows)", 1 + len(lines))
-    del lines  # freed before the Trace is built, the peak of a trace file's sweep
-    return Trace.from_requests(requests, predictions)
+        raise TraceParseError("empty trace (no request rows)", 2)
+    return Trace(requests, predictions)
 
 
 def write_trace(trace: Trace) -> str:

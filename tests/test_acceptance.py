@@ -171,7 +171,7 @@ def test_c04_loss_dominates_half_the_inversions():
         )
         trace = synthesize(spec, noises[i % len(noises)], seed=rng.getrandbits(32))
         eta = ell1_loss(trace.arrivals, trace.predictions)
-        inversions = count_inversions_fast(trace.arrivals, trace.predictions)
+        inversions = count_inversions_fast(trace)
         count += 1
         if eta < inversions / 2:
             violations += 1
@@ -198,16 +198,17 @@ def _exhaustive_inversion_instances():
                 rng.shuffle(shuffled)
                 variants.append(shuffled)
             for h in variants:
-                yield y, [float(v) for v in h]
+                yield Trace(requests, h)
 
 
 def test_c05_inversion_count_matches_reference():
     mismatches = 0
     count = 0
     # exhaustive: against the pair enumeration
-    for y, h in _exhaustive_inversion_instances():
+    for trace in _exhaustive_inversion_instances():
         count += 1
-        if count_inversions_fast(y, h) != count_inversions_naive(y, h):
+        expected = count_inversions_naive(trace.arrivals, trace.predictions)
+        if count_inversions_fast(trace) != expected:
             mismatches += 1
     # randomized: larger instances with arbitrary real predictions, against
     # the same pair rule broadcast over all pairs
@@ -222,7 +223,7 @@ def test_c05_inversion_count_matches_reference():
         else:
             h = [rng.uniform(0, n + 2) for _ in range(n)]
         count += 1
-        if count_inversions_fast(y, h) != count_inversions_broadcast(y, h):
+        if count_inversions_fast(Trace(requests, h)) != count_inversions_broadcast(y, h):
             mismatches += 1
     _print_line(
         "C5",
@@ -236,7 +237,8 @@ def test_c05_inversion_count_matches_reference():
 def test_c05_references_agree_on_the_exhaustive_instances():
     # the broadcast reference C5 checks its random instances against counts
     # what the pair enumeration counts
-    for y, h in _exhaustive_inversion_instances():
+    for trace in _exhaustive_inversion_instances():
+        y, h = trace.arrivals, trace.predictions
         assert count_inversions_broadcast(y, h) == count_inversions_naive(y, h), (y, h)
 
 
@@ -246,7 +248,7 @@ def test_c06_belady_achieves_the_exhaustive_minimum():
     # exhaustive slice: all traces of length <= 6 over 3 pages
     for n in range(1, 7):
         for requests in itertools.product("abc", repeat=n):
-            trace = Trace.from_requests(list(requests), [float(v) for v in next_arrivals(list(requests))])
+            trace = Trace(list(requests), [float(v) for v in next_arrivals(list(requests))])
             for k in (2, 3):
                 count += 1
                 if run_policy("belady", trace, k).cost != brute_force_opt(list(requests), k):
@@ -257,7 +259,7 @@ def test_c06_belady_achieves_the_exhaustive_minimum():
         n = rng.randint(1, 12)
         universe = rng.randint(1, 5)
         requests = [f"p{rng.randint(1, universe)}" for _ in range(n)]
-        trace = Trace.from_requests(requests, [float(v) for v in next_arrivals(requests)])
+        trace = Trace(requests, [float(v) for v in next_arrivals(requests)])
         k = rng.randint(1, 4)
         count += 1
         if run_policy("belady", trace, k).cost != brute_force_opt(requests, k):

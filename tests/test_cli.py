@@ -21,6 +21,7 @@ from predcache import (
     Trace,
     WorkloadSpec,
     make_policies,
+    next_arrivals,
     parse_trace,
     simulate,
     synthesize,
@@ -158,7 +159,7 @@ def test_load_config_reads_an_empty_document_as_the_defaults(tmp_path):
 @pytest.mark.parametrize(
     "record",
     [
-        Trace(("a",), (2.0,), (2,)),
+        Trace(("a",), (2.0,)),
         ExperimentConfig(policies=("lru",), ks=(2,), seeds=(0,)),
         ResultRow("tr", 2, "perfect", 0, "lru", 1, 1, 0.0, 0, 0.0, (), ()),
         BoundRecord("lru_k", 1.0, 2.0, 0.0, True),
@@ -884,14 +885,36 @@ def test_each_golden_trace_is_counted_once(tmp_path, monkeypatch, name, calls):
     # adversary row once
     counted = []
 
-    def count(arrivals, predictions):
-        counted.append(len(arrivals))
-        return count_inversions_fast(arrivals, predictions)
+    def count(trace):
+        counted.append(trace.n)
+        return count_inversions_fast(trace)
 
     monkeypatch.setattr(predcache.cli, "count_inversions_fast", count)
     monkeypatch.chdir(GOLDEN)
     assert main(["--config", f"{name}.yaml", "--out", str(tmp_path / "out.csv")]) == 0
     assert len(counted) == calls
+
+
+@pytest.mark.parametrize(
+    "name,calls",
+    [("sweep", 5), ("file", 1), ("file_noise", 1), ("exact_late", 2), ("uniform", 2)],
+)
+def test_each_golden_derives_next_arrivals_once_per_request_sequence(
+    tmp_path, monkeypatch, name, calls
+):
+    # once per seed of a workload, whatever its noise models; once for a
+    # trace file, whatever its seeds; once per adversary row (sweep: 2 seeds
+    # and the lru, blind_oracle and ftl rows)
+    derived = []
+
+    def spy(requests):
+        derived.append(len(requests))
+        return next_arrivals(requests)
+
+    monkeypatch.setattr(predcache.trace, "next_arrivals", spy)
+    monkeypatch.chdir(GOLDEN)
+    assert main(["--config", f"{name}.yaml", "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(derived) == calls
 
 
 @pytest.mark.parametrize("name", ["file", "file_noise"])

@@ -29,7 +29,7 @@ from oracles import check_potential, potential, request_runs, serve_all
 def _trace(requests, predictions=None):
     if predictions is None:
         predictions = [float(v) for v in next_arrivals(list(requests))]
-    return Trace.from_requests(list(requests), predictions)
+    return Trace(list(requests), predictions)
 
 
 def _sample_traces():
@@ -347,7 +347,7 @@ def _garbage_trace(requests, noise_seed):
     """The requests with every prediction redrawn (random_replace, prob 1)."""
     noise = NoiseSpec("random_replace", prob=1.0, limit=float(len(requests)))
     predictions = perturb_predictions(next_arrivals(requests), noise, noise_seed)
-    return Trace.from_requests(requests, predictions)
+    return Trace(requests, predictions)
 
 
 def _state(run):

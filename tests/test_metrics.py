@@ -13,6 +13,7 @@ from predcache import (
     AdversaryConfig,
     ConfigError,
     NoiseSpec,
+    Trace,
     WorkloadSpec,
     check_bounds,
     count_inversions_fast,
@@ -34,13 +35,13 @@ BLOCK_BITS = (metrics._BLOCK_BITS, 0, 1, 2)
 INSERTION_BUDGETS = (metrics._INSERTION_BUDGET, 0)
 
 
-def _assert_fast_matches_naive(y, h):
-    expected = count_inversions_naive(y, h)
+def _assert_fast_matches_naive(trace):
+    expected = count_inversions_naive(trace.arrivals, trace.predictions)
     for bits in BLOCK_BITS:
         for budget in INSERTION_BUDGETS:
             with patch.object(metrics, "_BLOCK_BITS", bits), \
                     patch.object(metrics, "_INSERTION_BUDGET", budget):
-                assert count_inversions_fast(y, h) == expected, (bits, budget)
+                assert count_inversions_fast(trace) == expected, (bits, budget)
 
 
 def test_harmonic():
@@ -76,51 +77,51 @@ def test_inversion_examples():
 
 
 def test_fast_matches_naive_on_examples():
+    once = [f"p{i}" for i in range(300)]  # 300 pages, each requested once
     cases = [
-        ([3, 4, 5, 5], [4.0, 3.0, 5.0, 5.0]),
-        ([3, 4, 5, 5], [3.0, 4.0, 5.0, 5.0]),
-        ([2, 3, 4], [3.0, 3.0, 4.0]),
-        ([5, 5, 5], [1.0, 2.0, 3.0]),  # tied arrivals contribute nothing
-        ([1], [9.0]),
-        ([], []),
+        ("abab", [4.0, 3.0, 5.0, 5.0]),  # arrivals 3, 4, 5, 5
+        ("abab", [3.0, 4.0, 5.0, 5.0]),
+        ("aaa", [3.0, 3.0, 4.0]),  # arrivals 2, 3, 4
+        ("abc", [1.0, 2.0, 3.0]),  # tied arrivals contribute nothing
+        ("a", [9.0]),
         # n = 300: equal predictions, reversed predictions, equal arrivals
-        (list(range(1, 301)), [5.0] * 300),
-        (list(range(1, 301)), [float(301 - v) for v in range(1, 301)]),
-        ([7] * 300, [float(v % 13) for v in range(300)]),
+        ("a" * 300, [5.0] * 300),
+        ("a" * 300, [float(301 - v) for v in range(1, 301)]),
+        (once, [float(v % 13) for v in range(300)]),
     ]
-    for y, h in cases:
-        _assert_fast_matches_naive(y, h)
+    for requests, h in cases:
+        _assert_fast_matches_naive(Trace(requests, h))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_fast_matches_naive_on_random_instances(data):
     n = data.draw(st.integers(1, 60))
-    y = data.draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
+    requests = data.draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
     h = data.draw(
         st.lists(
             st.floats(0, 30, allow_nan=False, allow_infinity=False), min_size=n, max_size=n
         )
     )
-    _assert_fast_matches_naive(y, h)
+    _assert_fast_matches_naive(Trace(requests, h))
 
 
 def _zipf_trace(noise):
     spec = WorkloadSpec("zipf", universe=4096, length=20_000, alpha=1.0)
-    trace = synthesize(spec, noise, seed=3)
-    return trace.arrivals, trace.predictions
+    return synthesize(spec, noise, seed=3)
 
 
 def _heavy_ties():
+    # about 2,150 of the 5,000 requests are their page's last, so the n + 1
+    # group is large, and five prediction values tie both inside and across it
     rng = random.Random(11)
-    y = [rng.randint(1, 50) for _ in range(5_000)]
-    h = [rng.choice((0.0, 2.5, 3.0, 40.0, 51.0)) for _ in range(5_000)]
-    return y, h
+    requests = [f"p{rng.randrange(2_500)}" for _ in range(5_000)]
+    h = [rng.choice((0.0, 2.5, 3.0, 40.0, 5_001.0)) for _ in range(5_000)]
+    return Trace(requests, h)
 
 
 def _adversary_trace():
-    trace = run_adversary("blind_oracle", AdversaryConfig(k=8, j=7, num_phases=300)).trace
-    return trace.arrivals, trace.predictions
+    return run_adversary("blind_oracle", AdversaryConfig(k=8, j=7, num_phases=300)).trace
 
 
 @pytest.mark.parametrize(
@@ -139,8 +140,10 @@ def _adversary_trace():
          "zipf_random_replace", "adversary", "heavy_ties"],
 )
 def test_fast_matches_fenwick_across_many_blocks(instance):
-    y, h = instance()
-    assert count_inversions_fast(y, h) == count_inversions_fenwick(y, h)
+    trace = instance()
+    assert count_inversions_fast(trace) == count_inversions_fenwick(
+        trace.arrivals, trace.predictions
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -164,35 +167,41 @@ def test_loss_dominates_half_the_inversions(requests, seed, noise):
     assert ell1_loss(y, h) >= count_inversions_naive(y, h) / 2
 
 
-def _with_inversions(n, inversions):
-    """Arrivals 1..n and distinct predictions with exactly ``inversions``
-    inverted pairs: element j sits below min(j, what is left) earlier ones."""
+def _with_inversions(m, inversions):
+    """Requests p1..pm p1..pm with exactly ``inversions`` inverted pairs.
+
+    The first m requests fill the slots of arrivals m+1..2m in order, with
+    distinct predictions: slot j sits below min(j, what is left) earlier
+    ones.  The last m form the tail, arrival 2m+1, predicted above every
+    slot, so no pair with a tail request is inverted."""
     below = []
-    for j in range(n):
+    for j in range(m):
         below.append(min(j, inversions))
         inversions -= below[-1]
     assert inversions == 0
-    free = list(range(n))  # the values of elements 0..j, in order
-    h = [0.0] * n
-    for j in range(n - 1, -1, -1):
+    free = list(range(m))  # the values of slots 0..j, in order
+    h = [0.0] * m
+    for j in range(m - 1, -1, -1):
         h[j] = float(free.pop(j - below[j]))
-    return list(range(1, n + 1)), h
+    pages = [f"p{j + 1}" for j in range(m)]
+    return Trace(pages + pages, h + [float(m + j) for j in range(m)])
 
 
-def _count_and_sorts(y, h):
+def _count_and_sorts(trace):
     """count_inversions_fast's count and the sorts it ran: none by insertion,
-    the bitset's rank sort past the budget, and one more on the sort path."""
+    the bitset's rank sort past the budget."""
     with patch.object(metrics, "sorted", wraps=sorted, create=True) as spy:
-        return count_inversions_fast(y, h), spy.call_count
+        return count_inversions_fast(trace), spy.call_count
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["at_the_budget", "past_the_budget"])
 def test_insertion_counts_up_to_its_budget_and_the_bitset_past_it(extra):
-    n = 100
+    n = 200  # p1..p100 twice: the budget counts the tail's requests too
     inversions = metrics._INSERTION_BUDGET * n + extra
-    y, h = _with_inversions(n, inversions)
-    assert count_inversions_fenwick(y, h) == inversions
-    assert _count_and_sorts(y, h) == (inversions, extra)
+    trace = _with_inversions(n // 2, inversions)
+    assert trace.n == n
+    assert count_inversions_fenwick(trace.arrivals, trace.predictions) == inversions
+    assert _count_and_sorts(trace) == (inversions, extra)
 
 
 def test_a_large_never_requested_group_counts_against_the_rest():
@@ -208,37 +217,22 @@ def test_a_large_never_requested_group_counts_against_the_rest():
     falling = iter(range(8_000, 0, -1))
     h = [float(next(falling)) * n / 8_000 if page.startswith("once") else y_t + rng.uniform(-4, 4)
          for page, y_t in zip(requests, y)]
+    trace = Trace(requests, h)
     expected = count_inversions_fenwick(y, h)
-    assert _count_and_sorts(y, h) == (expected, 0)
+    assert _count_and_sorts(trace) == (expected, 0)
     with patch.object(metrics, "_INSERTION_BUDGET", 0):
-        assert _count_and_sorts(y, h) == (expected, 1)
-
-
-@pytest.mark.parametrize(
-    "y, h",
-    [
-        ([2, 2, 4, 5], [3.0, 1.0, 2.0, 0.0]),  # arrival 2 <= n repeated
-        ([0, 3, 1, 5], [1.0, 2.0, 0.5, 0.5]),  # an arrival of 0
-        ([2, 7, 1, 3], [4.0, 2.0, 3.0, 3.0]),  # an arrival above n + 1
-        ([-1, 2, 4], [1.0, 0.0, 2.0]),  # a negative arrival
-        ([3.0, 4.0, 4.0], [5.0, 4.0, 2.0]),  # float arrivals
-        ([1.5, 2, 4], [2.0, 1.0, 1.0]),
-    ],
-    ids=["repeated", "zero", "above_n_plus_1", "negative", "floats", "fraction"],
-)
-def test_arrivals_not_shaped_like_next_arrivals_take_the_sort_path(y, h):
-    _assert_fast_matches_naive(y, h)
-    assert _count_and_sorts(y, h)[1] == 2
+        assert _count_and_sorts(trace) == (expected, 1)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_fast_matches_naive_on_next_arrivals(data):
-    # arrivals as next_arrivals gives them, so every instance takes the
-    # insertion path, and with no budget the bitset over its arrival order
+    # predictions near the arrivals, integral or not, so that they tie with
+    # each other and with arrivals; every instance takes the insertion path,
+    # and with no budget the bitset over its arrival order
     n = data.draw(st.integers(1, 60))
     pages = data.draw(st.integers(1, n))
-    y = next_arrivals(data.draw(st.lists(st.integers(1, pages), min_size=n, max_size=n)))
+    requests = data.draw(st.lists(st.integers(1, pages), min_size=n, max_size=n))
     h = data.draw(
         st.lists(
             st.one_of(st.integers(0, n + 2).map(float), st.floats(0, n + 2)),
@@ -246,20 +240,21 @@ def test_fast_matches_naive_on_next_arrivals(data):
             max_size=n,
         )
     )
-    expected = count_inversions_naive(y, h)
+    trace = Trace(requests, h)
+    expected = count_inversions_naive(trace.arrivals, h)
     for budget in INSERTION_BUDGETS:
         with patch.object(metrics, "_INSERTION_BUDGET", budget):
-            count, sorts = _count_and_sorts(y, h)
+            count, sorts = _count_and_sorts(trace)
         assert count == expected, budget
-        assert sorts < 2, budget  # the two-sort path would run two
+        assert sorts <= 1, budget  # the bitset's rank sort, at most
 
 
 def test_zero_loss_means_zero_inversions():
     requests = [f"p{i % 7}" for i in range(50)]
     y = next_arrivals(requests)
-    h = perturb_predictions(y, NoiseSpec("perfect"), seed=0)
-    assert ell1_loss(y, h) == 0.0
-    assert count_inversions_fast(y, h) == 0
+    trace = Trace(requests, perturb_predictions(y, NoiseSpec("perfect"), seed=0))
+    assert ell1_loss(trace.arrivals, trace.predictions) == 0.0
+    assert count_inversions_fast(trace) == 0
 
 
 # ---------------------------------------------------------------- check_bounds
@@ -358,6 +353,6 @@ def test_random_cross_check_fast_vs_naive_larger():
     rng = random.Random(77)
     for _ in range(50):
         n = rng.randint(1, 200)
-        y = [rng.randint(1, n + 1) for _ in range(n)]
+        requests = [rng.randint(1, n) for _ in range(n)]
         h = [rng.uniform(0, n + 2) for _ in range(n)]
-        _assert_fast_matches_naive(y, h)
+        _assert_fast_matches_naive(Trace(requests, h))

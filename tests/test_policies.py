@@ -44,7 +44,7 @@ pages = st.lists(st.sampled_from("abcde"), min_size=1, max_size=14)
 def _trace(requests, predictions=None):
     if predictions is None:
         predictions = [float(v) for v in next_arrivals(list(requests))]
-    return Trace.from_requests(list(requests), predictions)
+    return Trace(list(requests), predictions)
 
 
 # ---------------------------------------------------------------- serve contract
@@ -194,7 +194,7 @@ def test_simulate_serves_a_run_once_and_only_over_its_requests():
     # two cells over the same requests share the lru run through one dict;
     # one call serves it once, and its victims feed both combiners
     trace = _trace("abcabdabeabfa")
-    renoised = Trace(trace.requests, tuple(reversed(trace.predictions)), trace.arrivals)
+    renoised = trace.renoised(tuple(reversed(trace.predictions)))
     shared = {}
     first = make_policies(("lru", "ftl"), 2, trace, shared=shared)
     second = make_policies(("lru", "ftl"), 2, renoised, shared=shared)
@@ -287,7 +287,7 @@ def tie_heavy_exact_traces(draw):
     requests = draw(request_runs(draw(st.integers(1, 14)), 15, 10))
     noise = draw(st.sampled_from(EXACT_NOISES))
     seed = draw(st.integers(0, 2**63 - 1))
-    return Trace.from_requests(
+    return Trace(
         requests, perturb_predictions(next_arrivals(requests), noise, seed)
     )
 
@@ -300,7 +300,7 @@ def test_blind_oracle_equals_belady_on_true_arrivals(trace, k):
     assert serve_all(BlindOracle(k), trace.requests, trace.predictions) == serve_all(
         Belady(k, trace.arrivals), trace.requests, trace.predictions
     )
-    assert count_inversions_fast(trace.arrivals, trace.predictions) == 0
+    assert count_inversions_fast(trace) == 0
     assert count_inversions_fenwick(trace.arrivals, trace.predictions) == 0
 
 
@@ -543,7 +543,7 @@ def tie_heavy_traces(draw):
     predictions = draw(
         st.lists(st.sampled_from([0, 1, 2, 3, n + 1]), min_size=n, max_size=n)
     )
-    return Trace.from_requests(requests, predictions)
+    return Trace(requests, predictions)
 
 
 @settings(max_examples=300, deadline=None)
@@ -559,7 +559,7 @@ def test_victims_match_the_reference_rules_at_larger_k(k):
         rng = random.Random(seed)
         requests = [f"p{rng.randrange(2 * k)}" for _ in range(40 * k)]
         predictions = [rng.choice([1, 5, 9, len(requests) + 1]) for _ in requests]
-        _assert_same_victims(Trace.from_requests(requests, predictions), k, seed)
+        _assert_same_victims(Trace(requests, predictions), k, seed)
 
 
 # ---------------------------------------------------------------- inclusion across k
@@ -598,7 +598,7 @@ def tie_heavy_long_traces(draw):
     predictions = draw(
         st.lists(st.sampled_from([0, 1, 2, 5, n // 2, n + 1]), min_size=n, max_size=n)
     )
-    return Trace.from_requests(requests, predictions)
+    return Trace(requests, predictions)
 
 
 @settings(max_examples=300, deadline=None)
@@ -612,7 +612,7 @@ def test_cache_at_64_stays_inside_cache_at_65():
     rng = random.Random(7)
     requests = [f"p{rng.randrange(128)}" for _ in range(40 * 64)]
     predictions = [rng.choice([1, 5, 9, len(requests) + 1]) for _ in requests]
-    _assert_inclusion(Trace.from_requests(requests, predictions), 64)
+    _assert_inclusion(Trace(requests, predictions), 64)
 
 
 def test_make_policy_validation():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from predcache import (
+    AdversaryConfig,
     ConfigError,
     NoiseSpec,
     Trace,
@@ -17,7 +20,9 @@ from predcache import (
     next_arrivals,
     parse_trace,
     perturb_predictions,
+    run_adversary,
     synthesize,
+    synthesize_traces,
     write_trace,
 )
 from predcache.cli import ExperimentConfig, _seed_traces
@@ -166,7 +171,7 @@ def test_perfect_noise_is_identity():
     h = perturb_predictions(y, NoiseSpec("perfect"), seed=99)
     assert h == [3.0, 4.0, 4.0]
     assert ell1_loss(y, h) == 0.0
-    assert count_inversions_fast(y, h) == 0
+    assert count_inversions_fast(Trace("aba", h)) == 0
 
 
 def test_constant_shift():
@@ -264,7 +269,7 @@ def test_parse_reads_only_the_written_numerals(row):
 
 def test_parse_reads_every_written_prediction():
     predictions = [1e30, 1.5e-07, -0.0, 0.0, 3.0, 123456789.0, 1e16, 0.1]
-    trace = Trace.from_requests(list("abcabcab"), predictions)
+    trace = Trace(list("abcabcab"), predictions)
     again = parse_trace(write_trace(trace))
     assert again == trace
     assert [math.copysign(1.0, h) for h in again.predictions] == [
@@ -352,21 +357,21 @@ def test_a_file_sweep_keeps_no_text_once_parsed(tmp_path):
 
 
 def test_write_rejects_commas_in_pages():
-    trace = Trace.from_requests(["a,b"], [1.0])
+    trace = Trace(["a,b"], [1.0])
     with pytest.raises(ValueError):
         write_trace(trace)
 
 
 @pytest.mark.parametrize("page", ["", "a\nb", "a\r\nb", "a\rb", "a\u2028b", "\x0c", "b\x85"])
 def test_write_rejects_pages_that_cannot_be_read_back(page):
-    trace = Trace.from_requests(["a", page], [1.0, 2.0])
+    trace = Trace(["a", page], [1.0, 2.0])
     with pytest.raises(ValueError):
         write_trace(trace)
 
 
 @given(st.lists(st.text(max_size=4), min_size=1, max_size=5))
 def test_written_pages_always_read_back(requests):
-    trace = Trace.from_requests(requests, [1.0] * len(requests))
+    trace = Trace(requests, [1.0] * len(requests))
     try:
         text = write_trace(trace)
     except ValueError:
@@ -380,22 +385,81 @@ def test_round_trip_random_traces(seed):
     n = rng.randint(1, 30)
     requests = [f"p{rng.randint(1, 6)}" for _ in range(n)]
     predictions = [rng.uniform(0, 50) for _ in range(n)]
-    trace = Trace.from_requests(requests, predictions)
+    trace = Trace(requests, predictions)
     assert parse_trace(write_trace(trace)) == trace
 
 
 def test_trace_validation():
-    with pytest.raises(ValueError):
-        Trace.from_requests(["a"], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        Trace.from_requests(["a"], [-1.0])
-    with pytest.raises(ValueError):
-        Trace.from_requests([], [])
-    # a direct construction is validated too
-    with pytest.raises(ValueError, match="finite non-negative"):
-        Trace(("a",), (math.nan,), (2,))
     with pytest.raises(ValueError, match="equal length"):
-        Trace(("a", "b"), (3.0, 3.0), (3,))
+        Trace(["a"], [1.0, 2.0])
+    with pytest.raises(ValueError, match="finite non-negative"):
+        Trace(["a"], [-1.0])
+    with pytest.raises(ValueError, match="empty trace"):
+        Trace([], [])
+    # a re-noised trace is validated the same way
+    trace = Trace(("a", "b"), (3.0, 3.0))
+    with pytest.raises(ValueError, match="finite non-negative"):
+        trace.renoised((math.nan, 3.0))
+    with pytest.raises(ValueError, match="equal length"):
+        trace.renoised((3.0,))
+
+
+def test_arrivals_cannot_be_passed_in():
+    # arrivals that are not the requests' next arrivals: on these Belady
+    # would pay 5 at k=2 where 3 is optimal, and the inversion count read 0
+    with pytest.raises(TypeError):
+        Trace(("a", "b", "c", "a", "b", "c", "a"), (1.0,) * 7, (9,) * 7)
+    with pytest.raises(TypeError):
+        Trace(("a",), (2.0,), (2,))
+    with pytest.raises(TypeError):
+        Trace(("a",), (2.0,), arrivals=(2,))
+    trace = Trace(("a", "b", "a"), (3.0, 4.0, 4.0))
+    with pytest.raises(TypeError):
+        trace._replace(arrivals=(9, 9, 9))
+    with pytest.raises(TypeError):
+        Trace._make((trace.requests, trace.predictions, (9, 9, 9)))
+
+
+def test_renoised_shares_requests_and_arrivals():
+    trace = Trace(list("abcab"), [1.0] * 5)
+    again = trace.renoised([4.0, 5.0, 6.0, 6.0, 6.0])
+    assert again.requests is trace.requests and again.arrivals is trace.arrivals
+    assert again.predictions == (4.0, 5.0, 6.0, 6.0, 6.0)
+    assert again.exact and not trace.exact
+
+
+def test_a_trace_pickles_and_copies_to_an_equal_trace():
+    trace = synthesize(
+        WorkloadSpec("zipf", universe=20, length=200), NoiseSpec("additive_uniform", width=3.0),
+        seed=2,
+    )
+    for again in (pickle.loads(pickle.dumps(trace)), copy.copy(trace), copy.deepcopy(trace)):
+        assert type(again) is Trace
+        assert again == trace
+
+
+def _built_traces(requests, predictions):
+    """A trace from each public builder, over ``requests`` where it takes them."""
+    trace = Trace(requests, predictions)
+    yield trace
+    yield trace.renoised(list(reversed(predictions)))
+    named = Trace([f"p{page}" for page in requests], predictions)
+    yield parse_trace(write_trace(named))
+    spec = WorkloadSpec("uniform", universe=max(requests), length=len(requests))
+    noises = (NoiseSpec("perfect"), NoiseSpec("additive_gaussian", sigma=2.0))
+    yield synthesize(spec, noises[1], seed=len(requests))
+    yield from synthesize_traces(spec, noises, seed=len(requests))
+    k = 1 + requests[0] % 4
+    config = AdversaryConfig(k=k, j=requests[-1] % k, num_phases=1 + len(requests) % 3)
+    yield run_adversary(("lru", "blind_oracle", "ftl")[len(requests) % 3], config).trace
+
+
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=30), st.data())
+def test_every_built_trace_holds_its_requests_next_arrivals(requests, data):
+    n = len(requests)
+    predictions = data.draw(st.lists(st.floats(0, n + 2), min_size=n, max_size=n))
+    for trace in _built_traces(requests, predictions):
+        assert trace.arrivals == tuple(next_arrivals(trace.requests))
 
 
 def test_synthesize_same_requests_across_noise_models():
@@ -404,3 +468,12 @@ def test_synthesize_same_requests_across_noise_models():
     t2 = synthesize(w, NoiseSpec("additive_uniform", width=5.0), seed=4)
     assert t1.requests == t2.requests
     assert t1.predictions != t2.predictions
+
+
+def test_synthesize_traces_is_synthesize_per_noise_over_shared_requests():
+    w = WorkloadSpec("zipf", universe=10, length=100)
+    noises = [NoiseSpec("perfect"), NoiseSpec("lognormal_scale", sigma=0.5)]
+    traces = synthesize_traces(w, noises, seed=6)
+    assert traces == [synthesize(w, noise, seed=6) for noise in noises]
+    assert traces[0].requests is traces[1].requests
+    assert traces[0].arrivals is traces[1].arrivals
