@@ -165,7 +165,7 @@ def run_adversary(policy: str | PolicyFactory, config: AdversaryConfig) -> Adver
     return AdversaryResult(
         config=config,
         trace=trace,
-        alg_cost=sum(1 for e in evictions if e is not None),
+        alg_cost=instance.cost,
         opt_cost=opt.cost,
         eta=ell1_loss(trace.arrivals, trace.predictions),
         phases=tuple(phases),

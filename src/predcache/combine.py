@@ -150,7 +150,7 @@ class _Combiner(Policy):
                 self.cost += 1
             own[page] = t
 
-    def _serve_trace(self, requests, inputs, keep):
+    def _serve_trace(self, requests, keep):
         """Serve the trace in one forward pass (see the module docstring).
 
         The stretch scan and the body advance one iterator over the requests
@@ -159,6 +159,7 @@ class _Combiner(Policy):
         stretch the heaps no longer list the pages each expert lacks.
         """
         own, n = self.cache, len(requests)
+        inputs = [expert.victims for expert in self.experts]
         kept = [] if keep else None
         pages, victims = iter(requests), [iter(v) for v in inputs]
         start = 1  # Phi is 0 and own is the followed expert's cache before it

@@ -117,20 +117,17 @@ def count_inversions_fast(trace: Trace) -> int:
 # property of the trace, on every row) and is checked when that policy has a
 # cost; it then needs the costs of ``needs``.  ``uses_opt``: it holds
 # trivially at opt = 0, where every in-contract policy pays nothing.
-# ``in_expectation``: it bounds the mean over seeds, not each run.  Below
-# ``min_k`` it does not apply.
-Bound = namedtuple(
-    "Bound",
-    "bound_id policy needs lhs rhs additive uses_opt in_expectation min_k",
-    defaults=(1,),
-)
+# ``in_expectation``: it bounds the mean over seeds, not each run.  Where
+# the paper states no bound (thm1_prop2 below k = 2) the rhs is infinite.
+Bound = namedtuple("Bound", "bound_id policy needs lhs rhs additive uses_opt in_expectation")
 BOUNDS = (
     Bound("lemma1", None, (), lambda v: v.inversions / 2.0, lambda v: v.eta,
           lambda v: 0, False, False),
     Bound("thm1_prop1", "blind_oracle", (), lambda v: v.blind_oracle,
           lambda v: v.opt + 2.0 * v.eta, lambda v: 0, True, False),
     Bound("thm1_prop2", "blind_oracle", (), lambda v: v.blind_oracle,
-          lambda v: 2.0 * v.opt + 4.0 * v.eta / (v.k - 1), lambda v: v.k, True, False, 2),
+          lambda v: 2.0 * v.opt + 4.0 * v.eta / (v.k - 1) if v.k > 1 else math.inf,
+          lambda v: v.k, True, False),
     Bound("lru_k", "lru", (), lambda v: v.lru, lambda v: v.k * v.opt, lambda v: v.k, True, False),
     # Fiat et al. (1991); H_k is an O(k) sum, and opt > 0 means Belady
     # evicted, so k is below the trace length
@@ -180,8 +177,8 @@ def check_bounds(
     ``costs`` maps policy names (lru, blind_oracle, marker, ftl, mw) to
     measured eviction counts, or to their means over seeds; mw's bounds need
     ``epsilon``.  Returns the records by bound id, in table order; each
-    record's ``slack_used`` is its inequality's additive term.  A bound that
-    uses opt is flagged vacuous when opt is 0.
+    record's ``slack_used`` is its inequality's additive term.  A record is
+    vacuous when its rhs is infinite or its bound uses opt and opt is 0.
     """
     if "mw" in costs and epsilon is None:
         raise ConfigError("mw bound checks need epsilon")
@@ -192,19 +189,14 @@ def check_bounds(
             continue
         if not all(name in costs for name in bound.needs):
             raise ConfigError(f"{bound.policy} bound checks need {' and '.join(bound.needs)} costs")
-        lhs = bound.lhs(v)
-        if k < bound.min_k:
-            rhs = math.inf
-            record = BoundRecord(
-                bound.bound_id, float(lhs), rhs, 0.0, True, True, f"requires k >= {bound.min_k}"
-            )
-        else:
-            additive = bound.additive(v)
-            rhs = bound.rhs(v) + additive
-            record = BoundRecord(
-                bound.bound_id, float(lhs), float(rhs), float(additive), lhs <= rhs,
-                bound.uses_opt and opt == 0,
-            )
+        lhs, additive = bound.lhs(v), bound.additive(v)
+        rhs = bound.rhs(v) + additive
         setattr(v, bound.bound_id, rhs)
-        records[bound.bound_id] = record
+        # an infinite rhs holds for every cost, so it shows nothing, as at opt = 0
+        infinite = rhs == math.inf
+        records[bound.bound_id] = BoundRecord(
+            bound.bound_id, float(lhs), float(rhs), float(additive), lhs <= rhs,
+            infinite or (bound.uses_opt and opt == 0),
+            "infinite rhs: the bound is not defined here" if infinite else "",
+        )
     return records

@@ -39,9 +39,9 @@ class Policy:
     combiner reads them.
 
     ``_steps`` is the body: sent ``(t, page, key)``, it serves request t and
-    yields the evicted page or None.  The key is the prediction (the true
-    next arrival for ``belady``), None for a run that reads none; a combiner
-    is sent its experts' victims.
+    yields the evicted page or None.  The key is ``keys[t - 1]`` for a run
+    with keys, else the prediction sent to ``serve`` (None under
+    ``simulate``); a combiner is sent its experts' victims.
     ``_start`` makes a running body, primed, from the run's current state;
     ``__init__`` replaces the method by one, so a subclass sets what its
     body reads (an RNG, the keys, the experts) before calling
@@ -71,7 +71,8 @@ class Policy:
 
     def serve(self, t: int, page: PageId, prediction: float) -> PageId | None:
         """Serve request t alone; returns the evicted page on a full-cache miss."""
-        return self._steps.send((t, page, prediction))
+        key = prediction if self.keys is None else self.keys[t - 1]
+        return self._steps.send((t, page, key))
 
     def close(self) -> None:
         """End the run and its experts' runs; their state stays readable.
@@ -86,12 +87,13 @@ class Policy:
     def _steps(self):
         raise NotImplementedError
 
-    def _serve_trace(self, requests, inputs, keep):
-        """Serve requests 1..n, request t with the t-th item of each input.
+    def _serve_trace(self, requests, keep):
+        """Serve requests 1..n, request t with its key (None without ``keys``).
 
         Returns the victim of each request if ``keep``, else None.
         """
-        served = map(self._steps.send, zip(count(1), requests, *inputs))
+        keys = repeat(None) if self.keys is None else self.keys
+        served = map(self._steps.send, zip(count(1), requests, keys))
         if keep:
             return list(served)
         deque(served, maxlen=0)
@@ -140,9 +142,9 @@ def pop_live(heap: list, cache: dict[PageId, int]) -> PageId:
 class _LargestKey(Policy):
     """Evict the resident page with the largest key; ties go to the least recent.
 
-    ``simulate`` keys request t by the t-th of the bound ``keys``; ``serve``
-    is sent each key.  Every request pushes ``(-key, t, page)`` onto
-    ``_heap``; the item goes stale once its page is requested again or evicted.
+    Request t's key is ``keys[t - 1]``, else the prediction sent to
+    ``serve``.  Every request pushes ``(-key, t, page)`` onto ``_heap``; the
+    item goes stale once its page is requested again or evicted.
     """
 
     def __init__(self, k: int, keys: Sequence[float] | None = None):
@@ -192,9 +194,6 @@ class Belady(_LargestKey):
 
     def __init__(self, k: int, keys: Sequence[int]):
         super().__init__(k, keys)
-
-    def serve(self, t, page, prediction):
-        return self._steps.send((t, page, self.keys[t - 1]))
 
 
 class Marker(Policy):
@@ -260,9 +259,9 @@ def simulate(requests: Sequence[PageId], policies: Iterable[Policy]) -> None:
     Each run is served by its ``_serve_trace`` after the experts it reads: a
     ``map`` of its body's ``send`` over the requests and its ``keys``, or a
     combiner's stretches over its experts' victims.  A run some combiner of
-    the call reads keeps its ``victims``.  Every run is closed at the end; a
-    run is served once, so serving a served run again is a ValueError, as is
-    serving a ``blind_oracle`` run built without its keys.
+    the call reads keeps its ``victims``.  A run is closed once served, and
+    served once: serving it again is a ValueError, as is serving a
+    ``blind_oracle`` run without keys, or keys not one per request.
     """
     runs: dict[Policy, None] = {}  # each distinct run, after its experts
     for run in policies:
@@ -274,13 +273,12 @@ def simulate(requests: Sequence[PageId], policies: Iterable[Policy]) -> None:
             raise ValueError(
                 f"the {run.name} run has no keys: build it over a trace, or drive it with serve"
             )
+        if run.keys is not None and len(run.keys) != len(requests):
+            raise ValueError(
+                f"the {run.name} run has {len(run.keys)} keys for {len(requests)} requests"
+            )
     read = {expert for run in runs for expert in run.experts}
     for run in runs:
-        if run.experts:
-            inputs = [expert.victims for expert in run.experts]
-        else:
-            inputs = [repeat(None) if run.keys is None else run.keys]
-        run.victims = run._serve_trace(requests, inputs, run in read)
+        run.victims = run._serve_trace(requests, run in read)
         run.served = True
-    for run in runs:
         run.close()

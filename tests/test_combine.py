@@ -455,7 +455,9 @@ def test_combiner_reads_its_experts_victims_in_one_pass():
     probe, run = (make_policies(("ftl",), 8, trace)["ftl"] for _ in range(2))
     simulate(trace.requests, [probe])
     victims = [_CountedList(expert.victims) for expert in probe.experts]
-    run._serve_trace(trace.requests, victims, False)
+    for expert, counted in zip(run.experts, victims):
+        expert.victims = counted
+    run._serve_trace(trace.requests, False)
     assert run.cost == probe.cost
     assert sum(v.reads for v in victims) <= 4 * len(trace.requests)
 

@@ -281,7 +281,57 @@ def test_lemma1_failure_signals_metrics_bug():
 def test_prop2_not_applicable_at_k1():
     report = check_bounds({"blind_oracle": 3}, opt=2, eta=1.0, inversions=0, k=1)
     record = report.get("thm1_prop2")
-    assert record.vacuous and record.passed and "k >= 2" in record.note
+    assert record.rhs == math.inf
+    assert record.vacuous and record.passed and "infinite rhs" in record.note
+
+
+def _readme_bounds(costs, opt, eta, inversions, k, eps):
+    """README's bound table, written out apart from ``metrics.BOUNDS``.
+
+    Each bound id maps to (lhs, rhs with its additive term, the additive
+    term, whether the bound uses opt).  thm1_prop2 is stated for k >= 2.
+    """
+    h_k = sum(1.0 / i for i in range(1, k + 1))
+    bo, lru, marker, ftl, mw = (costs[p] for p in ("blind_oracle", "lru", "marker", "ftl", "mw"))
+    prop1 = opt + 2 * eta
+    prop2 = 2 * opt + 4 * eta / (k - 1) + k if k >= 2 else math.inf
+    lru_k = k * opt + k
+    marker_2hk = (2 * h_k - 1) * opt + k
+    return {
+        "lemma1": (inversions / 2, eta, 0, False),
+        "thm1_prop1": (bo, prop1, 0, True),
+        "thm1_prop2": (bo, prop2, k, True),
+        "lru_k": (lru, lru_k, k, True),
+        "marker_2hk": (marker, marker_2hk, k, True),
+        "ftl_thm2": (ftl, 2 * min(bo, lru) + 2 * k, 2 * k, False),
+        "cor1_det": (ftl, 2 * min(prop1, prop2, lru_k) + 2 * k, 2 * k, True),
+        "mw_thm3": (mw, (1 + eps) * min(bo, marker) + 8 * k / eps, 8 * k / eps, False),
+        "cor2_rand": (
+            mw, (1 + eps) * min(prop1, prop2, marker_2hk) + 8 * k / eps, 8 * k / eps, True,
+        ),
+    }
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+@pytest.mark.parametrize("opt", [0, 5])
+@pytest.mark.parametrize("eta", [0.0, 2.25, 19.5])
+@pytest.mark.parametrize("eps", [0.05, 0.2])
+def test_records_match_the_readme_formulas(k, opt, eta, eps):
+    # costs below, near and above each bound's right-hand side
+    for cost in (0, 4, 9, 13, 30, 200):
+        costs = {"blind_oracle": cost, "lru": cost + 3, "marker": cost + 1, "ftl": 2 * cost,
+                 "mw": cost + 60}
+        report = check_bounds(costs, opt=opt, eta=eta, inversions=7, k=k, epsilon=eps)
+        expected = _readme_bounds(costs, opt, eta, 7, k, eps)
+        assert list(report) == list(expected)
+        for bound_id, (lhs, rhs, additive, uses_opt) in expected.items():
+            record = report[bound_id]
+            where = (bound_id, cost)
+            assert record.lhs == lhs, where
+            assert record.rhs == pytest.approx(rhs, rel=1e-12), where
+            assert record.slack_used == pytest.approx(additive, rel=1e-12), where
+            assert record.passed == (lhs <= rhs), where
+            assert record.vacuous == (rhs == math.inf or (uses_opt and opt == 0)), where
 
 
 def test_vacuous_pass_when_opt_is_zero():

@@ -228,6 +228,36 @@ def test_simulate_serves_a_run_once_and_only_over_its_requests():
         Belady(2)
 
 
+def test_simulate_refuses_keys_that_are_not_one_per_request():
+    # served over the trace twice, belady would read its 10 keys and stop
+    # (5 evictions where 11 is right), lru would serve all 20 requests, and
+    # ftl would scan its 10-entry victims as if they covered 20
+    trace = Trace(list("abcabcabcd"), range(10))
+    runs = make_policies(("belady", "lru", "ftl"), 2, trace)
+    for listed in (runs.values(), [runs["ftl"]]):
+        with pytest.raises(ValueError, match="10 keys for 20 requests"):
+            simulate(trace.requests * 2, listed)
+    assert not any(run.served or run.cost for run in (*runs.values(), *runs["ftl"].experts))
+    simulate(trace.requests, runs.values())
+    assert runs["belady"].cost == run_policy("belady", trace, 2).cost
+
+
+def test_a_keyed_run_reads_its_own_keys_under_serve():
+    # predictions sent to serve other than the keys are not read: a keyed
+    # blind_oracle evicts what simulate evicts
+    trace = synthesize(
+        WorkloadSpec("uniform", universe=8, length=300),
+        NoiseSpec("additive_uniform", width=6.0),
+        seed=3,
+    )
+    for name in ("blind_oracle", "belady"):
+        online, batch = (make_policies((name,), 3, trace)[name] for _ in range(2))
+        victims = serve_all(online, trace.requests, reversed(trace.predictions))
+        simulate(trace.requests, [FtlCombiner(batch, batch, 3)])  # keeps batch's victims
+        assert victims == batch.victims, name
+        assert online.cost == batch.cost > 0, name
+
+
 def test_simulated_runs_are_freed_without_the_cycle_collector():
     # a body refers to its run; simulate closes every run, so dropping the
     # runs frees them by reference counting alone
@@ -237,6 +267,7 @@ def test_simulated_runs_are_freed_without_the_cycle_collector():
     gc.disable()
     try:
         simulate(trace.requests, runs.values())
+        assert all(ref().served and ref()._steps.gi_frame is None for ref in refs)
         del runs
         assert all(ref() is None for ref in refs)
     finally:
