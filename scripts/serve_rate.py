@@ -1,9 +1,12 @@
 """Serve-loop throughput per policy, in requests per second at k = 8, 64, 512.
 
-Every policy serves one fixed zipf trace (4096 pages, alpha 1, additive
-uniform noise of width 64, LENGTH requests) alone, built by
+Every policy serves two traces of LENGTH requests alone, built by
 ``make_policies`` and run by ``simulate``; a combiner's time includes
-serving its experts.  The ``all`` row serves all six policies from one
+serving its experts.  One is a fixed zipf trace (4096 pages, alpha 1,
+additive uniform noise of width 64).  The other has the hit-heavy shape of
+the benchmark's ``file_k64_adversary``: phased over 4000 pages with a
+working set of k pages shifted every 1000 requests, additive uniform noise
+of width 4, one trace per k.  The ``all`` row serves all six policies from one
 ``make_policies`` call in one ``simulate`` pass, as the CLI serves them, so
 each shared expert is served once.  Each cell is the median of REPEATS
 runs, each timed between two runs of the benchmark's calibration loop
@@ -103,31 +106,43 @@ def inversion_table(trace) -> None:
         print(f"| {label} | {case.n} | {count_inversions_fast(case)} | {elapsed * 1000:.1f} |")
 
 
+def _phased(k: int):
+    return synthesize(
+        WorkloadSpec("phased", universe=4000, length=LENGTH, cycle=k, phase_len=1000),
+        NoiseSpec("additive_uniform", width=4.0), seed=1,
+    )
+
+
 def main() -> None:
     trace = _zipf(LENGTH, NoiseSpec("additive_uniform", width=64.0))
-    requests = list(enumerate(zip(trace.requests, trace.predictions), start=1))
+    shapes = [
+        ("zipf(4096)", {k: trace for k in KS}),
+        ("phased(4000), cycle k", {k: _phased(k) for k in KS}),
+    ]
 
-    def build(names, k):
-        return make_policies(names, k, trace, seed=1, epsilon=0.1)
+    def build(names, k, cell):
+        return make_policies(names, k, cell, seed=1, epsilon=0.1)
 
-    def batch(names, k):
-        simulate(trace.requests, build(names, k).values())
+    def batch(names, k, cell):
+        simulate(cell.requests, build(names, k, cell).values())
 
-    def online(name):
-        serve = build((name,), KS[0])[name].serve
-        for t, (page, h) in requests:
+    def online(name, cell):
+        serve = build((name,), KS[0], cell)[name].serve
+        for t, (page, h) in enumerate(zip(cell.requests, cell.predictions), start=1):
             serve(t, page, h)
 
-    print("| policy | " + " | ".join(f"k={k}" for k in KS) + " | k=8 / k=512 | online, k=8 |")
-    print("|---" * (len(KS) + 3) + "|")
+    print("| policy | trace | " + " | ".join(f"k={k}" for k in KS) + " | k=8 / k=512 | online, k=8 |")
+    print("|---" * (len(KS) + 4) + "|")
     rows = [(name, (name,)) for name in POLICY_NAMES] + [("all", POLICY_NAMES)]
-    for name, names in rows:
-        rates = [trace.n / _timed_s(lambda: batch(names, k)) for k in KS]
-        cells = " | ".join(f"{rate / 1000:.0f}k" for rate in rates)
-        served = "n/a"
-        if name != "all":
-            served = f"{trace.n / _timed_s(lambda: online(name)) / 1000:.0f}k"
-        print(f"| {name} | {cells} | {rates[0] / rates[-1]:.2f} | {served} |")
+    for label, cells in shapes:
+        for name, names in rows:
+            rates = [cells[k].n / _timed_s(lambda: batch(names, k, cells[k])) for k in KS]
+            rendered = " | ".join(f"{rate / 1000:.0f}k" for rate in rates)
+            served = "n/a"
+            if name != "all":
+                cell = cells[KS[0]]
+                served = f"{cell.n / _timed_s(lambda: online(name, cell)) / 1000:.0f}k"
+            print(f"| {name} | {label} | {rendered} | {rates[0] / rates[-1]:.2f} | {served} |")
     print()
     inversion_table(trace)
 

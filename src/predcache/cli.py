@@ -34,7 +34,7 @@ from .trace import synthesize_traces
 # run_mw and synthesize on this module; the sweep calls none of them.  The
 # combiner wrappers are gone, so run_ftl and run_mw are None: the tracer only
 # needs the names to exist.  All four go once the tracer wraps what the sweep
-# calls (ROADMAP item 2).
+# calls (ROADMAP item 1).
 from .combine import run_policy  # noqa: F401
 from .trace import synthesize  # noqa: F401
 

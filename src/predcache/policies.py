@@ -34,7 +34,9 @@ class Policy:
     ``cache`` maps each resident page to its last request index, least recent
     first: a hit moves the page to the end.  ``cost`` counts this instance's
     evictions so far.  ``experts`` lists the policies a combiner watches, and
-    ``keys`` the key of each request for a run that reads one.  ``simulate``
+    ``keys`` the key of each request for a run that reads one; a keyless
+    run that reads keys back keeps in ``sent`` the key ``serve`` sent for
+    each resident page's last request.  ``simulate``
     sets ``served``, and ``victims`` to the run's victim per request when a
     combiner reads them.
 
@@ -52,6 +54,7 @@ class Policy:
     name = "base"
     experts: tuple[Policy, ...] = ()
     keys: Sequence[float] | None = None
+    sent: dict[PageId, float] | None = None
     served = False
     victims: list[PageId | None] | None = None
 
@@ -72,7 +75,14 @@ class Policy:
     def serve(self, t: int, page: PageId, prediction: float) -> PageId | None:
         """Serve request t alone; returns the evicted page on a full-cache miss."""
         key = prediction if self.keys is None else self.keys[t - 1]
-        return self._steps.send((t, page, key))
+        sent = self.sent
+        if sent is None:
+            return self._steps.send((t, page, key))
+        sent[page] = key
+        evicted = self._steps.send((t, page, key))
+        if evicted is not None:
+            del sent[evicted]
+        return evicted
 
     def close(self) -> None:
         """End the run and its experts' runs; their state stays readable.
@@ -124,8 +134,8 @@ def keep_live(heap: list, cache: dict[PageId, int]) -> None:
     """Keep only the live items of a ``(key, last, page)`` heap, in place.
 
     An item is live while ``cache.get(page) == last``; stale ones are skipped
-    when popped.  Called once a heap holds more than 2k items (at least twice
-    its live count), which keeps pushes O(log k) amortized.
+    when popped.  A combiner calls it once an outside heap holds more than 2k
+    items (at least twice its live count): pushes stay O(log k) amortized.
     """
     heap[:] = [item for item in heap if cache.get(item[2]) == item[1]]
     heapify(heap)
@@ -143,16 +153,22 @@ class _LargestKey(Policy):
     """Evict the resident page with the largest key; ties go to the least recent.
 
     Request t's key is ``keys[t - 1]``, else the prediction sent to
-    ``serve``.  Every request pushes ``(-key, t, page)`` onto ``_heap``; the
-    item goes stale once its page is requested again or evicted.
+    ``serve``.  A request pushes ``(-key, t, page)`` onto ``_heap`` while it
+    holds under 2k items; the item goes stale once its page is requested
+    again or evicted.  A full-cache miss that finds the heap at 2k, as after
+    any push skipped since the last eviction, rebuilds it from the cache and
+    ``keys`` (or ``sent``).
     """
 
     def __init__(self, k: int, keys: Sequence[float] | None = None):
         self.keys = keys
+        if keys is None:
+            self.sent = {}
         super().__init__(k)
 
     def _steps(self):
         cache, k = self.cache, self.k
+        keys, sent = self.keys, self.sent
         heap = self._heap = []  # (-key, t, page) items
         limit = 2 * k
         evicted = None
@@ -162,13 +178,18 @@ class _LargestKey(Policy):
             if page in cache:
                 del cache[page]
             elif len(cache) >= k:
+                if len(heap) >= limit:
+                    if sent is None:
+                        heap[:] = [(-keys[last - 1], last, p) for p, last in cache.items()]
+                    else:
+                        heap[:] = [(-sent[p], last, p) for p, last in cache.items()]
+                    heapify(heap)
                 evicted = pop_live(heap, cache)
                 del cache[evicted]
                 self.cost += 1
             cache[page] = t
-            heappush(heap, (-key, t, page))
-            if len(heap) > limit:
-                keep_live(heap, cache)
+            if len(heap) < limit:
+                heappush(heap, (-key, t, page))
 
 
 class BlindOracle(_LargestKey):

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from predcache import (
 )
 from oracles import (
     RefBelady,
+    RefBlindOracle,
     RefFtl,
     RefLRU,
     RefMarker,
@@ -591,6 +593,61 @@ def test_victims_match_the_reference_rules_at_larger_k(k):
         requests = [f"p{rng.randrange(2 * k)}" for _ in range(40 * k)]
         predictions = [rng.choice([1, 5, 9, len(requests) + 1]) for _ in requests]
         _assert_same_victims(Trace(requests, predictions), k, seed)
+
+
+def _hit_heavy_trace(k, seed):
+    """Three phases of a k-page working set, half of it new each phase.
+
+    A phase is many times k requests, so the key heap fills and skips its
+    pushes over hundreds of hits; the evictions at the next phase's start
+    then rebuild it.  Each request's prediction differs from its page's last
+    one, from a few values that tie often.
+    """
+    rng = random.Random(seed)
+    phase_len = max(20 * k, 200)
+    n = 3 * phase_len
+    working, fresh = [], (f"p{i}" for i in count())
+    requests, predictions, previous = [], [], {}
+    for _ in range(3):
+        working = rng.sample(working, len(working) // 2)
+        working += [next(fresh) for _ in range(k - len(working))]
+        for _ in range(phase_len):
+            page = rng.choice(working)
+            h = rng.choice([v for v in (1, 5, 9, n + 1) if v != previous.get(page)])
+            requests.append(page)
+            predictions.append(h)
+            previous[page] = h
+    return Trace(requests, predictions)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 64])
+def test_victims_match_the_reference_rules_on_hit_heavy_phases(k):
+    for seed in range(2):
+        _assert_same_victims(_hit_heavy_trace(k, seed), k, seed)
+
+
+def test_victims_match_the_reference_rules_when_the_cold_fill_fills_the_heap():
+    # k=3: a b a b a b fill the heap to 2k, so the next a and the cold fill
+    # of c skip their pushes, and the misses after them rebuild it
+    requests = list("abababa") + list("cdedfcgd")
+    predictions = [(7 * t) % 11 for t in range(len(requests))]
+    _assert_same_victims(Trace(requests, predictions), 3)
+
+
+def test_a_keyless_blind_oracle_reads_back_the_keys_it_was_sent():
+    # driven by serve without keys, blind_oracle rebuilds its full heap from
+    # the keys it was sent, and keeps only those of its resident pages
+    for k in (1, 3, 8):
+        trace = _hit_heavy_trace(k, seed=k)
+        reference = serve_all(RefBlindOracle(k), trace.requests, trace.predictions)
+        run = BlindOracle(k)
+        victims = []
+        for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
+            victims.append(run.serve(t, page, h))
+            _assert_heaps_bounded(run)
+            assert run.sent == {p: trace.predictions[last - 1] for p, last in run.cache.items()}
+        assert victims == reference, k
+        assert run.cost > k
 
 
 # ---------------------------------------------------------------- inclusion across k

@@ -1,9 +1,12 @@
 """The scripts under scripts/ run end to end against the package's public API."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from predcache import POLICY_NAMES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,3 +32,21 @@ def test_noise_sweep_writes_its_csv(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
     assert out.read_text(encoding="utf-8").strip()
+
+
+def test_serve_rate_prints_both_tables(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts bench/ on it
+    spec = importlib.util.spec_from_file_location("serve_rate", ROOT / "scripts" / "serve_rate.py")
+    serve_rate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(serve_rate)
+    serve_rate.LENGTH = serve_rate.WORST_LENGTH = 300
+    serve_rate.REPEATS = 1
+    calibration = serve_rate.calibration
+    monkeypatch.setattr(calibration, "loop_s", lambda: calibration.REFERENCE_S)
+    serve_rate.main()
+    lines = capsys.readouterr().out.splitlines()
+    serve_rows = [line for line in lines if line.startswith("| ") and " k=8 |" not in line]
+    for name in (*POLICY_NAMES, "all"):
+        assert sum(line.startswith(f"| {name} | ") for line in serve_rows) == 2, name
+    table = lines.index("| count_inversions_fast | n | inversions | ms |")
+    assert len([line for line in lines[table + 2:] if line.startswith("| ")]) == 10
