@@ -38,7 +38,7 @@ body.
 from __future__ import annotations
 
 import random
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import chain, count, islice
 from operator import countOf
 from typing import Sequence
@@ -51,11 +51,10 @@ from .policies import (
     BlindOracle,
     Marker,
     Policy,
-    keep_live,
     pop_live,
     simulate,
 )
-from .trace import Trace
+from .trace import PageId, Trace
 
 POLICY_NAMES = ("lru", "belady", "marker", "blind_oracle", "ftl", "mw")
 
@@ -63,6 +62,17 @@ POLICY_NAMES = ("lru", "belady", "marker", "blind_oracle", "ftl", "mw")
 # builds them: the costs its bounds need.  mw's Marker is its own
 # child-seeded run.
 EXPERTS = {bound.policy: bound.needs for bound in BOUNDS if bound.needs}
+
+
+def keep_live(heap: list, cache: dict[PageId, int]) -> None:
+    """Keep only the live items of a ``(key, last, page)`` heap, in place.
+
+    An item is live while ``cache.get(page) == last``; stale ones are skipped
+    when popped.  A combiner calls it once an outside heap holds more than 2k
+    items (at least twice its live count): pushes stay O(log k) amortized.
+    """
+    heap[:] = [item for item in heap if cache.get(item[2]) == item[1]]
+    heapify(heap)
 
 
 class _Combiner(Policy):

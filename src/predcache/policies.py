@@ -32,18 +32,16 @@ class Policy:
     """Base eviction policy: one run, and the generator body that serves it.
 
     ``cache`` maps each resident page to its last request index, least recent
-    first: a hit moves the page to the end.  ``cost`` counts this instance's
-    evictions so far.  ``experts`` lists the policies a combiner watches, and
-    ``keys`` the key of each request for a run that reads one; a keyless
-    run that reads keys back keeps in ``sent`` the key ``serve`` sent for
-    each resident page's last request.  ``simulate``
-    sets ``served``, and ``victims`` to the run's victim per request when a
-    combiner reads them.
+    first: a hit moves the page to the end, and a run has served a request
+    once it is non-empty.  ``cost`` counts this instance's evictions so far.
+    ``experts`` lists the policies a combiner watches, and ``keys`` the key
+    of each request for a run that reads one.  ``simulate`` sets
+    ``victims`` to the run's victim per request when a combiner reads them.
 
     ``_steps`` is the body: sent ``(t, page, key)``, it serves request t and
     yields the evicted page or None.  The key is ``keys[t - 1]`` for a run
-    with keys, else the prediction sent to ``serve`` (None under
-    ``simulate``); a combiner is sent its experts' victims.
+    with keys, else None under ``simulate`` and the prediction sent to
+    ``serve``; a combiner is sent its experts' victims.
     ``_start`` makes a running body, primed, from the run's current state;
     ``__init__`` replaces the method by one, so a subclass sets what its
     body reads (an RNG, the keys, the experts) before calling
@@ -54,8 +52,6 @@ class Policy:
     name = "base"
     experts: tuple[Policy, ...] = ()
     keys: Sequence[float] | None = None
-    sent: dict[PageId, float] | None = None
-    served = False
     victims: list[PageId | None] | None = None
 
     def __init__(self, k: int):
@@ -73,16 +69,18 @@ class Policy:
         return steps
 
     def serve(self, t: int, page: PageId, prediction: float) -> PageId | None:
-        """Serve request t alone; returns the evicted page on a full-cache miss."""
-        key = prediction if self.keys is None else self.keys[t - 1]
-        sent = self.sent
-        if sent is None:
-            return self._steps.send((t, page, key))
-        sent[page] = key
-        evicted = self._steps.send((t, page, key))
-        if evicted is not None:
-            del sent[evicted]
-        return evicted
+        """Serve request t alone; returns the evicted page on a full-cache miss.
+
+        A run with keys is sent ``keys[t - 1]``, after ``prediction`` is
+        appended to keys that end before t: a run built without keys reads
+        back the predictions it was sent.  Requests come in order 1, 2, ...
+        """
+        keys = self.keys
+        if keys is None:
+            return self._steps.send((t, page, prediction))
+        if len(keys) < t:
+            keys.append(prediction)
+        return self._steps.send((t, page, keys[t - 1]))
 
     def close(self) -> None:
         """End the run and its experts' runs; their state stays readable.
@@ -130,17 +128,6 @@ class LRU(Policy):
             cache[page] = t
 
 
-def keep_live(heap: list, cache: dict[PageId, int]) -> None:
-    """Keep only the live items of a ``(key, last, page)`` heap, in place.
-
-    An item is live while ``cache.get(page) == last``; stale ones are skipped
-    when popped.  A combiner calls it once an outside heap holds more than 2k
-    items (at least twice its live count): pushes stay O(log k) amortized.
-    """
-    heap[:] = [item for item in heap if cache.get(item[2]) == item[1]]
-    heapify(heap)
-
-
 def pop_live(heap: list, cache: dict[PageId, int]) -> PageId:
     """Remove the smallest live item of a ``(key, last, page)`` heap; its page."""
     while True:
@@ -152,23 +139,21 @@ def pop_live(heap: list, cache: dict[PageId, int]) -> PageId:
 class _LargestKey(Policy):
     """Evict the resident page with the largest key; ties go to the least recent.
 
-    Request t's key is ``keys[t - 1]``, else the prediction sent to
-    ``serve``.  A request pushes ``(-key, t, page)`` onto ``_heap`` while it
+    Request t's key is ``keys[t - 1]``.  A run built without keys starts
+    with none, and ``serve`` appends the prediction it is sent for each
+    request.  A request pushes ``(-key, t, page)`` onto ``_heap`` while it
     holds under 2k items; the item goes stale once its page is requested
     again or evicted.  A full-cache miss that finds the heap at 2k, as after
     any push skipped since the last eviction, rebuilds it from the cache and
-    ``keys`` (or ``sent``).
+    ``keys``.
     """
 
     def __init__(self, k: int, keys: Sequence[float] | None = None):
-        self.keys = keys
-        if keys is None:
-            self.sent = {}
+        self.keys = [] if keys is None else keys
         super().__init__(k)
 
     def _steps(self):
-        cache, k = self.cache, self.k
-        keys, sent = self.keys, self.sent
+        cache, k, keys = self.cache, self.k, self.keys
         heap = self._heap = []  # (-key, t, page) items
         limit = 2 * k
         evicted = None
@@ -179,10 +164,7 @@ class _LargestKey(Policy):
                 del cache[page]
             elif len(cache) >= k:
                 if len(heap) >= limit:
-                    if sent is None:
-                        heap[:] = [(-keys[last - 1], last, p) for p, last in cache.items()]
-                    else:
-                        heap[:] = [(-sent[p], last, p) for p, last in cache.items()]
+                    heap[:] = [(-keys[last - 1], last, p) for p, last in cache.items()]
                     heapify(heap)
                 evicted = pop_live(heap, cache)
                 del cache[evicted]
@@ -280,26 +262,25 @@ def simulate(requests: Sequence[PageId], policies: Iterable[Policy]) -> None:
     Each run is served by its ``_serve_trace`` after the experts it reads: a
     ``map`` of its body's ``send`` over the requests and its ``keys``, or a
     combiner's stretches over its experts' victims.  A run some combiner of
-    the call reads keeps its ``victims``.  A run is closed once served, and
-    served once: serving it again is a ValueError, as is serving a
-    ``blind_oracle`` run without keys, or keys not one per request.
+    the call reads keeps its ``victims``.  A run is closed once served; a
+    call over no requests serves and closes none.  A run that has served a
+    request, by either driver, is a ValueError, as is a run whose keys are
+    not one per request (a ``blind_oracle`` built without a trace has
+    none); a refused call serves nothing.
     """
     runs: dict[Policy, None] = {}  # each distinct run, after its experts
     for run in policies:
         _add_run(runs, run)
     for run in runs:
-        if run.served:
+        if run.cache:
             raise ValueError(f"the {run.name} run was served already")
-        if isinstance(run, _LargestKey) and run.keys is None:
-            raise ValueError(
-                f"the {run.name} run has no keys: build it over a trace, or drive it with serve"
-            )
         if run.keys is not None and len(run.keys) != len(requests):
             raise ValueError(
                 f"the {run.name} run has {len(run.keys)} keys for {len(requests)} requests"
             )
+    if not requests:
+        return  # nothing is served, so each run stays fresh and open
     read = {expert for run in runs for expert in run.experts}
     for run in runs:
         run.victims = run._serve_trace(requests, run in read)
-        run.served = True
         run.close()

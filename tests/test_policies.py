@@ -188,7 +188,7 @@ def test_simulate_serves_every_distinct_run_once_per_request():
             keys = [None] * trace.n if run.keys is None else list(run.keys)
             assert [sent[2] for sent in recorder.sent] == keys, run.name
             victims = recorder.victims
-        assert run.served, run.name
+        assert run.cache, run.name
         assert run.cost == sum(v is not None for v in victims) > 0, run.name
 
 
@@ -218,16 +218,38 @@ def test_simulate_serves_a_run_once_and_only_over_its_requests():
         for runs in ([first["lru"]], [first["ftl"]], [fresh]):
             with pytest.raises(ValueError, match="served already"):
                 simulate(requests, runs)
-        assert not fresh.served and not fresh.experts[0].served
+        assert not fresh.cache and not fresh.experts[0].cache
     assert first["lru"].cost == lru_cost
 
     # a run built without the keys it reads is refused, alone or as an expert,
     # and a belady run cannot be built without its keys
     for keyless in (BlindOracle(2), make_policies(("ftl",), 2)["ftl"]):
-        with pytest.raises(ValueError, match="the blind_oracle run has no keys"):
+        with pytest.raises(ValueError, match="the blind_oracle run has 0 keys for"):
             simulate(trace.requests, [keyless])
     with pytest.raises(TypeError, match="keys"):
         Belady(2)
+
+
+def test_simulate_refuses_a_run_driven_by_serve():
+    # lru served a b c by serve would serve a b c a b c on from that cache at
+    # cost 7, where a fresh run pays 4, as one simulated over no requests
+    # does.  Each run has served a b c online, itself or (ftl) through its
+    # lru expert; the refused call serves nothing
+    trace = _trace("abcabc")
+    fresh = LRU(2)
+    simulate([], [fresh])
+    simulate(trace.requests, [fresh])
+    assert fresh.cost == 4
+    ftl = make_policies(("ftl",), 2, trace)["ftl"]
+    keyed = make_policies(("blind_oracle",), 2, trace)["blind_oracle"]
+    lru, keyless = LRU(2), BlindOracle(2)
+    for run in (lru, keyed, keyless, ftl.experts[1]):
+        serve_all(run, "abc", trace.predictions)
+    for run in (lru, keyed, keyless, ftl):
+        costs = [served.cost for served in (run, *run.experts)]
+        with pytest.raises(ValueError, match="served already"):
+            simulate(trace.requests, [run])
+        assert [served.cost for served in (run, *run.experts)] == costs, run.name
 
 
 def test_simulate_refuses_keys_that_are_not_one_per_request():
@@ -239,7 +261,7 @@ def test_simulate_refuses_keys_that_are_not_one_per_request():
     for listed in (runs.values(), [runs["ftl"]]):
         with pytest.raises(ValueError, match="10 keys for 20 requests"):
             simulate(trace.requests * 2, listed)
-    assert not any(run.served or run.cost for run in (*runs.values(), *runs["ftl"].experts))
+    assert not any(run.cache or run.cost for run in (*runs.values(), *runs["ftl"].experts))
     simulate(trace.requests, runs.values())
     assert runs["belady"].cost == run_policy("belady", trace, 2).cost
 
@@ -269,7 +291,7 @@ def test_simulated_runs_are_freed_without_the_cycle_collector():
     gc.disable()
     try:
         simulate(trace.requests, runs.values())
-        assert all(ref().served and ref()._steps.gi_frame is None for ref in refs)
+        assert all(ref().cache and ref()._steps.gi_frame is None for ref in refs)
         del runs
         assert all(ref() is None for ref in refs)
     finally:
@@ -635,8 +657,8 @@ def test_victims_match_the_reference_rules_when_the_cold_fill_fills_the_heap():
 
 
 def test_a_keyless_blind_oracle_reads_back_the_keys_it_was_sent():
-    # driven by serve without keys, blind_oracle rebuilds its full heap from
-    # the keys it was sent, and keeps only those of its resident pages
+    # driven by serve without keys, blind_oracle appends each key it is sent
+    # and rebuilds its full heap from them
     for k in (1, 3, 8):
         trace = _hit_heavy_trace(k, seed=k)
         reference = serve_all(RefBlindOracle(k), trace.requests, trace.predictions)
@@ -645,7 +667,7 @@ def test_a_keyless_blind_oracle_reads_back_the_keys_it_was_sent():
         for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
             victims.append(run.serve(t, page, h))
             _assert_heaps_bounded(run)
-            assert run.sent == {p: trace.predictions[last - 1] for p, last in run.cache.items()}
+            assert run.keys == list(trace.predictions[:t])
         assert victims == reference, k
         assert run.cost > k
 
