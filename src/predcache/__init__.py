@@ -8,7 +8,7 @@ runner.
 """
 
 from .adversary import AdversaryConfig, AdversaryResult, certify_lower_bound, run_adversary
-from .combine import POLICY_NAMES, FtlCombiner, MwCombiner, make_policies, run_policy
+from .combine import POLICY_NAMES, FtlCombiner, MwCombiner, make_policies
 from .errors import ConfigError, NondeterministicPolicyError, TraceParseError
 from .metrics import (
     BOUND_IDS,

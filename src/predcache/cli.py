@@ -32,13 +32,12 @@ from .trace import synthesize_traces
 
 # The benchmark's tracer (bench/tracing.py) patches run_policy, run_ftl,
 # run_mw and synthesize on this module; the sweep calls none of them.  The
-# combiner wrappers are gone, so run_ftl and run_mw are None: the tracer only
-# needs the names to exist.  All four go once the tracer wraps what the sweep
+# run wrappers are gone, so the first three are None: the tracer only needs
+# the names to exist.  All four go once the tracer wraps what the sweep
 # calls (ROADMAP item 1).
-from .combine import run_policy  # noqa: F401
 from .trace import synthesize  # noqa: F401
 
-run_ftl = run_mw = None
+run_policy = run_ftl = run_mw = None
 
 
 class ExperimentConfig(NamedTuple):

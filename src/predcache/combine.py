@@ -52,7 +52,6 @@ from .policies import (
     Marker,
     Policy,
     pop_live,
-    simulate,
 )
 from .trace import PageId, Trace
 
@@ -76,7 +75,7 @@ def keep_live(heap: list, cache: dict[PageId, int]) -> None:
 
 
 class _Combiner(Policy):
-    """Two experts of the combiner's ``k``, and the own pages each one lacks.
+    """Two experts of one ``k``, the combiner's, and the own pages each one lacks.
 
     The body is sent ``(t, page, victim_a, victim_b)``: the experts' victims
     for request t.  ``_outside[i]`` is a ``(last, last, page)`` heap (see
@@ -100,12 +99,12 @@ class _Combiner(Policy):
     followed = 0
     excess = 0
 
-    def __init__(self, expert_a: Policy, expert_b: Policy, k: int):
-        if expert_a.k != k or expert_b.k != k:
-            raise ConfigError(f"combiner experts need k={k}, got {expert_a.k}, {expert_b.k}")
+    def __init__(self, expert_a: Policy, expert_b: Policy):
+        if expert_a.k != expert_b.k:
+            raise ConfigError(f"combiner experts need one k, got {expert_a.k} and {expert_b.k}")
         self.experts = (expert_a, expert_b)
         self._outside: tuple[list, list] = ([], [])
-        super().__init__(k)
+        super().__init__(expert_a.k)
 
     def serve(self, t, page, prediction):
         """Serve request t to both experts (once if they are one run), then to self."""
@@ -261,16 +260,15 @@ class MwCombiner(_Combiner):
         self,
         expert_a: Policy,
         expert_b: Policy,
-        k: int,
-        epsilon: float,
+        epsilon: float | None,
         rng: random.Random,
     ):
-        if not 0.0 < epsilon < 0.25:
+        if epsilon is None or not 0.0 < epsilon < 0.25:
             raise ConfigError(f"epsilon must be in (0, 1/4), got {epsilon}")
         self.epsilon = epsilon
         self.rng = rng
         self.followed = 0 if rng.random() < 0.5 else 1
-        super().__init__(expert_a, expert_b, k)
+        super().__init__(expert_a, expert_b)
 
     def _switch(self, excess: int) -> bool:
         # the share lost is epsilon / (1 + (1-epsilon)**excess); below 0 it is
@@ -303,12 +301,12 @@ def make_policies(
     ``belady`` keys each request by the trace's true arrivals, so it needs
     the trace; ``blind_oracle`` by its predictions (built without a trace,
     it is driven by ``serve``).  ``marker`` consumes the seed; ``mw``
-    consumes it through child seeds and needs epsilon.  ``ftl`` (the
-    deterministic combination of blind_oracle and lru) wraps the very
-    ``blind_oracle`` and ``lru`` instances returned under those names, built
-    for it when they are not named.  ``mw`` (blind_oracle with marker) wraps
-    that same ``blind_oracle`` plus its own child-seeded Marker, a run
-    distinct from the standalone ``marker``.
+    consumes it through child seeds, and ``MwCombiner`` checks its epsilon.
+    ``ftl`` (the deterministic combination of blind_oracle and lru) wraps
+    the very ``blind_oracle`` and ``lru`` instances returned under those
+    names, built for it when they are not named.  ``mw`` (blind_oracle with
+    marker) wraps that same ``blind_oracle`` plus its own child-seeded
+    Marker, a run distinct from the standalone ``marker``.
 
     A run is keyed by what it reads.  ``shared`` holds the runs that read
     only the requests and arrivals (``lru``, ``belady``, ``marker`` and mw's
@@ -346,28 +344,12 @@ def make_policies(
     runs: dict[str, Policy] = {}
     for name in names:
         if name == "ftl":
-            runs[name] = FtlCombiner(base("blind_oracle"), base("lru"), k)
+            runs[name] = FtlCombiner(base("blind_oracle"), base("lru"))
         elif name == "mw":
-            if epsilon is None:
-                raise ConfigError("mw needs epsilon")
-            runs[name] = MwCombiner(
-                base("blind_oracle"), base("mw.marker"), k, epsilon,
-                random.Random(_child_seeds(seed)[2]),
-            )
+            rng = random.Random(_child_seeds(seed)[2])
+            runs[name] = MwCombiner(base("blind_oracle"), base("mw.marker"), epsilon, rng)
         elif name in POLICY_NAMES:
             runs[name] = base(name)
         else:
             raise ConfigError(f"unknown policy {name!r}")
     return runs
-
-
-def run_policy(
-    name: str, trace: Trace, k: int, seed: int = 0, epsilon: float | None = None
-) -> Policy:
-    """Build the named run over the trace with ``make_policies`` and serve it.
-
-    Returns the run; its ``cost`` is its eviction count.
-    """
-    run = make_policies((name,), k, trace, seed=seed, epsilon=epsilon)[name]
-    simulate(trace.requests, (run,))
-    return run

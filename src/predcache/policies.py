@@ -72,14 +72,17 @@ class Policy:
         """Serve request t alone; returns the evicted page on a full-cache miss.
 
         A run with keys is sent ``keys[t - 1]``, after ``prediction`` is
-        appended to keys that end before t: a run built without keys reads
-        back the predictions it was sent.  Requests come in order 1, 2, ...
+        appended to a list of keys that ends before t: a run built without
+        keys reads back what it was sent.  Requests come in order 1, 2, ...
         """
         keys = self.keys
         if keys is None:
             return self._steps.send((t, page, prediction))
         if len(keys) < t:
-            keys.append(prediction)
+            try:
+                keys.append(prediction)
+            except AttributeError:  # a tuple: the keys of a run built over a trace
+                raise IndexError(f"the {self.name} run has {len(keys)} keys, not {t}") from None
         return self._steps.send((t, page, keys[t - 1]))
 
     def close(self) -> None:
@@ -139,17 +142,17 @@ def pop_live(heap: list, cache: dict[PageId, int]) -> PageId:
 class _LargestKey(Policy):
     """Evict the resident page with the largest key; ties go to the least recent.
 
-    Request t's key is ``keys[t - 1]``.  A run built without keys starts
-    with none, and ``serve`` appends the prediction it is sent for each
-    request.  A request pushes ``(-key, t, page)`` onto ``_heap`` while it
-    holds under 2k items; the item goes stale once its page is requested
-    again or evicted.  A full-cache miss that finds the heap at 2k, as after
-    any push skipped since the last eviction, rebuilds it from the cache and
-    ``keys``.
+    Request t's key is ``keys[t - 1]``.  A run built with keys holds a tuple;
+    one built without starts with an empty list, and ``serve`` appends the
+    prediction it is sent for each request.  A request pushes ``(-key, t,
+    page)`` onto ``_heap`` while it holds under 2k items; the item goes stale
+    once its page is requested again or evicted.  A full-cache miss that
+    finds the heap at 2k, as after any push skipped since the last eviction,
+    rebuilds it from the cache and ``keys``.
     """
 
     def __init__(self, k: int, keys: Sequence[float] | None = None):
-        self.keys = [] if keys is None else keys
+        self.keys = [] if keys is None else tuple(keys)
         super().__init__(k)
 
     def _steps(self):

@@ -101,10 +101,27 @@ def _derived(requests: tuple[PageId, ...], predictions, arrivals: Sequence[int])
     return tuple.__new__(Trace, (requests, predictions, arrivals))
 
 
+def _refuse_unread(spec, section: str, reads) -> None:
+    """Refuse a parameter the kind does not read, so the checks after this see it at its default."""
+    for name, default in spec._field_defaults.items():
+        if name not in reads and getattr(spec, name) != default:
+            raise ConfigError(f"{section} kind {spec.kind} does not read {name}")
+
+
+# Each workload kind, the parameters it reads beyond universe and length, and
+# their parts of its label; a part is left out while its value is 0.
+WORKLOAD_PARAMS = {
+    "uniform": {},
+    "zipf": {"alpha": "-a{:g}"},
+    "cyclic": {"cycle": "-m{}"},
+    "phased": {"cycle": "-m{}", "phase_len": "-pl{}"},
+}
+
+
 class WorkloadSpec(NamedTuple):
     """Synthetic workload description.
 
-    kinds:
+    kinds (each reads only the parameters ``WORKLOAD_PARAMS`` lists):
       - ``uniform``: each request drawn uniformly from the page universe
       - ``zipf``: rank r requested with probability proportional to r**-alpha
       - ``cyclic``: deterministic round-robin over the first ``cycle`` pages
@@ -120,31 +137,26 @@ class WorkloadSpec(NamedTuple):
     phase_len: int = 0
 
     def validate(self) -> None:
-        if self.kind not in ("uniform", "zipf", "cyclic", "phased"):
+        if self.kind not in WORKLOAD_PARAMS:
             raise ConfigError(f"unknown workload kind {self.kind!r}")
+        _refuse_unread(self, "workload", WORKLOAD_PARAMS[self.kind])
         if self.universe < 1:
             raise ConfigError("universe_size must be >= 1")
         if self.length < 1:
             raise ConfigError("length must be >= 1")
-        if self.kind == "zipf" and not self.alpha > 0:
+        if not self.alpha > 0:
             raise ConfigError("zipf requires alpha > 0")
-        if self.kind in ("cyclic", "phased"):
-            m = self.cycle or self.universe
-            if not 1 <= m <= self.universe:
-                raise ConfigError("cycle size must be in 1..universe_size")
+        if not 1 <= (self.cycle or self.universe) <= self.universe:
+            raise ConfigError("cycle size must be in 1..universe_size")
         if self.kind == "phased" and self.phase_len < 1:
             raise ConfigError("phased requires phase_len >= 1")
 
     @property
     def label(self) -> str:
-        base = f"{self.kind}-u{self.universe}-n{self.length}"
-        if self.kind == "zipf":
-            base += f"-a{self.alpha:g}"
-        if self.kind in ("cyclic", "phased") and self.cycle:
-            base += f"-m{self.cycle}"
-        if self.kind == "phased":
-            base += f"-pl{self.phase_len}"
-        return base
+        parts = WORKLOAD_PARAMS[self.kind].items()
+        return f"{self.kind}-u{self.universe}-n{self.length}" + "".join(
+            part.format(getattr(self, name)) for name, part in parts if getattr(self, name)
+        )
 
 
 # Each noise kind and its label, the results CSV's noise_id, which names the
@@ -162,7 +174,7 @@ NOISE_LABELS = {
 class NoiseSpec(NamedTuple):
     """Prediction noise model applied to the true arrival times.
 
-    The kinds, and the parameters each reads, are those of ``NOISE_LABELS``.
+    The kinds, and the only parameters each reads, are those of ``NOISE_LABELS``.
     Outputs are clamped to finite values >= 0.
     """
 
@@ -176,12 +188,14 @@ class NoiseSpec(NamedTuple):
     def validate(self) -> None:
         if self.kind not in NOISE_LABELS:
             raise ConfigError(f"unknown noise kind {self.kind!r}")
+        label = NOISE_LABELS[self.kind]  # a parameter is read if it is a field of the label
+        _refuse_unread(self, "noise", [name for name in self._fields if "{" + name in label])
         for value in (self.width, self.sigma, self.shift, self.limit):
             if not math.isfinite(value):
                 raise ConfigError(f"noise parameters must be finite, got {value!r}")
-        if self.kind == "additive_uniform" and self.width < 0:
+        if self.width < 0:
             raise ConfigError("additive_uniform requires width >= 0")
-        if self.kind in ("additive_gaussian", "lognormal_scale") and self.sigma < 0:
+        if self.sigma < 0:
             raise ConfigError(f"{self.kind} requires sigma >= 0")
         if self.kind == "random_replace":
             if not 0 <= self.prob <= 1:

@@ -10,7 +10,9 @@ builders written with ``random.Random``'s own ``randrange``, ``uniform``,
 ``gauss`` and ``lognormvariate``.  It also holds ``request_runs``, the
 Hypothesis strategy for request lists, ``potential``, a combiner's Phi,
 and ``check_potential``, the combiners' cost argument checked request by
-request.
+request.  ``run_policy`` alone calls the package: it is the tests'
+shorthand for one run built by ``make_policies`` and served by
+``simulate``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from hypothesis import strategies as st
+
+from predcache import make_policies, simulate
 
 
 def scan_next_arrivals(requests: list[str]) -> list[int]:
@@ -150,6 +154,14 @@ def request_runs(pages, runs, run_len):
     return st.lists(run, min_size=1, max_size=runs).map(
         lambda drawn: [page for requests in drawn for page in requests]
     )
+
+
+def run_policy(name, trace, k, seed=0, epsilon=None):
+    """The named run over the trace, built by ``make_policies`` and served by
+    ``simulate``; its ``cost`` is its eviction count."""
+    run = make_policies((name,), k, trace, seed=seed, epsilon=epsilon)[name]
+    simulate(trace.requests, (run,))
+    return run
 
 
 def serve_all(policy, requests, predictions) -> list:

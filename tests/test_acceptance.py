@@ -26,12 +26,16 @@ from predcache import (
     make_policies,
     next_arrivals,
     run_adversary,
-    run_policy,
     simulate,
     synthesize,
 )
 from predcache.combine import _child_seeds
-from oracles import brute_force_opt, count_inversions_broadcast, count_inversions_naive
+from oracles import (
+    brute_force_opt,
+    count_inversions_broadcast,
+    count_inversions_naive,
+    run_policy,
+)
 
 WORKLOADS = [
     WorkloadSpec("uniform", universe=50, length=2000),
@@ -111,12 +115,9 @@ def test_c01_perfect_predictions_match_offline_optimum():
     for i in range(1000):
         rng = random.Random(20_260_801 + i)
         kind = "uniform" if i % 2 == 0 else "zipf"
-        spec = WorkloadSpec(
-            kind,
-            universe=rng.randint(4, 60),
-            length=rng.randint(20, 500),
-            alpha=rng.uniform(0.6, 1.4),
-        )
+        universe, length = rng.randint(4, 60), rng.randint(20, 500)
+        alpha = rng.uniform(0.6, 1.4)  # drawn for uniform too, so the later draws stay
+        spec = WorkloadSpec(kind, universe, length, **({"alpha": alpha} if kind == "zipf" else {}))
         k = rng.randint(2, 10)
         trace = synthesize(spec, NoiseSpec("perfect"), seed=rng.getrandbits(32))
         count += 1
@@ -304,7 +305,7 @@ def test_c08_randomized_combiner_within_budget():
             runs = {
                 epsilon: [
                     MwCombiner(
-                        blind_oracle, Marker(k, random.Random(marker_seed)), k, epsilon,
+                        blind_oracle, Marker(k, random.Random(marker_seed)), epsilon,
                         random.Random(mw_seed),
                     )
                     for _, marker_seed, mw_seed in map(_child_seeds, seeds)

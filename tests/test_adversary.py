@@ -12,10 +12,9 @@ from predcache import (
     certify_lower_bound,
     make_policies,
     run_adversary,
-    run_policy,
 )
 from predcache.adversary import _fallback_page
-from oracles import serve_all
+from oracles import run_policy, serve_all
 
 
 def test_config_validation():

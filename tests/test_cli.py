@@ -743,6 +743,49 @@ def test_main_rejects_malformed_input(tmp_path, capsys, overrides):
     assert not (tmp_path / "res.csv").exists()
 
 
+# one parameter per kind that the kind does not read, set off its default
+UNREAD = [
+    ("workload", {"kind": "uniform", "universe": 8, "length": 20, "alpha": 3.0}, "alpha"),
+    ("workload", {"kind": "zipf", "universe": 8, "length": 20, "cycle": 5}, "cycle"),
+    ("workload", {"kind": "cyclic", "universe": 8, "length": 20, "phase_len": 7}, "phase_len"),
+    ("workload", {"kind": "phased", "universe": 8, "length": 20, "phase_len": 5, "alpha": 2.0},
+     "alpha"),
+    ("noise", {"kind": "perfect", "width": 8.0}, "width"),
+    ("noise", {"kind": "additive_uniform", "width": 2.0, "sigma": 1.0}, "sigma"),
+    ("noise", {"kind": "additive_gaussian", "width": 8.0}, "width"),
+    ("noise", {"kind": "lognormal_scale", "sigma": 0.5, "shift": 1.0}, "shift"),
+    ("noise", {"kind": "constant_shift", "shift": 1.0, "prob": 0.5}, "prob"),
+    ("noise", {"kind": "random_replace", "prob": 0.5, "limit": 10.0, "width": 1.0}, "width"),
+]
+UNREAD_IDS = [f"{section}_{fields['kind']}_{name}" for section, fields, name in UNREAD]
+
+
+@pytest.mark.parametrize("section, fields, name", UNREAD, ids=UNREAD_IDS)
+def test_a_spec_refuses_a_parameter_its_kind_does_not_read(section, fields, name):
+    spec = (WorkloadSpec if section == "workload" else NoiseSpec)(**fields)
+    message = f"{section} kind {fields['kind']} does not read {name}"
+    with pytest.raises(ConfigError, match=message):
+        spec.validate()
+    # the same parameter at its default is accepted
+    spec._replace(**{name: type(spec)._field_defaults[name]}).validate()
+
+
+@pytest.mark.parametrize("section, fields, name", UNREAD, ids=UNREAD_IDS)
+def test_main_refuses_a_parameter_a_kind_does_not_read(tmp_path, capsys, section, fields, name):
+    data = {
+        "policies": ["lru"],
+        "workload": {"kind": "uniform", "universe": 8, "length": 20},
+        section: fields,
+        "out": str(tmp_path / "res.csv"),
+    }
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert main(["--config", str(cfg)]) == 1
+    message = f"{section} kind {fields['kind']} does not read {name}"
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (tmp_path / "res.csv").exists()
+
+
 def test_main_clamps_an_overflowing_lognormal_draw(tmp_path):
     # exp of a draw with sigma 1000 overflows; the prediction is clamped
     cfg, out = tmp_path / "exp.yaml", tmp_path / "res.csv"

@@ -19,11 +19,10 @@ from predcache import (
     next_arrivals,
     perturb_predictions,
     run_adversary,
-    run_policy,
     simulate,
     synthesize,
 )
-from oracles import check_potential, potential, request_runs, serve_all
+from oracles import check_potential, potential, request_runs, run_policy, serve_all
 
 
 def _trace(requests, predictions=None):
@@ -60,7 +59,7 @@ def test_leader_follows_strict_minimum_and_ties_keep_incumbent():
     # k=2, lru against blind_oracle on x y z x y x y with predictions
     # 1 9 1 9 9 1 1; each step lists (lru cost, blind_oracle cost, followed)
     a, b = LRU(2), BlindOracle(2)
-    ftl = FtlCombiner(a, b, 2)
+    ftl = FtlCombiner(a, b)
     steps = []
     for t, (page, h) in enumerate(zip("xyzxyxy", [1.0, 9.0, 1.0, 9.0, 9.0, 1.0, 1.0]), start=1):
         ftl.serve(t, page, h)
@@ -80,7 +79,7 @@ def test_ftl_evicts_outside_leader_cache():
     # blind_oracle leads throughout: lru evicts as often, and a tie keeps the
     # incumbent.  Predictions a=10, b=3, c=9.
     leader, other = BlindOracle(2), LRU(2)
-    ftl = FtlCombiner(leader, other, 2)
+    ftl = FtlCombiner(leader, other)
     assert serve_all(ftl, "ab", [10.0, 3.0]) == [None, None]
     # own {a, b}, leader evicts a for c: own's least recent page a is outside
     assert ftl.serve(3, "c", 9.0) == "a"
@@ -93,10 +92,13 @@ def test_ftl_evicts_outside_leader_cache():
 
 
 def test_combiners_refuse_experts_of_another_capacity():
-    with pytest.raises(ConfigError):
-        FtlCombiner(LRU(3), LRU(2), 2)
-    with pytest.raises(ConfigError):
-        MwCombiner(LRU(2), BlindOracle(4), 2, 0.1, random.Random(0))
+    # a combiner's k is its experts', so theirs must agree
+    with pytest.raises(ConfigError, match="one k, got 3 and 2"):
+        FtlCombiner(LRU(3), LRU(2))
+    with pytest.raises(ConfigError, match="one k, got 2 and 4"):
+        MwCombiner(LRU(2), BlindOracle(4), 0.1, random.Random(0))
+    assert FtlCombiner(BlindOracle(3), LRU(3)).k == 3
+    assert MwCombiner(BlindOracle(5), LRU(5), 0.1, random.Random(0)).k == 5
 
 
 def test_identical_experts_reproduce_the_expert_exactly():
@@ -104,16 +106,16 @@ def test_identical_experts_reproduce_the_expert_exactly():
         WorkloadSpec("uniform", universe=25, length=800), NoiseSpec("perfect"), seed=9
     )
     expert = LRU(5)
-    combined = FtlCombiner(expert, expert, 5)
+    combined = FtlCombiner(expert, expert)
     simulate(trace.requests, [combined])
     alone = run_policy("lru", trace, k=5)
     a, b = combined.experts
     assert combined.cost == alone.cost == a.cost == b.cost
     victims = serve_all(LRU(5), trace.requests, trace.predictions)
-    assert serve_all(FtlCombiner(LRU(5), LRU(5), 5), trace.requests, trace.predictions) == victims
+    assert serve_all(FtlCombiner(LRU(5), LRU(5)), trace.requests, trace.predictions) == victims
     # one instance as both experts is served once per request
     shared = LRU(5)
-    assert serve_all(FtlCombiner(shared, shared, 5), trace.requests, trace.predictions) == victims
+    assert serve_all(FtlCombiner(shared, shared), trace.requests, trace.predictions) == victims
     assert shared.cost == combined.cost
 
 
@@ -163,7 +165,7 @@ def test_mw_weights_step_by_step():
     # lowers the excess without a draw.  Each step lists (blind_oracle cost,
     # lru cost, followed, excess).
     bo, lru = BlindOracle(2), LRU(2)
-    combiner = MwCombiner(bo, lru, 2, 0.1, random.Random(0))
+    combiner = MwCombiner(bo, lru, 0.1, random.Random(0))
     steps = []
     for t, (page, h) in enumerate(zip("abcb", [5.0, 9.0, 1.0, 1.0]), start=1):
         combiner.serve(t, page, h)
@@ -173,10 +175,15 @@ def test_mw_weights_step_by_step():
 
 
 def test_mw_epsilon_range_enforced():
+    # the builder leaves the check to MwCombiner, whose range refuses None
     trace = _trace("abcabc")
-    for eps in (0.0, 0.25, 0.3, -0.1):
-        with pytest.raises(ConfigError):
+    for eps in (0.0, 0.25, 0.3, -0.1, None):
+        with pytest.raises(ConfigError, match="epsilon"):
             run_policy("mw", trace, 2, seed=0, epsilon=eps)
+        with pytest.raises(ConfigError, match="epsilon"):
+            MwCombiner(LRU(2), LRU(2), eps, random.Random(0))
+    with pytest.raises(ConfigError, match="epsilon"):
+        make_policies(("mw",), 2, trace)
 
 
 # ---------------------------------------------------------------- MW combiner
@@ -189,7 +196,7 @@ def test_mw_weights_positive_nonincreasing_and_probabilities_normalized():
         NoiseSpec("additive_uniform", width=5.0),
         seed=8,
     )
-    combiner = MwCombiner(BlindOracle(4), LRU(4), 4, 0.1, random.Random(5))
+    combiner = MwCombiner(BlindOracle(4), LRU(4), 0.1, random.Random(5))
     assert combiner.excess == 0
     for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
         combiner.serve(t, page, h)
@@ -221,7 +228,7 @@ def test_mw_draws_only_when_the_followed_expert_alone_evicts():
     )
     rng = _CountingRandom(2)
     bo, lru = BlindOracle(4), LRU(4)
-    combiner = MwCombiner(bo, lru, 4, 0.2, rng)
+    combiner = MwCombiner(bo, lru, 0.2, rng)
     assert rng.draws == 1
     kinds = {"followed alone": 0, "other alone": 0, "both": 0}
     switches = 0
@@ -247,7 +254,7 @@ def test_mw_draws_only_when_the_followed_expert_alone_evicts():
 def test_mw_switch_threshold_is_the_mass_lost(epsilon):
     keep = 1 - Fraction(epsilon)
     rng = _StubRandom()
-    combiner = MwCombiner(LRU(2), LRU(2), 2, epsilon, rng)
+    combiner = MwCombiner(LRU(2), LRU(2), epsilon, rng)
     other = 10
     for excess in range(-5, 6):
         # the followed expert's cost went from other + excess - 1 to other + excess
@@ -265,7 +272,7 @@ def test_mw_identical_experts_reproduce_the_expert():
     trace = synthesize(
         WorkloadSpec("zipf", universe=30, length=800, alpha=1.1), NoiseSpec("perfect"), seed=10
     )
-    combiner = MwCombiner(LRU(4), LRU(4), 4, 0.1, random.Random(3))
+    combiner = MwCombiner(LRU(4), LRU(4), 0.1, random.Random(3))
     evictions = []
     for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
         if combiner.serve(t, page, h) is not None:
@@ -369,7 +376,7 @@ def _assert_simulate_matches_serve(trace, k, seed):
     switches = {}
     for name in ("ftl", "mw"):
         batch, online = build(name), build(name)
-        reader = FtlCombiner(batch, batch, k)
+        reader = FtlCombiner(batch, batch)
         simulate(trace.requests, [reader])
         victims, switches[name] = [], []
         stretch = 1

@@ -22,7 +22,6 @@ from predcache import (
     make_policies,
     next_arrivals,
     perturb_predictions,
-    run_policy,
     simulate,
     synthesize,
 )
@@ -37,6 +36,7 @@ from oracles import (
     count_inversions_fenwick,
     ref_policy,
     request_runs,
+    run_policy,
     serve_all,
 )
 
@@ -107,7 +107,7 @@ def test_repeated_request_index_returns_the_stored_answer():
     # one run as both experts is asked twice per index; only the first read
     # serves, the second is answered with the victim it yielded
     p = LRU(1)
-    ftl = FtlCombiner(p, p, 1)
+    ftl = FtlCombiner(p, p)
     ftl.serve(1, "a", 0.0)
     assert ftl.serve(2, "b", 0.0) == "a"
     assert p.cost == 1
@@ -142,7 +142,7 @@ def test_every_policy_answers_a_repeated_index_from_its_store(name):
     served = list(enumerate(trace.requests, start=1))
     for drive in ("serve", "simulate"):
         policy = build()
-        pair = FtlCombiner(policy, policy, 3)
+        pair = FtlCombiner(policy, policy)
         recorders = _record([pair])
         if drive == "serve":
             _served(pair, trace)
@@ -175,7 +175,7 @@ def test_simulate_serves_every_distinct_run_once_per_request():
     recorders = _record(runs.values())
     assert len(recorders) == len(POLICY_NAMES) + 1  # mw's own marker
     # a pair over each combiner keeps its victims
-    readers = [FtlCombiner(runs[name], runs[name], 3) for name in ("ftl", "mw")]
+    readers = [FtlCombiner(runs[name], runs[name]) for name in ("ftl", "mw")]
     simulate(trace.requests, [*runs.values(), runs["ftl"], *readers])
     served = list(enumerate(trace.requests, start=1))
     for run, recorder in recorders.items():
@@ -277,9 +277,24 @@ def test_a_keyed_run_reads_its_own_keys_under_serve():
     for name in ("blind_oracle", "belady"):
         online, batch = (make_policies((name,), 3, trace)[name] for _ in range(2))
         victims = serve_all(online, trace.requests, reversed(trace.predictions))
-        simulate(trace.requests, [FtlCombiner(batch, batch, 3)])  # keeps batch's victims
+        simulate(trace.requests, [FtlCombiner(batch, batch)])  # keeps batch's victims
         assert victims == batch.victims, name
         assert online.cost == batch.cost > 0, name
+
+
+def test_serve_refuses_a_request_past_a_trace_built_runs_keys():
+    # a run built over a trace holds a key per request; one built without
+    # keys still appends the predictions it is sent
+    trace = Trace(["a", "b"], [1.0, 5.0])  # not exact: blind_oracle is its own run
+    for name in ("blind_oracle", "belady"):
+        run = make_policies((name,), 1, trace)[name]
+        assert serve_all(run, trace.requests, trace.predictions) == [None, "a"]
+        with pytest.raises(IndexError, match=f"the {name} run has 2 keys"):
+            run.serve(3, "c", 3.0)
+        assert run.keys == (trace.predictions if name == "blind_oracle" else trace.arrivals)
+    run = make_policies(("blind_oracle",), 1)["blind_oracle"]
+    assert serve_all(run, "abc", [1.0, 5.0, 3.0]) == [None, "a", "b"]
+    assert run.keys == [1.0, 5.0, 3.0]
 
 
 def test_simulated_runs_are_freed_without_the_cycle_collector():
@@ -524,7 +539,7 @@ def _simulated(runs, trace):
     makes ``simulate`` keep its victims; its heaps are checked at the end.
     """
     recorders = _record(runs)
-    readers = [FtlCombiner(run, run, run.k) for run in runs if run.experts]
+    readers = [FtlCombiner(run, run) for run in runs if run.experts]
     simulate(trace.requests, [*runs, *readers])
     served = list(enumerate(trace.requests, start=1))
     victims = {}
@@ -570,15 +585,15 @@ def _assert_same_victims(trace, k, seed=0):
     arrivals = trace.arrivals
     pairs = {
         "ftl(belady, marker)": (
-            lambda: FtlCombiner(Belady(k, arrivals), Marker(k, random.Random(seed)), k),
+            lambda: FtlCombiner(Belady(k, arrivals), Marker(k, random.Random(seed))),
             RefFtl(RefBelady(k, arrivals), RefMarker(k, random.Random(seed)), k),
         ),
         "mw(lru, belady)": (
-            lambda: MwCombiner(LRU(k), Belady(k, arrivals), k, 0.1, random.Random(seed)),
+            lambda: MwCombiner(LRU(k), Belady(k, arrivals), 0.1, random.Random(seed)),
             RefMw(RefLRU(k), RefBelady(k, arrivals), k, 0.1, random.Random(seed)),
         ),
         "ftl(lru, lru)": (
-            lambda: FtlCombiner(LRU(k), LRU(k), k), RefFtl(RefLRU(k), RefLRU(k), k)
+            lambda: FtlCombiner(LRU(k), LRU(k)), RefFtl(RefLRU(k), RefLRU(k), k)
         ),
     }
     built = {name: make() for name, (make, _) in pairs.items()}
