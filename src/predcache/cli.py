@@ -242,9 +242,10 @@ def _cell_costs(config: ExperimentConfig, traces: list[Trace], k: int, seed: int
     """Serve a seed's cells at k in one pass; per trace, (opt, costs for the
     rows and bounds).
 
-    The traces share their requests.  Each configured policy maps to its own
-    run; a combiner's expert that is not configured maps to the combiner's
-    copy, so its bounds stay checkable.  The cells share one ``shared`` dict
+    The traces share their requests.  Each configured policy maps to its
+    run, and a combiner's experts to the runs it combined (the runs of those
+    names, built for it when not configured), so its bounds read the experts
+    it ran.  The cells share one ``shared`` dict
     (see ``make_policies``), so the runs that read no prediction, and an
     exact cell's blind_oracle, are served once for them all.
     """
@@ -332,8 +333,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     Each seed's requests are built once and re-noised under every noise model;
     each (noise, seed) trace is measured once.  At every k, one ``simulate``
     call serves all of the seed's cells, so the runs that never read a
-    prediction (lru, belady, marker and mw's Marker) are served once and
-    stand in every noise's cell.  A cell whose predictions equal the true
+    prediction (lru, belady and marker, which mw combines) are served once
+    and stand in every noise's cell.  A cell whose predictions equal the true
     arrivals is exact: blind_oracle, standalone or as an expert, is that
     (seed, k)'s belady run, and its inversion count is 0.  With two or more
     seeds, the seed means of a (noise, k)'s costs and measures form one more

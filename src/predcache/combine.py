@@ -58,8 +58,7 @@ from .trace import PageId, Trace
 POLICY_NAMES = ("lru", "belady", "marker", "blind_oracle", "ftl", "mw")
 
 # The policies a combiner's two experts run, in order, as ``make_policies``
-# builds them: the costs its bounds need.  mw's Marker is its own
-# child-seeded run.
+# builds them: the costs its bounds need, read off the runs it combined.
 EXPERTS = {bound.policy: bound.needs for bound in BOUNDS if bound.needs}
 
 
@@ -278,15 +277,6 @@ class MwCombiner(_Combiner):
         return self.rng.random() < lost
 
 
-def _child_seeds(seed: int) -> tuple[int, int, int]:
-    """Three seeds from ``seed``: mw's Marker takes the second, its generator the third.
-
-    The first is drawn and unused, so the other two keep their values.
-    """
-    root = random.Random(seed)
-    return root.getrandbits(63), root.getrandbits(63), root.getrandbits(63)
-
-
 def make_policies(
     names: Sequence[str],
     k: int,
@@ -300,17 +290,16 @@ def make_policies(
 
     ``belady`` keys each request by the trace's true arrivals, so it needs
     the trace; ``blind_oracle`` by its predictions (built without a trace,
-    it is driven by ``serve``).  ``marker`` consumes the seed; ``mw``
-    consumes it through child seeds, and ``MwCombiner`` checks its epsilon.
-    ``ftl`` (the deterministic combination of blind_oracle and lru) wraps
-    the very ``blind_oracle`` and ``lru`` instances returned under those
-    names, built for it when they are not named.  ``mw`` (blind_oracle with
-    marker) wraps that same ``blind_oracle`` plus its own child-seeded
-    Marker, a run distinct from the standalone ``marker``.
+    it is driven by ``serve``).  ``marker`` is seeded ``Random(seed)``;
+    ``mw``'s generator by the third 63-bit draw of ``Random(seed)``, and
+    ``MwCombiner`` checks its epsilon.  A combiner wraps the very expert
+    instances returned under the experts' names, built for it when they are
+    not named: ``ftl`` (the deterministic combination) wraps ``blind_oracle``
+    and ``lru``, ``mw`` (the randomized one) ``blind_oracle`` and ``marker``.
 
     A run is keyed by what it reads.  ``shared`` holds the runs that read
-    only the requests and arrivals (``lru``, ``belady``, ``marker`` and mw's
-    Marker), built on first use: the cells of one k and seed, whose traces
+    only the requests and arrivals (``lru``, ``belady`` and ``marker``),
+    built on first use: the cells of one k and seed, whose traces
     share their requests, pass one dict and go to one ``simulate`` call,
     which serves each of those runs once.  ``blind_oracle`` is built per
     call, unless the trace is exact (``Trace.exact``): it then keys every
@@ -335,10 +324,8 @@ def make_policies(
                 if trace is None:
                     raise ConfigError("belady needs the trace's true arrivals")
                 built[name] = Belady(k, trace.arrivals)
-            elif name == "marker":
+            else:  # marker
                 built[name] = Marker(k, random.Random(seed))
-            else:  # mw's Marker
-                built[name] = Marker(k, random.Random(_child_seeds(seed)[1]))
         return built[name]
 
     runs: dict[str, Policy] = {}
@@ -346,8 +333,9 @@ def make_policies(
         if name == "ftl":
             runs[name] = FtlCombiner(base("blind_oracle"), base("lru"))
         elif name == "mw":
-            rng = random.Random(_child_seeds(seed)[2])
-            runs[name] = MwCombiner(base("blind_oracle"), base("mw.marker"), epsilon, rng)
+            root = random.Random(seed)  # mw's generator: the third 63-bit draw
+            rng = random.Random([root.getrandbits(63) for _ in range(3)][2])
+            runs[name] = MwCombiner(base("blind_oracle"), base("marker"), epsilon, rng)
         elif name in POLICY_NAMES:
             runs[name] = base(name)
         else:

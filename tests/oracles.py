@@ -358,6 +358,12 @@ def check_potential(combiner, requests, predictions):
     return followed_evictions, jumps, switches
 
 
+def mw_seed(seed: int) -> int:
+    """The seed of mw's own generator: the third 63-bit draw of ``Random(seed)``."""
+    root = random.Random(seed)
+    return [root.getrandbits(63) for _ in range(3)][2]
+
+
 def ref_policy(name, k, arrivals, seed=0, epsilon=0.1):
     """The reference run of ``name``, seeded as the package seeds it."""
     if name == "lru":
@@ -371,11 +377,8 @@ def ref_policy(name, k, arrivals, seed=0, epsilon=0.1):
     if name == "ftl":
         return RefFtl(RefBlindOracle(k), RefLRU(k), k)
     if name == "mw":
-        # mw's children: blind_oracle's seed (unused), its marker's, its own
-        root = random.Random(seed)
-        _, marker_seed, mw_seed = (root.getrandbits(63) for _ in range(3))
-        marker = RefMarker(k, random.Random(marker_seed))
-        return RefMw(RefBlindOracle(k), marker, k, epsilon, random.Random(mw_seed))
+        marker = RefMarker(k, random.Random(seed))  # the marker run's seeding
+        return RefMw(RefBlindOracle(k), marker, k, epsilon, random.Random(mw_seed(seed)))
     raise ValueError(name)
 
 

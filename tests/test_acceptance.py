@@ -29,11 +29,11 @@ from predcache import (
     simulate,
     synthesize,
 )
-from predcache.combine import _child_seeds
 from oracles import (
     brute_force_opt,
     count_inversions_broadcast,
     count_inversions_naive,
+    mw_seed,
     run_policy,
 )
 
@@ -299,16 +299,15 @@ def test_c08_randomized_combiner_within_budget():
     for k in (5, 10):
         for workload, noise in combos:
             trace = synthesize(workload, noise, seed=3)
-            # one deterministic blind_oracle run for every epsilon and seed;
-            # each mw's Marker and generator are seeded as make_policies seeds them
+            # one deterministic blind_oracle run for every epsilon and seed, and
+            # one Marker per seed that its three mws combine, as make_policies
+            # shares a seed's marker run; each mw's generator is seeded as there
             blind_oracle = BlindOracle(k, trace.predictions)
+            markers = [Marker(k, random.Random(seed)) for seed in seeds]
             runs = {
                 epsilon: [
-                    MwCombiner(
-                        blind_oracle, Marker(k, random.Random(marker_seed)), epsilon,
-                        random.Random(mw_seed),
-                    )
-                    for _, marker_seed, mw_seed in map(_child_seeds, seeds)
+                    MwCombiner(blind_oracle, marker, epsilon, random.Random(mw_seed(seed)))
+                    for seed, marker in zip(seeds, markers)
                 ]
                 for epsilon in (0.05, 0.1, 0.2)
             }

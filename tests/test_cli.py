@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from predcache import (
     POLICY_NAMES,
     BoundRecord,
     ConfigError,
+    Marker,
     NoiseSpec,
     Policy,
     Trace,
@@ -275,8 +277,8 @@ def test_mw_rows_include_combiner_bounds():
 
 
 def test_rows_do_not_depend_on_policy_order():
-    # mw runs its own child-seeded marker; the marker row must still report
-    # the standalone run whatever the order of the policies
+    # mw combines the marker run; whichever of the two is built first, the
+    # marker row and mw's expert are one run seeded alike
     def rows(order):
         config = config_from_mapping(
             {
@@ -292,8 +294,8 @@ def test_rows_do_not_depend_on_policy_order():
 
 
 def test_runs_without_predictions_are_built_once_per_seed_and_k(monkeypatch):
-    # lru, belady, marker and mw's marker never read a prediction, so every
-    # noise's cell shares them; blind_oracle reads them and is built per
+    # lru, belady and marker (also mw's expert) never read a prediction, so
+    # every noise's cell shares them; blind_oracle reads them and is built per
     # cell, except in the exact (perfect) cells, where it is the belady run
     noises = [
         {"kind": "perfect"},
@@ -320,8 +322,7 @@ def test_runs_without_predictions_are_built_once_per_seed_and_k(monkeypatch):
     rows = run_experiment(config)
     monkeypatch.undo()
     seed_ks = len(config.seeds) * len(config.ks)
-    assert built["LRU"] == built["Belady"] == seed_ks
-    assert built["Marker"] == 2 * seed_ks  # the marker row and mw's expert
+    assert built["LRU"] == built["Belady"] == built["Marker"] == seed_ks
     assert built["BlindOracle"] == (len(noises) - 1) * seed_ks
     assert built["FtlCombiner"] == built["MwCombiner"] == len(noises) * seed_ks
 
@@ -342,6 +343,37 @@ def test_runs_without_predictions_are_built_once_per_seed_and_k(monkeypatch):
                         ), row
                         cells += 1
     assert cells == len(noises) * seed_ks * len(POLICY_NAMES)
+
+
+def test_one_marker_run_serves_each_seed_and_k(monkeypatch):
+    # the marker row and mw's expert are one run, seeded Random(seed): the
+    # bodies of a (seed, k)'s Markers are sent each request once in all
+    config = config_from_mapping(
+        {
+            "policies": list(POLICY_NAMES),
+            "k": [4, 8],
+            "seeds": [3, 4],
+            "workload": {"kind": "zipf", "universe": 30, "length": 300},
+            "noise": [{"kind": "perfect"}, {"kind": "additive_uniform", "width": 6.0}],
+        }
+    )
+    seed_of = {random.Random(seed).getstate(): seed for seed in config.seeds}
+    sent = Counter()
+    steps = Marker._steps
+
+    def spied(self):
+        run = (seed_of[self.rng.getstate()], self.k)
+        body = steps(self)
+        evicted = next(body)
+        while True:
+            item = yield evicted
+            sent[run] += 1
+            evicted = body.send(item)
+
+    monkeypatch.setattr(Marker, "_steps", spied)
+    run_experiment(config)
+    runs = [(seed, k) for seed in config.seeds for k in config.ks]
+    assert sent == dict.fromkeys(runs, config.workload.length)
 
 
 EXACT_NOISES = [{"kind": "perfect"}, {"kind": "additive_uniform", "width": 0.0}]
@@ -404,20 +436,26 @@ def test_exact_cells_serve_alike_in_any_noise_order(noises, policies):
                     }
 
 
-def test_mw_bounds_read_the_standalone_marker_when_it_is_configured():
-    # mw combines its own child-seeded Marker, a run apart from the marker
-    # row.  The cell's marker cost, which mw_thm3 and cor2_rand read, is the
-    # marker row's when marker is configured, and mw's own Marker's only
-    # when it is not.
+def test_mw_bounds_read_the_marker_mw_combined():
+    # mw combines the (seed, k)'s one marker run, so the cell's marker cost,
+    # which mw_thm3 and cor2_rand read, is the cost of the Marker mw combined
+    # whether or not marker is configured, and the mw rows are the same
     workload = {"kind": "uniform", "universe": 30, "length": 400}
     trace = synthesize(WorkloadSpec(**workload), NoiseSpec("perfect"), seed=0)
     runs = make_policies(("marker", "mw"), 4, trace, seed=0, epsilon=0.1)
+    assert runs["mw"].experts[1] is runs["marker"]
     simulate(trace.requests, runs.values())
-    assert (runs["marker"].cost, runs["mw"].experts[1].cost) == (336, 338)
-    for policies, marker in ((["marker", "mw"], 336), (["mw"], 338), (["mw", "marker"], 336)):
-        config = _config(policies=policies, k=[4], seeds=[0], workload=workload, epsilon=0.1)
+    assert runs["marker"].cost == 336
+    mw_rows = set()
+    for policies in (["mw"], ["marker", "mw"], ["mw", "marker"]):
+        config = _config(policies=policies, k=[4], seeds=[0, 1], workload=workload, epsilon=0.1)
         [(_, costs)] = _cell_costs(config, [trace], 4, 0)
-        assert costs["marker"] == marker, policies
+        assert costs["marker"] == runs["mw"].experts[1].cost, policies
+        assert costs["mw"] == runs["mw"].cost, policies
+        lines = render_csv(run_experiment(config)).splitlines()
+        mw_rows.add(tuple(line for line in lines if ",mw," in line))
+    [rows] = mw_rows
+    assert len(rows) == 3  # two seeds and their mean
 
 
 def test_adversary_rows():

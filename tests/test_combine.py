@@ -397,15 +397,15 @@ def _assert_simulate_matches_serve(trace, k, seed):
 
 
 # The last request of every trace switches at phi = 0 (under ftl for "bdcd",
-# under mw for "abfa" and "fcdd..."), and a switch comes on the first
+# under mw for "abfa" and "aabg..."), and a switch comes on the first
 # request of its stretch, right after the body handed back (under ftl at
-# request 10 of "hhca...", under mw at request 18 of "fcdd...").  No switch
+# request 10 of "hhca...", under mw at request 19 of "aabg...").  No switch
 # can come on request 1 of a trace: both experts start empty.
 STRETCH_EDGES = [
     (list("bdcd"), 380, 2, 0),
     (list("abfa"), 400, 2, 2),
     (list("hhcahefhcae"), 313, 3, 1),
-    (list("fcddfcebbfbebafdca"), 352, 4, 2),
+    (list("aabgeagadehebfechdc"), 58276, 3, 2),
 ]
 
 
@@ -415,7 +415,7 @@ def test_stretch_edges_switch_where_listed():
     assert (4, 1) in switches[0]["ftl"]
     assert switches[1]["mw"][-1][0] == 4
     assert (10, 10) in switches[2]["ftl"]
-    assert (18, 18) in switches[3]["mw"]
+    assert (19, 19) in switches[3]["mw"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -559,8 +559,7 @@ def test_make_policies_shares_experts_with_standalone_rows():
     assert runs["ftl"].experts[0] is runs["blind_oracle"]
     assert runs["ftl"].experts[1] is runs["lru"]
     assert runs["mw"].experts[0] is runs["blind_oracle"]
-    # mw's marker is its own child-seeded run, not the standalone marker row
-    assert runs["mw"].experts[1] is not runs["marker"]
+    assert runs["mw"].experts[1] is runs["marker"]
 
 
 def test_exact_predictions_make_blind_oracle_the_belady_run():

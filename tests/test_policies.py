@@ -162,8 +162,8 @@ def test_every_policy_answers_a_repeated_index_from_its_store(name):
 
 
 def test_simulate_serves_every_distinct_run_once_per_request():
-    # ftl and mw share the blind_oracle row and ftl shares the lru row; a run
-    # listed twice is still one run
+    # ftl and mw share the blind_oracle row, ftl the lru row and mw the
+    # marker row; a run listed twice is still one run
     trace = synthesize(
         WorkloadSpec("uniform", universe=6, length=200),
         NoiseSpec("additive_uniform", width=3.0),
@@ -173,7 +173,7 @@ def test_simulate_serves_every_distinct_run_once_per_request():
     assert runs["blind_oracle"].keys is trace.predictions
     assert runs["belady"].keys is trace.arrivals
     recorders = _record(runs.values())
-    assert len(recorders) == len(POLICY_NAMES) + 1  # mw's own marker
+    assert len(recorders) == len(POLICY_NAMES)
     # a pair over each combiner keeps its victims
     readers = [FtlCombiner(runs[name], runs[name]) for name in ("ftl", "mw")]
     simulate(trace.requests, [*runs.values(), runs["ftl"], *readers])
