@@ -27,7 +27,13 @@ from oracles import (
 
 GOLDEN = Path(__file__).parent / "golden"
 NAMES = sorted(path.stem for path in GOLDEN.glob("*.yaml"))
-NOISE_IDS = {"perfect": "perfect", "additive_uniform": "additive_uniform-w{width:g}"}
+NOISE_IDS = {
+    "perfect": "perfect",
+    "additive_uniform": "additive_uniform-w{width:g}",
+    "constant_shift": "constant_shift-c{shift:g}",
+    "lognormal_scale": "lognormal_scale-s{sigma:g}",
+    "random_replace": "random_replace-p{prob:g}-r{limit:g}",
+}
 RANDOMIZED = ("marker", "mw")
 
 
