@@ -323,7 +323,7 @@ def make_policies(
             elif name == "belady":
                 if trace is None:
                     raise ConfigError("belady needs the trace's true arrivals")
-                built[name] = Belady(k, trace.arrivals)
+                built[name] = Belady(k, trace)
             else:  # marker
                 built[name] = Marker(k, random.Random(seed))
         return built[name]

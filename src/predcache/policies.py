@@ -25,7 +25,7 @@ from itertools import count, repeat
 from typing import Iterable, Sequence
 
 from .errors import ConfigError
-from .trace import PageId
+from .trace import PageId, Trace
 
 
 class Policy:
@@ -34,9 +34,10 @@ class Policy:
     ``cache`` maps each resident page to its last request index, least recent
     first: a hit moves the page to the end, and a run has served a request
     once it is non-empty.  ``cost`` counts this instance's evictions so far.
-    ``experts`` lists the policies a combiner watches, and ``keys`` the key
-    of each request for a run that reads one.  ``simulate`` sets
-    ``victims`` to the run's victim per request when a combiner reads them.
+    ``experts`` lists the policies a combiner watches, ``keys`` the key of
+    each request for a run that reads one, and ``requests`` the requests of
+    a run built over them.  ``simulate`` sets ``victims`` to the run's victim
+    per request when a combiner reads them.
 
     ``_steps`` is the body: sent ``(t, page, key)``, it serves request t and
     yields the evicted page or None.  The key is ``keys[t - 1]`` for a run
@@ -52,6 +53,7 @@ class Policy:
     name = "base"
     experts: tuple[Policy, ...] = ()
     keys: Sequence[float] | None = None
+    requests: Sequence[PageId] | None = None
     victims: list[PageId | None] | None = None
 
     def __init__(self, k: int):
@@ -73,17 +75,19 @@ class Policy:
 
         A run with keys is sent ``keys[t - 1]``, after ``prediction`` is
         appended to a list of keys that ends before t: a run built without
-        keys reads back what it was sent.  Requests come in order 1, 2, ...
+        keys reads back what it was sent.  Requests come in order 1, 2, ...:
+        a t at or below the last request the run served (the length of such
+        a list, else its cache's newest entry) is a ValueError.
         """
         keys = self.keys
-        if keys is None:
-            return self._steps.send((t, page, prediction))
-        if len(keys) < t:
+        if keys is not None and len(keys) < t:
             try:
                 keys.append(prediction)
             except AttributeError:  # a tuple: the keys of a run built over a trace
                 raise IndexError(f"the {self.name} run has {len(keys)} keys, not {t}") from None
-        return self._steps.send((t, page, keys[t - 1]))
+        elif self.cache and t <= next(reversed(self.cache.values())):
+            raise ValueError(f"the {self.name} run has served request {t} already")
+        return self._steps.send((t, page, prediction if keys is None else keys[t - 1]))
 
     def close(self) -> None:
         """End the run and its experts' runs; their state stays readable.
@@ -139,17 +143,20 @@ def pop_live(heap: list, cache: dict[PageId, int]) -> PageId:
             return page
 
 
-class _LargestKey(Policy):
-    """Evict the resident page with the largest key; ties go to the least recent.
+class BlindOracle(Policy):
+    """Evict the page whose stored prediction is furthest in the future.
 
-    Request t's key is ``keys[t - 1]``.  A run built with keys holds a tuple;
-    one built without starts with an empty list, and ``serve`` appends the
-    prediction it is sent for each request.  A request pushes ``(-key, t,
-    page)`` onto ``_heap`` while it holds under 2k items; the item goes stale
-    once its page is requested again or evicted.  A full-cache miss that
-    finds the heap at 2k, as after any push skipped since the last eviction,
-    rebuilds it from the cache and ``keys``.
+    Request t's key is ``keys[t - 1]``: the trace's predictions, or the list
+    ``serve`` appends each prediction to for a run built without them.  A
+    page keeps the prediction of its own last request, compared at face
+    value once it points into the past; ties go to the least recent.  A
+    request pushes ``(-key, t, page)`` onto ``_heap`` while it holds under
+    2k items; the item goes stale once its page is requested again or
+    evicted.  A full-cache miss that finds the heap at 2k (after a skipped
+    push) rebuilds it from the cache and ``keys``.
     """
+
+    name = "blind_oracle"
 
     def __init__(self, k: int, keys: Sequence[float] | None = None):
         self.keys = [] if keys is None else tuple(keys)
@@ -177,29 +184,53 @@ class _LargestKey(Policy):
                 heappush(heap, (-key, t, page))
 
 
-class BlindOracle(_LargestKey):
-    """Evict the page whose stored prediction is furthest in the future.
-
-    Its keys are the trace's predictions.  A page keeps only the prediction
-    issued at its own last request; stale values (pointing into the past) are
-    compared at face value.  Ties go to the least recently requested page.
-    """
-
-    name = "blind_oracle"
-
-
-class Belady(_LargestKey):
+class Belady(Policy):
     """Offline optimal: evict the page actually requested furthest in the future.
 
-    Its keys are the trace's true arrivals, read online too: request t's key
-    is ``keys[t - 1]``, exactly the page's next request after t.  Pages never
-    requested again tie at n+1 and fall back to least-recently-used.
+    Built over a trace, it reads the trace's requests and, as its keys, the
+    true arrivals, under either driver.  Request t's key y is its page's
+    next request, and for y <= n the page requested at y is
+    ``requests[y - 1]``: ``_heap`` holds the int -y, pushed and rebuilt as
+    ``BlindOracle``'s items are.  An item is live exactly when y > t and
+    that page is resident (no request of it lies between its last one and
+    y).  A page leaves the cache only as the top item or from ``_never``, so
+    every item with y > t is live, and the top is the victim.  Pages never
+    requested again (y = n + 1) wait in ``_never`` and go first, least
+    recent first.
     """
 
     name = "belady"
 
-    def __init__(self, k: int, keys: Sequence[int]):
-        super().__init__(k, keys)
+    def __init__(self, k: int, trace: Trace):
+        self.keys, self.requests = trace.arrivals, trace.requests
+        super().__init__(k)
+
+    def _steps(self):
+        cache, k, keys, requests = self.cache, self.k, self.keys, self.requests
+        n, limit = len(requests), 2 * k
+        heap = self._heap = []  # -y items
+        never = self._never = deque()  # resident pages with y = n + 1
+        evicted = None
+        while True:
+            t, page, y = yield evicted
+            evicted = None
+            if page in cache:
+                del cache[page]
+            elif len(cache) >= k:
+                if never:
+                    evicted = never.popleft()
+                else:
+                    if len(heap) >= limit:
+                        heap[:] = [-keys[last - 1] for last in cache.values()]
+                        heapify(heap)
+                    evicted = requests[-heappop(heap) - 1]
+                del cache[evicted]
+                self.cost += 1
+            cache[page] = t
+            if y > n:
+                never.append(page)
+            elif len(heap) < limit:
+                heappush(heap, -y)
 
 
 class Marker(Policy):
@@ -269,7 +300,8 @@ def simulate(requests: Sequence[PageId], policies: Iterable[Policy]) -> None:
     call over no requests serves and closes none.  A run that has served a
     request, by either driver, is a ValueError, as is a run whose keys are
     not one per request (a ``blind_oracle`` built without a trace has
-    none); a refused call serves nothing.
+    none) or that was built over other requests; a refused call serves
+    nothing.
     """
     runs: dict[Policy, None] = {}  # each distinct run, after its experts
     for run in policies:
@@ -281,6 +313,8 @@ def simulate(requests: Sequence[PageId], policies: Iterable[Policy]) -> None:
             raise ValueError(
                 f"the {run.name} run has {len(run.keys)} keys for {len(requests)} requests"
             )
+        if run.requests is not None and run.requests != tuple(requests):
+            raise ValueError(f"the {run.name} run was built over other requests")
     if not requests:
         return  # nothing is served, so each run stays fresh and open
     read = {expert for run in runs for expert in run.experts}

@@ -1,10 +1,13 @@
 import gc
 import random
 import weakref
+from heapq import heapify
 from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import predcache.policies
 
 from predcache import (
     Belady,
@@ -221,13 +224,21 @@ def test_simulate_serves_a_run_once_and_only_over_its_requests():
         assert not fresh.cache and not fresh.experts[0].cache
     assert first["lru"].cost == lru_cost
 
-    # a run built without the keys it reads is refused, alone or as an expert,
-    # and a belady run cannot be built without its keys
+    # a run built without the keys it reads is refused, alone or as an expert;
+    # a belady run cannot be built without its trace, and is refused over
+    # other requests of the same length
     for keyless in (BlindOracle(2), make_policies(("ftl",), 2)["ftl"]):
         with pytest.raises(ValueError, match="the blind_oracle run has 0 keys for"):
             simulate(trace.requests, [keyless])
-    with pytest.raises(TypeError, match="keys"):
+    with pytest.raises(TypeError, match="trace"):
         Belady(2)
+    belady = make_policies(("belady",), 2, trace)["belady"]
+    for runs in ([belady], [FtlCombiner(belady, LRU(2))]):
+        with pytest.raises(ValueError, match="the belady run was built over other requests"):
+            simulate(other.requests, runs)
+    assert not belady.cache
+    simulate(list(trace.requests), [belady])  # a list of the same requests is the same
+    assert belady.cost == run_policy("belady", trace, 2).cost
 
 
 def test_simulate_refuses_a_run_driven_by_serve():
@@ -295,6 +306,42 @@ def test_serve_refuses_a_request_past_a_trace_built_runs_keys():
     run = make_policies(("blind_oracle",), 1)["blind_oracle"]
     assert serve_all(run, "abc", [1.0, 5.0, 3.0]) == [None, "a", "b"]
     assert run.keys == [1.0, 5.0, 3.0]
+
+
+def test_serve_refuses_a_request_the_run_has_served():
+    # LRU(2) sent request 1 three times would pay 1 and hold {b: 1, c: 1}
+    lru = LRU(2)
+    lru.serve(1, "a", 0.0)
+    for t, page in ((1, "b"), (1, "c"), (0, "d")):
+        with pytest.raises(ValueError, match=f"the lru run has served request {t} already"):
+            lru.serve(t, page, 0.0)
+    assert (lru.cost, lru.cache) == (0, {"a": 1})
+    assert lru.serve(2, "b", 0.0) is None
+    keyless = BlindOracle(2)  # its keys end at the last request it served
+    serve_all(keyless, "ab", [1.0, 2.0])
+    with pytest.raises(ValueError, match="the blind_oracle run has served request 2 already"):
+        keyless.serve(2, "c", 3.0)
+    assert keyless.keys == [1.0, 2.0] and keyless.serve(3, "c", 3.0) == "b"
+    # runs of one call that share an expert: the standalone row served at t,
+    # the combiner would serve that expert at t again, miss its eviction and
+    # run its outside heap dry (IndexError at t=6 or t=21 on this trace)
+    trace = synthesize(
+        WorkloadSpec("uniform", universe=30, length=400),
+        NoiseSpec("additive_uniform", width=4.0),
+        seed=0,
+    )
+    first = (1, trace.requests[0], trace.predictions[0])
+    for names in (("blind_oracle", "ftl"), ("blind_oracle", "mw"), ("marker", "mw")):
+        runs = make_policies(names, 4, trace, seed=0, epsilon=0.1)
+        alone, combiner = (runs[name] for name in names)
+        alone.serve(*first)
+        with pytest.raises(ValueError, match=f"the {names[0]} run has served request 1 already"):
+            combiner.serve(*first)
+        assert not combiner.cache, names
+        # served through the combiner alone, the shared run is served once
+        runs = make_policies(names, 4, trace, seed=0, epsilon=0.1)
+        _served(runs[names[1]], trace)
+        assert runs[names[1]].cost == run_policy(names[1], trace, 4, epsilon=0.1).cost > 0
 
 
 def test_simulated_runs_are_freed_without_the_cycle_collector():
@@ -368,7 +415,7 @@ def test_blind_oracle_equals_belady_on_true_arrivals(trace, k):
     # why an exact cell's blind_oracle is its belady run, with no inversions
     assert trace.predictions == trace.arrivals
     assert serve_all(BlindOracle(k), trace.requests, trace.predictions) == serve_all(
-        Belady(k, trace.arrivals), trace.requests, trace.predictions
+        Belady(k, trace), trace.requests, trace.predictions
     )
     assert count_inversions_fast(trace) == 0
     assert count_inversions_fenwick(trace.arrivals, trace.predictions) == 0
@@ -585,11 +632,11 @@ def _assert_same_victims(trace, k, seed=0):
     arrivals = trace.arrivals
     pairs = {
         "ftl(belady, marker)": (
-            lambda: FtlCombiner(Belady(k, arrivals), Marker(k, random.Random(seed))),
+            lambda: FtlCombiner(Belady(k, trace), Marker(k, random.Random(seed))),
             RefFtl(RefBelady(k, arrivals), RefMarker(k, random.Random(seed)), k),
         ),
         "mw(lru, belady)": (
-            lambda: MwCombiner(LRU(k), Belady(k, arrivals), 0.1, random.Random(seed)),
+            lambda: MwCombiner(LRU(k), Belady(k, trace), 0.1, random.Random(seed)),
             RefMw(RefLRU(k), RefBelady(k, arrivals), k, 0.1, random.Random(seed)),
         ),
         "ftl(lru, lru)": (
@@ -669,6 +716,50 @@ def test_victims_match_the_reference_rules_when_the_cold_fill_fills_the_heap():
     requests = list("abababa") + list("cdedfcgd")
     predictions = [(7 * t) % 11 for t in range(len(requests))]
     _assert_same_victims(Trace(requests, predictions), 3)
+
+
+def _scan_heavy_trace(k, seed):
+    """Hit-heavy phases of a working set of k + 1 + k // 8 pages, and pages requested once.
+
+    As in ``_hit_heavy_trace``, each of three phases is many times k
+    requests over a working set half of which is new, and a page that leaves
+    it is never requested again.  A working page's miss pops the key heap,
+    which the hits in between fill to 2k, so it is rebuilt.  One request in
+    eight is a page requested only there: the next miss evicts it first.
+    """
+    rng = random.Random(seed)
+    phase_len = max(20 * k, 200)
+    working, fresh, once = [], (f"p{i}" for i in count()), (f"once{i}" for i in count())
+    requests = []
+    for _ in range(3):
+        working = rng.sample(working, len(working) // 2)
+        working += [next(fresh) for _ in range(k + 1 + k // 8 - len(working))]
+        for _ in range(phase_len):
+            requests.append(next(once) if rng.random() < 0.125 else rng.choice(working))
+    return _trace(requests)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 64])
+def test_belady_victims_match_the_reference_with_many_never_again_pages(k, monkeypatch):
+    # both drivers evict what RefBelady evicts, over many victims never
+    # requested again, many that are, and key heaps rebuilt after hits
+    rebuilt = []
+
+    def spy(heap):
+        rebuilt.append(len(heap))
+        heapify(heap)
+
+    monkeypatch.setattr(predcache.policies, "heapify", spy)
+    for seed in range(2):
+        trace = _scan_heavy_trace(k, seed)
+        expected = serve_all(RefBelady(k, trace.arrivals), trace.requests, trace.predictions)
+        assert _served(Belady(k, trace), trace) == expected
+        batch = Belady(k, trace)
+        assert _simulated([batch], trace)[batch] == expected
+        last = {page: t for t, page in enumerate(trace.requests, start=1)}
+        gone = [last[v] < t for t, v in enumerate(expected, start=1) if v is not None]
+        assert min(gone.count(True), gone.count(False)) > 20, (seed, gone.count(True))
+    assert len(rebuilt) > 4 and max(rebuilt) <= k
 
 
 def test_a_keyless_blind_oracle_reads_back_the_keys_it_was_sent():
@@ -753,6 +844,6 @@ def test_belady_uses_arrival_of_last_request():
     # k=2, requests a b c a: at t=3 the cache holds a (returns at 4) and
     # b (never returns); b must go
     trace = _trace("abca")
-    policy = Belady(2, trace.arrivals)
+    policy = Belady(2, trace)
     evictions = serve_all(policy, trace.requests, trace.predictions)
     assert evictions == [None, None, "b", None]
