@@ -309,7 +309,7 @@ def test_serve_refuses_a_request_past_a_trace_built_runs_keys():
 
 
 def test_serve_refuses_a_request_the_run_has_served():
-    # LRU(2) sent request 1 three times would pay 1 and hold {b: 1, c: 1}
+    # a request at or below the last one served would be served twice
     lru = LRU(2)
     lru.serve(1, "a", 0.0)
     for t, page in ((1, "b"), (1, "c"), (0, "d")):
@@ -322,9 +322,8 @@ def test_serve_refuses_a_request_the_run_has_served():
     with pytest.raises(ValueError, match="the blind_oracle run has served request 2 already"):
         keyless.serve(2, "c", 3.0)
     assert keyless.keys == [1.0, 2.0] and keyless.serve(3, "c", 3.0) == "b"
-    # runs of one call that share an expert: the standalone row served at t,
-    # the combiner would serve that expert at t again, miss its eviction and
-    # run its outside heap dry (IndexError at t=6 or t=21 on this trace)
+    # runs of one call that share an expert: after the standalone row serves
+    # t, the combiner would serve that expert at t again and miss its eviction
     trace = synthesize(
         WorkloadSpec("uniform", universe=30, length=400),
         NoiseSpec("additive_uniform", width=4.0),
