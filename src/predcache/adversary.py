@@ -103,15 +103,13 @@ def run_adversary(policy: str | PolicyFactory, config: AdversaryConfig) -> Adver
     """Drive a deterministic policy through the phase construction.
 
     ``policy`` is a policy name or a zero-argument factory producing fresh,
-    identically-configured instances; a second instance replays the generated
-    trace to confirm the eviction sequence is reproducible.
+    identically-configured instances; a second instance is served each
+    request as it is issued, to confirm the eviction sequence is
+    reproducible.
     """
     config.validate()
     factory = _factory(policy, config.k)
-    instance = factory()
-    if instance.k != config.k:
-        raise ConfigError("policy cache capacity must equal the adversary's k")
-
+    instance, replay = factory(), factory()
     k, j = config.k, config.j
     p_pages = [f"P{i}" for i in range(1, k + 1)]
     q_page = "Q0"
@@ -124,30 +122,32 @@ def run_adversary(policy: str | PolicyFactory, config: AdversaryConfig) -> Adver
         requests.append(page)
         predictions.append(h)
         last_prediction[page] = h
-        evictions.append(instance.serve(len(requests), page, h))
-
-    plen = config.phase_length
-    for _ in range(config.num_phases):
-        for page in (*p_pages, q_page):
-            issue(page, float(len(requests) + 1 + plen))
-        for _ in range(j):
-            target = evictions[-1]
-            if target is None:
-                target = _fallback_page(p_pages, instance)
-            issue(target, last_prediction[target])
-
-    trace = Trace(requests, predictions)
-
-    replay = factory()
-    for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
-        if replay.serve(t, page, h) != evictions[t - 1]:
+        t = len(requests)
+        evicted = instance.serve(t, page, h)
+        if replay.serve(t, page, h) != evicted:
             raise NondeterministicPolicyError(
                 f"evictions diverged on replay at request {t}; "
                 "the adversary construction requires a deterministic policy"
             )
-    instance.close()
-    replay.close()
+        evictions.append(evicted)
 
+    plen = config.phase_length
+    try:
+        if instance.k != k:
+            raise ConfigError("policy cache capacity must equal the adversary's k")
+        for _ in range(config.num_phases):
+            for page in (*p_pages, q_page):
+                issue(page, float(len(requests) + 1 + plen))
+            for _ in range(j):
+                target = evictions[-1]
+                if target is None:
+                    target = _fallback_page(p_pages, instance)
+                issue(target, last_prediction[target])
+    finally:
+        instance.close()
+        replay.close()
+
+    trace = Trace(requests, predictions)
     phases = []
     for p in range(config.num_phases):
         lo, hi = p * plen, (p + 1) * plen

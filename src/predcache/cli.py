@@ -22,7 +22,7 @@ from typing import NamedTuple, get_type_hints
 import yaml
 
 from .adversary import ADVERSARY_POLICIES, AdversaryConfig, certify_lower_bound, run_adversary
-from .combine import EXPERTS, POLICY_NAMES, make_policies
+from .combine import POLICY_NAMES, make_policies
 from .errors import ConfigError, TraceParseError
 from .metrics import BOUND_IDS, BOUNDS, check_bounds, count_inversions_fast
 from .metrics import ell1_loss
@@ -242,12 +242,11 @@ def _cell_costs(config: ExperimentConfig, traces: list[Trace], k: int, seed: int
     """Serve a seed's cells at k in one pass; per trace, (opt, costs for the
     rows and bounds).
 
-    The traces share their requests.  Each configured policy maps to its
-    run, and a combiner's experts to the runs it combined (the runs of those
-    names, built for it when not configured), so its bounds read the experts
-    it ran.  The cells share one ``shared`` dict
-    (see ``make_policies``), so the runs that read no prediction, and an
-    exact cell's blind_oracle, are served once for them all.
+    The traces share their requests.  ``make_policies`` returns a combiner's
+    experts by name too, so its bounds read the runs it combined.  The cells
+    share one ``shared`` dict (see ``make_policies``), so the runs that read
+    no prediction, and an exact cell's blind_oracle, are served once for
+    them all.
     """
     names = ("belady", *config.policies)
     shared: dict[str, Policy] = {}
@@ -256,14 +255,7 @@ def _cell_costs(config: ExperimentConfig, traces: list[Trace], k: int, seed: int
         for trace in traces
     ]
     simulate(traces[0].requests, [run for runs in cells for run in runs.values()])
-    out = []
-    for runs in cells:
-        costs = {name: runs[name].cost for name in config.policies}
-        for name in config.policies:
-            for expert_name, expert in zip(EXPERTS.get(name, ()), runs[name].experts):
-                costs.setdefault(expert_name, expert.cost)
-        out.append((runs["belady"].cost, costs))
-    return out
+    return [(runs["belady"].cost, {name: run.cost for name, run in runs.items()}) for runs in cells]
 
 
 def _measure(trace: Trace) -> tuple[float, int]:

@@ -57,8 +57,8 @@ from .trace import PageId, Trace
 
 POLICY_NAMES = ("lru", "belady", "marker", "blind_oracle", "ftl", "mw")
 
-# The policies a combiner's two experts run, in order, as ``make_policies``
-# builds them: the costs its bounds need, read off the runs it combined.
+# The policies a combiner's two experts run, in order: the costs its bounds
+# need.  ``make_policies`` alone builds a combiner's experts, from this map.
 EXPERTS = {bound.policy: bound.needs for bound in BOUNDS if bound.needs}
 
 
@@ -286,58 +286,57 @@ def make_policies(
     epsilon: float | None = None,
     shared: dict[str, Policy] | None = None,
 ) -> dict[str, Policy]:
-    """Build one instance per distinct run of the named policies over ``trace``.
+    """Build the named runs over ``trace``; every run built, by policy name.
 
-    ``belady`` keys each request by the trace's true arrivals, so it needs
-    the trace; ``blind_oracle`` by its predictions (built without a trace,
-    it is driven by ``serve``).  ``marker`` is seeded ``Random(seed)``;
-    ``mw``'s generator by the third 63-bit draw of ``Random(seed)``, and
-    ``MwCombiner`` checks its epsilon.  A combiner wraps the very expert
-    instances returned under the experts' names, built for it when they are
-    not named: ``ftl`` (the deterministic combination) wraps ``blind_oracle``
-    and ``lru``, ``mw`` (the randomized one) ``blind_oracle`` and ``marker``.
+    A combiner wraps the runs of its experts' names (``EXPERTS``), built
+    for it when not named, and returned with it: ``ftl`` (the deterministic
+    combination) wraps ``blind_oracle`` and ``lru``, ``mw`` (the randomized
+    one) ``blind_oracle`` and ``marker``.  ``belady`` keys each request by
+    the trace's true arrivals, so it needs the trace; ``blind_oracle`` by
+    its predictions (built without a trace, it is driven by ``serve``).
+    ``marker`` is seeded ``Random(seed)``; ``mw``'s generator by the third
+    63-bit draw of ``Random(seed)``, and ``MwCombiner`` checks its epsilon.
 
     A run is keyed by what it reads.  ``shared`` holds the runs that read
     only the requests and arrivals (``lru``, ``belady`` and ``marker``),
-    built on first use: the cells of one k and seed, whose traces
-    share their requests, pass one dict and go to one ``simulate`` call,
-    which serves each of those runs once.  ``blind_oracle`` is built per
-    call, unless the trace is exact (``Trace.exact``): it then keys every
-    page as ``belady`` does, with the same tie rule, so it is the ``belady``
-    run.  The combiners are built per call.
+    built on first use: the cells of one k and seed, whose traces share
+    their requests, pass one dict and go to one ``simulate`` call, which
+    serves each of those runs once.  ``blind_oracle`` is built per call,
+    unless the trace is exact (``Trace.exact``): it then keys every page as
+    ``belady`` does, with the same tie rule, so it is the ``belady`` run,
+    returned as ``blind_oracle``.  The combiners are built per call.
     """
     if shared is None:
         shared = {}
-    own: dict[str, Policy] = {}  # blind_oracle reads the predictions: one per call
+    runs: dict[str, Policy] = {}
     exact = trace is not None and trace.exact
 
     def base(name: str) -> Policy:
-        if name == "blind_oracle" and exact:
-            name = "belady"
-        built = own if name == "blind_oracle" else shared
-        if name not in built:
-            if name == "lru":
-                built[name] = LRU(k)
-            elif name == "blind_oracle":
-                built[name] = BlindOracle(k, None if trace is None else trace.predictions)
-            elif name == "belady":
+        key = "belady" if name == "blind_oracle" and exact else name
+        built = runs if key == "blind_oracle" else shared  # blind_oracle: one per call
+        if key not in built:
+            if key == "lru":
+                built[key] = LRU(k)
+            elif key == "blind_oracle":
+                built[key] = BlindOracle(k, None if trace is None else trace.predictions)
+            elif key == "belady":
                 if trace is None:
                     raise ConfigError("belady needs the trace's true arrivals")
-                built[name] = Belady(k, trace)
+                built[key] = Belady(k, trace)
             else:  # marker
-                built[name] = Marker(k, random.Random(seed))
-        return built[name]
+                built[key] = Marker(k, random.Random(seed))
+        runs[name] = built[key]
+        return runs[name]
 
-    runs: dict[str, Policy] = {}
     for name in names:
         if name == "ftl":
-            runs[name] = FtlCombiner(base("blind_oracle"), base("lru"))
+            runs[name] = FtlCombiner(*map(base, EXPERTS[name]))
         elif name == "mw":
             root = random.Random(seed)  # mw's generator: the third 63-bit draw
             rng = random.Random([root.getrandbits(63) for _ in range(3)][2])
-            runs[name] = MwCombiner(base("blind_oracle"), base("marker"), epsilon, rng)
+            runs[name] = MwCombiner(*map(base, EXPERTS[name]), epsilon, rng)
         elif name in POLICY_NAMES:
-            runs[name] = base(name)
+            base(name)
         else:
             raise ConfigError(f"unknown policy {name!r}")
     return runs

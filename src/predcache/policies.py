@@ -74,19 +74,25 @@ class Policy:
         """Serve request t alone; returns the evicted page on a full-cache miss.
 
         A run with keys is sent ``keys[t - 1]``, after ``prediction`` is
-        appended to a list of keys that ends before t: a run built without
-        keys reads back what it was sent.  Requests come in order 1, 2, ...:
-        a t at or below the last request the run served (the length of such
-        a list, else its cache's newest entry) is a ValueError.
+        appended to a list of keys that ends just before t: a run built
+        without keys reads back what it was sent.  Requests come in order
+        1, 2, ...: a t at or below the last request the run served (the
+        length of such a list, else its cache's newest entry) is a
+        ValueError, as is a page other than request t of a keyed run built
+        over requests (belady), read after the keys so other runs skip it.
         """
         keys = self.keys
-        if keys is not None and len(keys) < t:
+        if keys is not None and (known := len(keys)) < t:
+            if t > known + 1 and isinstance(keys, list):  # a keyless run skips a request
+                raise ValueError(f"the {self.name} run's next request is {known + 1}, not {t}")
             try:
                 keys.append(prediction)
             except AttributeError:  # a tuple: the keys of a run built over a trace
-                raise IndexError(f"the {self.name} run has {len(keys)} keys, not {t}") from None
+                raise IndexError(f"the {self.name} run has {known} keys, not {t}") from None
         elif self.cache and t <= next(reversed(self.cache.values())):
             raise ValueError(f"the {self.name} run has served request {t} already")
+        elif keys is not None and self.requests is not None and page != self.requests[t - 1]:
+            raise ValueError(f"the {self.name} run's request {t} is not {page!r}")
         return self._steps.send((t, page, prediction if keys is None else keys[t - 1]))
 
     def close(self) -> None:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from predcache import (
     AdversaryConfig,
+    Belady,
     BlindOracle,
     ConfigError,
     FtlCombiner,
@@ -15,6 +16,9 @@ from predcache import (
     NoiseSpec,
     Trace,
     WorkloadSpec,
+    check_bounds,
+    count_inversions_fast,
+    ell1_loss,
     make_policies,
     next_arrivals,
     perturb_predictions,
@@ -562,6 +566,43 @@ def test_make_policies_shares_experts_with_standalone_rows():
     assert runs["mw"].experts[1] is runs["marker"]
 
 
+def test_make_policies_returns_a_combiners_experts_by_name():
+    # a caller that names only belady and a combiner gets every cost the
+    # combiner's bounds read: its experts are returned under their names
+    trace = synthesize(
+        WorkloadSpec("zipf", universe=30, length=400, alpha=1.0),
+        NoiseSpec("additive_uniform", width=4.0),
+        seed=5,
+    )
+    eta = ell1_loss(trace.arrivals, trace.predictions)
+    inversions = count_inversions_fast(trace)
+    for combiner, other, bound_ids in (
+        ("ftl", "lru", ("ftl_thm2", "cor1_det")),
+        ("mw", "marker", ("mw_thm3", "cor2_rand")),
+    ):
+        runs = make_policies(("belady", combiner), 4, trace, seed=3, epsilon=0.1)
+        assert list(runs) == ["belady", "blind_oracle", other, combiner]
+        expert_a, expert_b = runs[combiner].experts
+        assert expert_a is runs["blind_oracle"] and expert_b is runs[other]
+        simulate(trace.requests, runs.values())
+        costs = {name: run.cost for name, run in runs.items()}
+        report = check_bounds(costs, costs.pop("belady"), eta, inversions, 4, 0.1)
+        assert all(bound_id in report for bound_id in bound_ids), combiner
+        for name in ("blind_oracle", other, combiner):
+            assert costs[name] == run_policy(name, trace, 4, seed=3, epsilon=0.1).cost, name
+
+
+def test_exact_predictions_return_the_belady_run_as_blind_oracle():
+    trace = _trace("abcabdabeabcd")
+    assert trace.exact
+    runs = make_policies(("belady", "blind_oracle", "ftl"), 2, trace)
+    assert runs["blind_oracle"] is runs["belady"] is runs["ftl"].experts[0]
+    # not named, belady's run is returned under blind_oracle alone
+    runs = make_policies(("ftl",), 2, trace)
+    assert list(runs) == ["blind_oracle", "lru", "ftl"]
+    assert type(runs["blind_oracle"]) is Belady
+
+
 def test_exact_predictions_make_blind_oracle_the_belady_run():
     # predictions equal to the arrivals key every page as belady does
     trace = synthesize(
@@ -569,14 +610,14 @@ def test_exact_predictions_make_blind_oracle_the_belady_run():
     )
     assert trace.exact
     shared = {}
-    runs = make_policies(
-        ("blind_oracle", "ftl", "mw"), 4, trace, seed=3, epsilon=0.1, shared=shared
-    )
+    names = ("blind_oracle", "ftl", "mw")
+    runs = make_policies(names, 4, trace, seed=3, epsilon=0.1, shared=shared)
     assert runs["blind_oracle"] is shared["belady"]
     assert runs["ftl"].experts[0] is runs["mw"].experts[0] is shared["belady"]
     simulate(trace.requests, runs.values())
     # built without the trace, each is a blind_oracle run driven online
-    for name, run in runs.items():
+    for name in names:
+        run = runs[name]
         alone = make_policies((name,), 4, seed=3, epsilon=0.1)[name]
         assert type((*alone.experts, alone)[0]) is BlindOracle, name
         victims = serve_all(alone, trace.requests, trace.predictions)

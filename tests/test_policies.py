@@ -343,6 +343,33 @@ def test_serve_refuses_a_request_the_run_has_served():
         assert runs[names[1]].cost == run_policy(names[1], trace, 4, epsilon=0.1).cost > 0
 
 
+def test_serve_refuses_a_gap_in_a_keyless_runs_requests():
+    # a run built without keys appends the prediction of its next request;
+    # a later t would leave that key behind for the request it skipped
+    run = BlindOracle(2)
+    run.serve(1, "a", 5.0)
+    with pytest.raises(ValueError, match="the blind_oracle run's next request is 2, not 3"):
+        run.serve(3, "b", 9.0)
+    assert run.keys == [5.0] and run.cache == {"a": 1}
+    assert run.serve(2, "b", 1.0) is None and run.keys == [5.0, 1.0]
+    assert run.serve(3, "c", 0.0) == "a"  # b is keyed 1.0, a 5.0
+
+
+def test_serve_refuses_a_page_other_than_a_belady_runs_request():
+    # belady keys request t by the trace's next arrival of requests[t - 1];
+    # another page is refused before the body sees it, and the run serves on
+    trace = Trace(list("abcabdab"), [1.0] * 8)
+    run = make_policies(("belady",), 2, trace)["belady"]
+    for t, page in enumerate("xyz", start=1):
+        with pytest.raises(ValueError, match=f"the belady run's request {t} is not '{page}'"):
+            run.serve(t, page, 0.0)
+    assert not run.cache and run.cost == 0
+    victims = serve_all(run, trace.requests, trace.predictions)
+    batch = make_policies(("belady",), 2, trace)["belady"]
+    simulate(trace.requests, [FtlCombiner(batch, batch)])  # keeps batch's victims
+    assert victims == batch.victims and run.cost == batch.cost == 4
+
+
 def test_simulated_runs_are_freed_without_the_cycle_collector():
     # a body refers to its run; simulate closes every run, so dropping the
     # runs frees them by reference counting alone
