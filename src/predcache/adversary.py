@@ -27,7 +27,7 @@ error budget.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import ConfigError, NondeterministicPolicyError
 from .metrics import BoundRecord, ell1_loss
@@ -73,23 +73,9 @@ class AdversaryResult(NamedTuple):
     phases: tuple[PhaseStats, ...]
 
 
-PolicyFactory = Callable[[], Policy]
-
 # The named policies the construction attacks: deterministic, and run online
 # without the future arrivals (belady needs them; marker and mw draw).
 ADVERSARY_POLICIES = ("lru", "blind_oracle", "ftl")
-
-
-def _factory(policy: str | PolicyFactory, k: int) -> PolicyFactory:
-    if isinstance(policy, str):
-        if policy not in ADVERSARY_POLICIES:
-            raise ConfigError(
-                f"the adversary attacks only {', '.join(ADVERSARY_POLICIES)}, got {policy!r}"
-            )
-        return lambda: make_policies((policy,), k)[policy]
-    if callable(policy):
-        return policy
-    raise ConfigError("policy must be a name or a zero-argument factory")
 
 
 def _fallback_page(p_pages: list[PageId], instance: Policy) -> PageId:
@@ -99,18 +85,21 @@ def _fallback_page(p_pages: list[PageId], instance: Policy) -> PageId:
     return p_pages[0]
 
 
-def run_adversary(policy: str | PolicyFactory, config: AdversaryConfig) -> AdversaryResult:
-    """Drive a deterministic policy through the phase construction.
+def run_adversary(policy: str, config: AdversaryConfig) -> AdversaryResult:
+    """Drive a named deterministic policy through the phase construction.
 
-    ``policy`` is a policy name or a zero-argument factory producing fresh,
-    identically-configured instances; a second instance is served each
-    request as it is issued, to confirm the eviction sequence is
-    reproducible.
+    ``policy`` is one of ``ADVERSARY_POLICIES``.  Its run is served online,
+    each request as it is issued, and closed once the trace is built.  One
+    ``simulate`` over that trace then serves Belady, for opt, and a batch
+    run of the policy, which must end with the online run's cost and cache.
     """
     config.validate()
-    factory = _factory(policy, config.k)
-    instance, replay = factory(), factory()
+    if policy not in ADVERSARY_POLICIES:
+        raise ConfigError(
+            f"the adversary attacks only {', '.join(ADVERSARY_POLICIES)}, got {policy!r}"
+        )
     k, j = config.k, config.j
+    instance = make_policies((policy,), k)[policy]
     p_pages = [f"P{i}" for i in range(1, k + 1)]
     q_page = "Q0"
     requests: list[PageId] = []
@@ -122,19 +111,10 @@ def run_adversary(policy: str | PolicyFactory, config: AdversaryConfig) -> Adver
         requests.append(page)
         predictions.append(h)
         last_prediction[page] = h
-        t = len(requests)
-        evicted = instance.serve(t, page, h)
-        if replay.serve(t, page, h) != evicted:
-            raise NondeterministicPolicyError(
-                f"evictions diverged on replay at request {t}; "
-                "the adversary construction requires a deterministic policy"
-            )
-        evictions.append(evicted)
+        evictions.append(instance.serve(len(requests), page, h))
 
     plen = config.phase_length
     try:
-        if instance.k != k:
-            raise ConfigError("policy cache capacity must equal the adversary's k")
         for _ in range(config.num_phases):
             for page in (*p_pages, q_page):
                 issue(page, float(len(requests) + 1 + plen))
@@ -145,7 +125,6 @@ def run_adversary(policy: str | PolicyFactory, config: AdversaryConfig) -> Adver
                 issue(target, last_prediction[target])
     finally:
         instance.close()
-        replay.close()
 
     trace = Trace(requests, predictions)
     phases = []
@@ -160,8 +139,15 @@ def run_adversary(policy: str | PolicyFactory, config: AdversaryConfig) -> Adver
             budget += 2.0 * k * k
         phases.append(PhaseStats(cost, eta_p, budget))
 
-    opt = make_policies(("belady",), k, trace)["belady"]
-    simulate(trace.requests, (opt,))
+    runs = make_policies((policy, "belady"), k, trace)
+    simulate(trace.requests, runs.values())
+    batch, opt = runs[policy], runs["belady"]
+    if (batch.cost, list(batch.cache.items())) != (instance.cost, list(instance.cache.items())):
+        raise NondeterministicPolicyError(
+            f"the {policy} run ended its trace at cost {instance.cost} online and at cost "
+            f"{batch.cost} in a batch run, or with another cache; the adversary construction "
+            "requires a deterministic policy"
+        )
     return AdversaryResult(
         config=config,
         trace=trace,

@@ -15,4 +15,4 @@ class TraceParseError(Exception):
 
 
 class NondeterministicPolicyError(Exception):
-    """A policy declared deterministic produced different evictions on replay."""
+    """A policy declared deterministic ended a trace apart online and in a batch run."""

@@ -78,8 +78,9 @@ class Policy:
         without keys reads back what it was sent.  Requests come in order
         1, 2, ...: a t at or below the last request the run served (the
         length of such a list, else its cache's newest entry) is a
-        ValueError, as is a page other than request t of a keyed run built
-        over requests (belady), read after the keys so other runs skip it.
+        ValueError, as is any t but 1 on a run that has served none and a
+        page other than request t of a keyed run built over requests
+        (belady), read after the keys so other runs skip it.
         """
         keys = self.keys
         if keys is not None and (known := len(keys)) < t:
@@ -89,8 +90,10 @@ class Policy:
                 keys.append(prediction)
             except AttributeError:  # a tuple: the keys of a run built over a trace
                 raise IndexError(f"the {self.name} run has {known} keys, not {t}") from None
-        elif self.cache and t <= next(reversed(self.cache.values())):
+        elif (cache := self.cache) and t <= next(reversed(cache.values())):
             raise ValueError(f"the {self.name} run has served request {t} already")
+        elif not cache and t != 1:
+            raise ValueError(f"the {self.name} run's next request is 1, not {t}")
         elif keys is not None and self.requests is not None and page != self.requests[t - 1]:
             raise ValueError(f"the {self.name} run's request {t} is not {page!r}")
         return self._steps.send((t, page, prediction if keys is None else keys[t - 1]))

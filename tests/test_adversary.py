@@ -3,6 +3,8 @@ import weakref
 
 import pytest
 
+import predcache.adversary
+
 from predcache import (
     AdversaryConfig,
     ConfigError,
@@ -15,6 +17,17 @@ from predcache import (
 )
 from predcache.adversary import _fallback_page
 from oracles import run_policy, serve_all
+
+
+def _attack_with(monkeypatch, make_run):
+    """Make the adversary build each run of the attacked name as ``make_run(k)``."""
+
+    def builder(names, k, trace=None):
+        runs = make_policies(names[1:], k, trace)
+        runs[names[0]] = make_run(k)
+        return runs
+
+    monkeypatch.setattr(predcache.adversary, "make_policies", builder)
 
 
 def test_config_validation():
@@ -37,7 +50,7 @@ def test_rejects_unusable_policies():
     with pytest.raises(ConfigError):
         run_adversary("marker", AdversaryConfig(k=3, j=1))
     with pytest.raises(ConfigError):
-        run_adversary(lambda: LRU(4), AdversaryConfig(k=3, j=1))
+        run_adversary(lambda: LRU(3), AdversaryConfig(k=3, j=1))
 
 
 def test_phase_layout_against_lru():
@@ -105,18 +118,21 @@ def test_replayed_trace_reproduces_evictions():
     assert rerun.cost == result.alg_cost
 
 
-def test_adversary_runs_are_freed_without_the_cycle_collector():
+def test_adversary_runs_are_freed_without_the_cycle_collector(monkeypatch):
+    # ftl's online run and its two experts, then the batch ftl, its experts
+    # and belady
     made = []
 
-    def factory():
-        policy = make_policies(("ftl",), 3)["ftl"]
-        made.extend(weakref.ref(run) for run in (policy, *policy.experts))
-        return policy
+    def recording(*args, **kwargs):
+        runs = make_policies(*args, **kwargs)
+        made.extend(weakref.ref(run) for run in runs.values())
+        return runs
 
+    monkeypatch.setattr(predcache.adversary, "make_policies", recording)
     gc.disable()
     try:
-        run_adversary(factory, AdversaryConfig(k=3, j=2, num_phases=2))
-        assert len(made) == 6 and all(ref() is None for ref in made)
+        run_adversary("ftl", AdversaryConfig(k=3, j=2, num_phases=2))
+        assert len(made) == 7 and all(ref() is None for ref in made)
     finally:
         gc.enable()
 
@@ -168,9 +184,50 @@ class _FlipFlop(_ByRule):
         return pages[0] if self.flavor else pages[-1]
 
 
-def test_nondeterministic_policy_detected():
-    with pytest.raises(NondeterministicPolicyError):
-        run_adversary(lambda: _FlipFlop(3), AdversaryConfig(k=3, j=2, num_phases=2))
+def test_nondeterministic_policy_detected(monkeypatch):
+    # the online run and the batch run are two instances, of opposite flavors
+    _attack_with(monkeypatch, _FlipFlop)
+    with pytest.raises(NondeterministicPolicyError, match="the lru run ended its trace"):
+        run_adversary("lru", AdversaryConfig(k=3, j=2, num_phases=2))
+
+
+def test_a_batch_run_that_disagrees_names_both_costs(monkeypatch):
+    config = AdversaryConfig(k=3, j=2, num_phases=2)
+    online = run_adversary("blind_oracle", config)
+    batch = run_policy("lru", online.trace, config.k)
+    assert batch.cost != online.alg_cost
+
+    def builder(names, k, trace=None):
+        runs = make_policies(names, k, trace)
+        if trace is not None:  # the batch call: lru in place of blind_oracle
+            runs[names[0]] = LRU(k)
+        return runs
+
+    monkeypatch.setattr(predcache.adversary, "make_policies", builder)
+    message = (
+        f"the blind_oracle run ended its trace at cost {online.alg_cost} online "
+        f"and at cost {batch.cost} in a batch run"
+    )
+    with pytest.raises(NondeterministicPolicyError, match=message):
+        run_adversary("blind_oracle", config)
+
+
+class _Reordered(LRU):
+    """LRU whose batch run ends with its cache in reverse order."""
+
+    def _serve_trace(self, requests, keep):
+        victims = super()._serve_trace(requests, keep)
+        self.cache = dict(reversed(self.cache.items()))
+        return victims
+
+
+def test_a_batch_run_that_ends_in_another_cache_order_is_refused(monkeypatch):
+    # same cost and pages: only the order of the cache tells the runs apart
+    config = AdversaryConfig(k=3, j=2, num_phases=8)
+    cost = run_adversary("lru", config).alg_cost
+    _attack_with(monkeypatch, _Reordered)
+    with pytest.raises(NondeterministicPolicyError, match=f"at cost {cost} online and at cost {cost}"):
+        run_adversary("lru", config)
 
 
 class _Q0Hoarder(_ByRule):
@@ -180,9 +237,10 @@ class _Q0Hoarder(_ByRule):
         return next(page for page in self.cache if page != "Q0")
 
 
-def test_fallback_requests_an_absent_p_page():
+def test_fallback_requests_an_absent_p_page(monkeypatch):
+    _attack_with(monkeypatch, _Q0Hoarder)
     config = AdversaryConfig(k=3, j=2, num_phases=4)
-    result = run_adversary(lambda: _Q0Hoarder(3), config)
+    result = run_adversary("lru", config)
     assert result.trace.n == 4 * config.phase_length
     # from the second phase on, Q0 is a hit, so the adaptive step starts at a
     # fallback page, which must be one of the P pages
@@ -195,6 +253,21 @@ def test_fallback_requests_an_absent_p_page():
     # the hoarder's victim rule was the one served: replayed, it never evicts Q0
     victims = serve_all(_Q0Hoarder(3), result.trace.requests, result.trace.predictions)
     assert "Q0" in result.trace.requests and "Q0" not in victims
+
+
+@pytest.mark.parametrize("policy,phase", [("blind_oracle", 1), ("ftl", 2)])
+def test_a_named_policy_reaches_the_fallback_after_a_q0_hit(policy, phase):
+    # at k=3, j=2 these runs keep Q0 through that phase's round of P pages,
+    # so the adaptive step after Q0 has no victim to pull back
+    config = AdversaryConfig(k=3, j=2, num_phases=3)
+    trace = run_adversary(policy, config).trace
+    q0 = phase * config.phase_length + config.k + 1  # Q0's request index
+    assert trace.requests[q0 - 1] == "Q0"
+    run = make_policies((policy,), config.k)[policy]
+    victims = serve_all(run, trace.requests[:q0], trace.predictions[:q0])
+    assert victims[-1] is None and len(run.cache) == config.k  # a hit
+    absent = [page for page in ("P1", "P2", "P3") if page not in run.cache]
+    assert trace.requests[q0] == absent[0] != "P1"
 
 
 def test_fallback_page_helper_defaults_to_first():

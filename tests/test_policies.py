@@ -355,16 +355,37 @@ def test_serve_refuses_a_gap_in_a_keyless_runs_requests():
     assert run.serve(3, "c", 0.0) == "a"  # b is keyed 1.0, a 5.0
 
 
+def test_serve_refuses_any_t_but_1_on_a_run_that_has_served_none():
+    # request 1 comes first: a t <= 0 would key a page by keys[t - 1], read
+    # from the end of a trace-built run's keys, and a later t skips requests
+    trace = Trace(list("abcab"), [9.0, 2.0, 3.0, 4.0, 5.0])  # not exact
+    for make in (
+        lambda: make_policies(("blind_oracle",), 2, trace)["blind_oracle"],
+        lambda: BlindOracle(2),
+        lambda: LRU(2),
+    ):
+        run = make()
+        for t in (0, -1, 2):
+            with pytest.raises(ValueError, match=f"the {run.name} run's next request is 1, not {t}"):
+                run.serve(t, "a", 1.0)
+        assert not run.cache and run.cost == 0 and run.keys in (None, [], trace.predictions)
+        assert serve_all(run, trace.requests, trace.predictions) == serve_all(
+            make(), trace.requests, trace.predictions
+        )
+
+
 def test_serve_refuses_a_page_other_than_a_belady_runs_request():
     # belady keys request t by the trace's next arrival of requests[t - 1];
     # another page is refused before the body sees it, and the run serves on
     trace = Trace(list("abcabdab"), [1.0] * 8)
     run = make_policies(("belady",), 2, trace)["belady"]
-    for t, page in enumerate("xyz", start=1):
-        with pytest.raises(ValueError, match=f"the belady run's request {t} is not '{page}'"):
-            run.serve(t, page, 0.0)
-    assert not run.cache and run.cost == 0
-    victims = serve_all(run, trace.requests, trace.predictions)
+    victims = []
+    for t, (page, other) in enumerate(zip(trace.requests, "xyzxyzxy"), start=1):
+        before = (run.cost, list(run.cache.items()))
+        with pytest.raises(ValueError, match=f"the belady run's request {t} is not '{other}'"):
+            run.serve(t, other, 0.0)
+        assert (run.cost, list(run.cache.items())) == before
+        victims.append(run.serve(t, page, 0.0))
     batch = make_policies(("belady",), 2, trace)["belady"]
     simulate(trace.requests, [FtlCombiner(batch, batch)])  # keeps batch's victims
     assert victims == batch.victims and run.cost == batch.cost == 4

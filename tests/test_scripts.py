@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 from predcache import POLICY_NAMES
+from predcache.adversary import ADVERSARY_POLICIES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,9 +22,14 @@ def _run_script(name, *args):
 
 
 def test_lower_bound_demo_prints_its_table():
-    proc = _run_script("lower_bound_demo.py", "--phases", "2")
+    proc = _run_script("lower_bound_demo.py", "--phases", "10")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    header, *rows = (line.split() for line in proc.stdout.splitlines())
+    assert header == ["policy", "k", "j", "alg", "opt", "required", "eta", "eta/phase", "cert"]
+    assert len(rows) == 18 and all(len(row) == len(header) for row in rows)
+    for policy in ADVERSARY_POLICIES:
+        assert sum(row[0] == policy for row in rows) == 6, policy
+    assert all(row[-1] == "ok" for row in rows), proc.stdout
 
 
 def test_noise_sweep_writes_its_csv(tmp_path):
