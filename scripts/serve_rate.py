@@ -14,9 +14,10 @@ runs, each timed between two runs of the benchmark's calibration loop
 its reference time, so cells measured minutes apart on a host whose speed
 drifts stay comparable.  The k=8 / k=512 column is the k=8 rate over the k=512 rate: how much a
 policy slows down as the cache grows.  The ``online`` column drives the same
-policy at k=8 through ``serve``, one call per request, as the adversary
-drives it (not defined for ``all``, whose experts are shared).  Prints a
-markdown table.
+policy at k=8 through ``serve``, one call per request, built without the
+trace as the adversary builds it (not defined for ``belady``, which needs
+the trace, or for ``all``, whose experts are shared).  Prints a markdown
+table.
 
 A second table gives ``count_inversions_fast`` in ms, timed the same way, and
 the trace's inversion count.  Its rows: the same trace; a trace shaped like
@@ -127,7 +128,7 @@ def main() -> None:
         simulate(cell.requests, build(names, k, cell).values())
 
     def online(name, cell):
-        serve = build((name,), KS[0], cell)[name].serve
+        serve = build((name,), KS[0], None)[name].serve
         for t, (page, h) in enumerate(zip(cell.requests, cell.predictions), start=1):
             serve(t, page, h)
 
@@ -139,7 +140,7 @@ def main() -> None:
             rates = [cells[k].n / _timed_s(lambda: batch(names, k, cells[k])) for k in KS]
             rendered = " | ".join(f"{rate / 1000:.0f}k" for rate in rates)
             served = "n/a"
-            if name != "all":
+            if name not in ("belady", "all"):
                 cell = cells[KS[0]]
                 served = f"{cell.n / _timed_s(lambda: online(name, cell)) / 1000:.0f}k"
             print(f"| {name} | {label} | {rendered} | {rates[0] / rates[-1]:.2f} | {served} |")

@@ -106,7 +106,12 @@ class _Combiner(Policy):
         super().__init__(expert_a.k)
 
     def serve(self, t, page, prediction):
-        """Serve request t to both experts (once if they are one run), then to self."""
+        """Serve request t to both experts (once if they are one run), then to self.
+
+        t must first be this run's next request, by ``Policy.serve``'s rule.
+        """
+        if t != (next_t := next(reversed(self.cache.values()), 0) + 1):
+            raise ValueError(f"the {self.name} run's next request is {next_t}, not {t}")
         a, b = self.experts
         victim_a = a.serve(t, page, prediction)
         victim_b = victim_a if b is a else b.serve(t, page, prediction)
@@ -293,7 +298,7 @@ def make_policies(
     combination) wraps ``blind_oracle`` and ``lru``, ``mw`` (the randomized
     one) ``blind_oracle`` and ``marker``.  ``belady`` keys each request by
     the trace's true arrivals, so it needs the trace; ``blind_oracle`` by
-    its predictions (built without a trace, it is driven by ``serve``).
+    its predictions.  Only runs built without a trace are driven by ``serve``.
     ``marker`` is seeded ``Random(seed)``; ``mw``'s generator by the third
     63-bit draw of ``Random(seed)``, and ``MwCombiner`` checks its epsilon.
 

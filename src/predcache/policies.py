@@ -12,7 +12,7 @@ potential Phi, the number of own pages outside the followed expert's cache,
 is 0, it evicts what that expert evicts and is served from the experts'
 victim lists; its body serves the requests from a switch until Phi is 0
 again.  ``serve`` drives a body one request at a time, for callers that pick
-each request online (the adversary).
+each request online (the adversary); it takes only a run built without a trace.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ class Policy:
     per request when a combiner reads them.
 
     ``_steps`` is the body: sent ``(t, page, key)``, it serves request t and
-    yields the evicted page or None.  The key is ``keys[t - 1]`` for a run
-    with keys, else None under ``simulate`` and the prediction sent to
-    ``serve``; a combiner is sent its experts' victims.
+    yields the evicted page or None.  The key is ``keys[t - 1]`` (None without
+    keys) under ``simulate`` and the prediction under ``serve``, which a
+    keyless run appends to ``keys``; a combiner is sent its experts' victims.
     ``_start`` makes a running body, primed, from the run's current state;
     ``__init__`` replaces the method by one, so a subclass sets what its
     body reads (an RNG, the keys, the experts) before calling
@@ -73,30 +73,22 @@ class Policy:
     def serve(self, t: int, page: PageId, prediction: float) -> PageId | None:
         """Serve request t alone; returns the evicted page on a full-cache miss.
 
-        A run with keys is sent ``keys[t - 1]``, after ``prediction`` is
-        appended to a list of keys that ends just before t: a run built
-        without keys reads back what it was sent.  Requests come in order
-        1, 2, ...: a t at or below the last request the run served (the
-        length of such a list, else its cache's newest entry) is a
-        ValueError, as is any t but 1 on a run that has served none and a
-        page other than request t of a keyed run built over requests
-        (belady), read after the keys so other runs skip it.
+        Only a run built without a trace is served (``simulate`` serves the
+        others), and only at its next request t: a keyless run's key count
+        + 1, else its cache's newest entry + 1, or 1 when the cache is empty.
         """
         keys = self.keys
-        if keys is not None and (known := len(keys)) < t:
-            if t > known + 1 and isinstance(keys, list):  # a keyless run skips a request
-                raise ValueError(f"the {self.name} run's next request is {known + 1}, not {t}")
-            try:
-                keys.append(prediction)
-            except AttributeError:  # a tuple: the keys of a run built over a trace
-                raise IndexError(f"the {self.name} run has {known} keys, not {t}") from None
-        elif (cache := self.cache) and t <= next(reversed(cache.values())):
-            raise ValueError(f"the {self.name} run has served request {t} already")
-        elif not cache and t != 1:
-            raise ValueError(f"the {self.name} run's next request is 1, not {t}")
-        elif keys is not None and self.requests is not None and page != self.requests[t - 1]:
-            raise ValueError(f"the {self.name} run's request {t} is not {page!r}")
-        return self._steps.send((t, page, prediction if keys is None else keys[t - 1]))
+        if keys is None:
+            next_t = next(reversed(self.cache.values()), 0) + 1
+        elif type(keys) is list:
+            next_t = len(keys) + 1
+        else:
+            raise ValueError(f"the {self.name} run holds a trace's keys: simulate serves it")
+        if t != next_t:
+            raise ValueError(f"the {self.name} run's next request is {next_t}, not {t}")
+        if keys is not None:
+            keys.append(prediction)
+        return self._steps.send((t, page, prediction))
 
     def close(self) -> None:
         """End the run and its experts' runs; their state stays readable.
@@ -155,8 +147,9 @@ def pop_live(heap: list, cache: dict[PageId, int]) -> PageId:
 class BlindOracle(Policy):
     """Evict the page whose stored prediction is furthest in the future.
 
-    Request t's key is ``keys[t - 1]``: the trace's predictions, or the list
-    ``serve`` appends each prediction to for a run built without them.  A
+    Request t's key is ``keys[t - 1]``: the trace's predictions under
+    ``simulate``, or the list ``serve`` appends each prediction to for a run
+    built without a trace.  A
     page keeps the prediction of its own last request, compared at face
     value once it points into the past; ties go to the least recent.  A
     request pushes ``(-key, t, page)`` onto ``_heap`` while it holds under
@@ -197,7 +190,7 @@ class Belady(Policy):
     """Offline optimal: evict the page actually requested furthest in the future.
 
     Built over a trace, it reads the trace's requests and, as its keys, the
-    true arrivals, under either driver.  Request t's key y is its page's
+    true arrivals; only ``simulate`` serves it.  Request t's key y is its page's
     next request, and for y <= n the page requested at y is
     ``requests[y - 1]``: ``_heap`` holds the int -y, pushed and rebuilt as
     ``BlindOracle``'s items are.  An item is live exactly when y > t and

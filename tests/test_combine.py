@@ -369,17 +369,18 @@ def _state(run):
 def _assert_simulate_matches_serve(trace, k, seed):
     """ftl and mw alike under simulate and serve; each online run's switches.
 
-    A pair combiner over each run makes simulate keep its victims.  A switch
+    A pair combiner over each run makes simulate keep its victims.  The
+    online run is built without the trace, as serve requires.  A switch
     taken at phi = 0 is listed as (request, first request of its stretch),
     the stretch being the requests since phi last became 0; one taken at
     phi > 0 is served by the body under both drivers and is not listed.
     """
-    def build(name):
-        return make_policies((name,), k, trace, seed=seed, epsilon=0.24)[name]
+    def build(name, over):
+        return make_policies((name,), k, over, seed=seed, epsilon=0.24)[name]
 
     switches = {}
     for name in ("ftl", "mw"):
-        batch, online = build(name), build(name)
+        batch, online = build(name, trace), build(name, None)
         reader = FtlCombiner(batch, batch)
         simulate(trace.requests, [reader])
         victims, switches[name] = [], []
@@ -506,7 +507,8 @@ def test_simulate_hands_back_to_stretches_once_phi_is_0(requests, noise_seed, k,
     trace = _garbage_trace(requests, noise_seed)
     for name in ("ftl", "mw"):
         batch, online = (
-            make_policies((name,), k, trace, seed=seed, epsilon=0.24)[name] for _ in range(2)
+            make_policies((name,), k, over, seed=seed, epsilon=0.24)[name]
+            for over in (trace, None)
         )
         sent = []
         _recording_start(batch, sent)
@@ -525,7 +527,7 @@ def test_simulate_hands_back_to_stretches_once_phi_is_0(requests, noise_seed, k,
 def test_combiners_pay_for_each_eviction_by_potential(requests, noise_seed, k, seed):
     trace = _garbage_trace(requests, noise_seed)
     for name in ("ftl", "mw"):
-        run = make_policies((name,), k, trace, seed=seed, epsilon=0.24)[name]
+        run = make_policies((name,), k, seed=seed, epsilon=0.24)[name]
         check_potential(run, trace.requests, trace.predictions)
 
 
@@ -543,7 +545,7 @@ def test_potential_holds_on_sample_and_golden_cells(name):
             cells.append((f"{workload.kind} seed {seed}", synthesize(workload, noise, seed), k))
     switched = 0
     for label, trace, k in cells:
-        run = make_policies((name,), k, trace, seed=1, epsilon=0.1)[name]
+        run = make_policies((name,), k, seed=1, epsilon=0.1)[name]
         _, _, switches = check_potential(run, trace.requests, trace.predictions)
         switched += switches > 0
     assert switched, name

@@ -122,15 +122,17 @@ def test_repeated_request_index_returns_the_stored_answer():
 def test_every_policy_answers_a_repeated_index_from_its_store(name):
     # each policy as both experts of one combiner, under either driver: it
     # serves every index once and both reads get its one victim, so its
-    # victims, caches, costs and RNG draws are those of the policy alone
+    # victims, caches, costs and RNG draws are those of the policy alone,
+    # simulated.  serve takes only a run built without the trace (belady
+    # has no such run)
     trace = synthesize(
         WorkloadSpec("uniform", universe=6, length=200),
         NoiseSpec("additive_uniform", width=3.0),
         seed=4,
     )
 
-    def build():
-        return make_policies((name,), 3, trace, seed=4, epsilon=0.1)[name]
+    def build(over=trace):
+        return make_policies((name,), 3, over, seed=4, epsilon=0.1)[name]
 
     def state(policy):
         runs = (policy, *policy.experts)
@@ -140,11 +142,11 @@ def test_every_policy_answers_a_repeated_index_from_its_store(name):
         ]
 
     alone = build()
-    victims = _served(alone, trace)
+    victims = _simulated([alone], trace)[alone]
     assert alone.cost > 0
     served = list(enumerate(trace.requests, start=1))
-    for drive in ("serve", "simulate"):
-        policy = build()
+    for drive in ("serve", "simulate")[name == "belady":]:
+        policy = build(None if drive == "serve" else trace)
         pair = FtlCombiner(policy, policy)
         recorders = _record([pair])
         if drive == "serve":
@@ -252,11 +254,10 @@ def test_simulate_refuses_a_run_driven_by_serve():
     simulate(trace.requests, [fresh])
     assert fresh.cost == 4
     ftl = make_policies(("ftl",), 2, trace)["ftl"]
-    keyed = make_policies(("blind_oracle",), 2, trace)["blind_oracle"]
     lru, keyless = LRU(2), BlindOracle(2)
-    for run in (lru, keyed, keyless, ftl.experts[1]):
+    for run in (lru, keyless, ftl.experts[1]):
         serve_all(run, "abc", trace.predictions)
-    for run in (lru, keyed, keyless, ftl):
+    for run in (lru, keyless, ftl):
         costs = [served.cost for served in (run, *run.experts)]
         with pytest.raises(ValueError, match="served already"):
             simulate(trace.requests, [run])
@@ -277,35 +278,13 @@ def test_simulate_refuses_keys_that_are_not_one_per_request():
     assert runs["belady"].cost == run_policy("belady", trace, 2).cost
 
 
-def test_a_keyed_run_reads_its_own_keys_under_serve():
-    # predictions sent to serve other than the keys are not read: a keyed
-    # blind_oracle evicts what simulate evicts
-    trace = synthesize(
-        WorkloadSpec("uniform", universe=8, length=300),
-        NoiseSpec("additive_uniform", width=6.0),
-        seed=3,
-    )
-    for name in ("blind_oracle", "belady"):
-        online, batch = (make_policies((name,), 3, trace)[name] for _ in range(2))
-        victims = serve_all(online, trace.requests, reversed(trace.predictions))
-        simulate(trace.requests, [FtlCombiner(batch, batch)])  # keeps batch's victims
-        assert victims == batch.victims, name
-        assert online.cost == batch.cost > 0, name
-
-
-def test_serve_refuses_a_request_past_a_trace_built_runs_keys():
-    # a run built over a trace holds a key per request; one built without
-    # keys still appends the predictions it is sent
-    trace = Trace(["a", "b"], [1.0, 5.0])  # not exact: blind_oracle is its own run
-    for name in ("blind_oracle", "belady"):
-        run = make_policies((name,), 1, trace)[name]
-        assert serve_all(run, trace.requests, trace.predictions) == [None, "a"]
-        with pytest.raises(IndexError, match=f"the {name} run has 2 keys"):
-            run.serve(3, "c", 3.0)
-        assert run.keys == (trace.predictions if name == "blind_oracle" else trace.arrivals)
-    run = make_policies(("blind_oracle",), 1)["blind_oracle"]
-    assert serve_all(run, "abc", [1.0, 5.0, 3.0]) == [None, "a", "b"]
-    assert run.keys == [1.0, 5.0, 3.0]
+def _snapshot(run):
+    """A run's and its experts' costs, caches, keys and RNG states, in order."""
+    return [
+        (served.cost, list(served.cache.items()), served.keys,
+         served.rng.getstate() if hasattr(served, "rng") else None)
+        for served in (run, *run.experts)
+    ]
 
 
 def test_serve_refuses_a_request_the_run_has_served():
@@ -313,34 +292,15 @@ def test_serve_refuses_a_request_the_run_has_served():
     lru = LRU(2)
     lru.serve(1, "a", 0.0)
     for t, page in ((1, "b"), (1, "c"), (0, "d")):
-        with pytest.raises(ValueError, match=f"the lru run has served request {t} already"):
+        with pytest.raises(ValueError, match=f"the lru run's next request is 2, not {t}"):
             lru.serve(t, page, 0.0)
     assert (lru.cost, lru.cache) == (0, {"a": 1})
     assert lru.serve(2, "b", 0.0) is None
     keyless = BlindOracle(2)  # its keys end at the last request it served
     serve_all(keyless, "ab", [1.0, 2.0])
-    with pytest.raises(ValueError, match="the blind_oracle run has served request 2 already"):
+    with pytest.raises(ValueError, match="the blind_oracle run's next request is 3, not 2"):
         keyless.serve(2, "c", 3.0)
     assert keyless.keys == [1.0, 2.0] and keyless.serve(3, "c", 3.0) == "b"
-    # runs of one call that share an expert: after the standalone row serves
-    # t, the combiner would serve that expert at t again and miss its eviction
-    trace = synthesize(
-        WorkloadSpec("uniform", universe=30, length=400),
-        NoiseSpec("additive_uniform", width=4.0),
-        seed=0,
-    )
-    first = (1, trace.requests[0], trace.predictions[0])
-    for names in (("blind_oracle", "ftl"), ("blind_oracle", "mw"), ("marker", "mw")):
-        runs = make_policies(names, 4, trace, seed=0, epsilon=0.1)
-        alone, combiner = (runs[name] for name in names)
-        alone.serve(*first)
-        with pytest.raises(ValueError, match=f"the {names[0]} run has served request 1 already"):
-            combiner.serve(*first)
-        assert not combiner.cache, names
-        # served through the combiner alone, the shared run is served once
-        runs = make_policies(names, 4, trace, seed=0, epsilon=0.1)
-        _served(runs[names[1]], trace)
-        assert runs[names[1]].cost == run_policy(names[1], trace, 4, epsilon=0.1).cost > 0
 
 
 def test_serve_refuses_a_gap_in_a_keyless_runs_requests():
@@ -356,39 +316,100 @@ def test_serve_refuses_a_gap_in_a_keyless_runs_requests():
 
 
 def test_serve_refuses_any_t_but_1_on_a_run_that_has_served_none():
-    # request 1 comes first: a t <= 0 would key a page by keys[t - 1], read
-    # from the end of a trace-built run's keys, and a later t skips requests
-    trace = Trace(list("abcab"), [9.0, 2.0, 3.0, 4.0, 5.0])  # not exact
-    for make in (
-        lambda: make_policies(("blind_oracle",), 2, trace)["blind_oracle"],
-        lambda: BlindOracle(2),
-        lambda: LRU(2),
-    ):
+    # request 1 comes first: a t <= 0 would be served before it, and a
+    # later t skips requests
+    trace = Trace(list("abcab"), [9.0, 2.0, 3.0, 4.0, 5.0])
+    for make in (lambda: BlindOracle(2), lambda: LRU(2)):
         run = make()
         for t in (0, -1, 2):
             with pytest.raises(ValueError, match=f"the {run.name} run's next request is 1, not {t}"):
                 run.serve(t, "a", 1.0)
-        assert not run.cache and run.cost == 0 and run.keys in (None, [], trace.predictions)
+        assert not run.cache and run.cost == 0 and run.keys in (None, [])
         assert serve_all(run, trace.requests, trace.predictions) == serve_all(
             make(), trace.requests, trace.predictions
         )
 
 
-def test_serve_refuses_a_page_other_than_a_belady_runs_request():
-    # belady keys request t by the trace's next arrival of requests[t - 1];
-    # another page is refused before the body sees it, and the run serves on
-    trace = Trace(list("abcabdab"), [1.0] * 8)
-    run = make_policies(("belady",), 2, trace)["belady"]
-    victims = []
-    for t, (page, other) in enumerate(zip(trace.requests, "xyzxyzxy"), start=1):
-        before = (run.cost, list(run.cache.items()))
-        with pytest.raises(ValueError, match=f"the belady run's request {t} is not '{other}'"):
-            run.serve(t, other, 0.0)
-        assert (run.cost, list(run.cache.items())) == before
-        victims.append(run.serve(t, page, 0.0))
-    batch = make_policies(("belady",), 2, trace)["belady"]
-    simulate(trace.requests, [FtlCombiner(batch, batch)])  # keeps batch's victims
-    assert victims == batch.victims and run.cost == batch.cost == 4
+def test_serve_takes_only_the_runs_next_request():
+    # request 1 comes first, then each request once, in order: a t at or
+    # below the last one served would be served twice, and a later t would
+    # skip a request (a keyless blind_oracle would key the next request by
+    # the prediction sent for it).  The refusal names the run served, a
+    # combiner's before any expert, and changes no run.  These are the
+    # shapes make_policies builds without a trace, the ones serve takes
+    trace = synthesize(
+        WorkloadSpec("uniform", universe=8, length=300),
+        NoiseSpec("additive_uniform", width=6.0),
+        seed=3,
+    )
+    for name in ("lru", "marker", "blind_oracle", "ftl", "mw"):
+        run = make_policies((name,), 3, seed=3, epsilon=0.1)[name]
+        victims = []
+        for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
+            if t in (1, 2, 150):
+                before = _snapshot(run)
+                for wrong in (t - 1, t + 1, t + 3, -1):
+                    with pytest.raises(
+                        ValueError, match=f"^the {name} run's next request is {t}, not {wrong}$"
+                    ):
+                        run.serve(wrong, page, h)
+                    assert _snapshot(run) == before, (name, t, wrong)
+            victims.append(run.serve(t, page, h))
+        # served on, it is the run simulate serves over the trace
+        batch = make_policies((name,), 3, trace, seed=3, epsilon=0.1)[name]
+        assert _simulated([batch], trace)[batch] == victims, name
+        assert [state[:2] + state[3:] for state in _snapshot(batch)] == [
+            state[:2] + state[3:] for state in _snapshot(run)
+        ], name
+        assert run.cost > 0, name
+
+
+def test_serve_refuses_a_run_that_holds_a_traces_keys():
+    # simulate serves a run built over a trace: belady, blind_oracle (the
+    # belady run when the trace is exact) and a combiner over blind_oracle.
+    # A combiner's refusal comes from its blind_oracle expert, served first
+    noisy = Trace(list("abcab"), [9.0, 2.0, 3.0, 4.0, 5.0])
+    exact = _trace("abcab")
+    for trace in (noisy, exact):
+        for name in ("belady", "blind_oracle", "ftl", "mw"):
+            run = make_policies((name,), 2, trace, epsilon=0.1)[name]
+            keyed = (*run.experts, run)[0]
+            before = _snapshot(run)
+            with pytest.raises(
+                ValueError, match=f"^the {keyed.name} run holds a trace's keys: simulate serves it$"
+            ):
+                run.serve(1, trace.requests[0], trace.predictions[0])
+            assert _snapshot(run) == before, name
+            simulate(trace.requests, [run])
+            assert run.cost == run_policy(name, trace, 2, epsilon=0.1).cost > 0, name
+
+
+def test_serve_refuses_a_combiners_request_its_shared_expert_has_served():
+    # runs of one call share an expert: after the standalone row serves t,
+    # the combiner would serve that expert at t again and miss its eviction.
+    # The combiner takes t, then each expert checks it as it is served: the
+    # combiner is unchanged, and so is each expert from the one refusing on.
+    # An expert served before it has taken t (mw's blind_oracle, when its
+    # marker refuses), so serve the combiner alone
+    trace = synthesize(
+        WorkloadSpec("uniform", universe=30, length=400),
+        NoiseSpec("additive_uniform", width=4.0),
+        seed=0,
+    )
+    first = (1, trace.requests[0], trace.predictions[0])
+    for names in (("blind_oracle", "ftl"), ("blind_oracle", "mw"), ("marker", "mw")):
+        runs = make_policies(names, 4, seed=0, epsilon=0.1)
+        alone, combiner = (runs[name] for name in names)
+        alone.serve(*first)
+        before = _snapshot(combiner)
+        with pytest.raises(ValueError, match=f"the {names[0]} run's next request is 2, not 1"):
+            combiner.serve(*first)
+        after, refusing = _snapshot(combiner), 1 + combiner.experts.index(alone)
+        assert after[0] == before[0] and after[refusing:] == before[refusing:], names
+        # served through the combiner alone, the shared run is served once
+        runs = make_policies(names, 4, seed=0, epsilon=0.1)
+        _served(runs[names[1]], trace)
+        assert runs[names[1]].cost == run_policy(names[1], trace, 4, epsilon=0.1).cost > 0
 
 
 def test_simulated_runs_are_freed_without_the_cycle_collector():
@@ -461,9 +482,10 @@ def tie_heavy_exact_traces(draw):
 def test_blind_oracle_equals_belady_on_true_arrivals(trace, k):
     # why an exact cell's blind_oracle is its belady run, with no inversions
     assert trace.predictions == trace.arrivals
-    assert serve_all(BlindOracle(k), trace.requests, trace.predictions) == serve_all(
-        Belady(k, trace), trace.requests, trace.predictions
-    )
+    belady = Belady(k, trace)
+    assert serve_all(BlindOracle(k), trace.requests, trace.predictions) == _simulated(
+        [belady], trace
+    )[belady]
     assert count_inversions_fast(trace) == 0
     assert count_inversions_fenwick(trace.arrivals, trace.predictions) == 0
 
@@ -551,29 +573,49 @@ def test_cost_equals_eviction_count():
     assert run_policy("blind_oracle", trace, k=4).cost == policy.cost
 
 
+class _Invariants:
+    """Stands in for a run's body: checks the cache after each request it serves."""
+
+    def __init__(self, run):
+        self.steps, self.run, self.distinct = run._steps, run, set()
+
+    def send(self, item):
+        t, page = item[:2]
+        cache, k, name = self.run.cache, self.run.k, self.run.name
+        was_resident, was_full = page in cache, len(cache) == k
+        victim = self.steps.send(item)
+        self.distinct.add(page)
+        assert len(cache) <= k, name
+        assert len(cache) == min(k, len(self.distinct)), name
+        assert cache[page] == t, name
+        assert list(cache.values()) == sorted(cache.values()), name
+        if victim is not None:
+            assert not was_resident and was_full, name
+            assert victim not in cache, name
+        else:
+            assert was_resident or not was_full, name
+        return victim
+
+    def close(self):
+        self.steps.close()
+
+
 @settings(max_examples=100, deadline=None)
 @given(pages, st.integers(1, 3), st.integers(0, 5))
 def test_capacity_and_eviction_invariants(requests, k, seed):
     trace = _trace(requests)
     costs = {}
     for name in POLICY_NAMES:
-        # built alone, so no expert is shared with a run served earlier
-        policy = make_policies((name,), k, trace, seed=seed, epsilon=0.1)[name]
-        distinct = set()
-        for t, page in enumerate(requests, start=1):
-            was_resident = page in policy.cache
-            was_full = len(policy.cache) == k
-            victim = policy.serve(t, page, trace.predictions[t - 1])
-            distinct.add(page)
-            assert len(policy.cache) <= k, name
-            assert len(policy.cache) == min(k, len(distinct)), name
-            assert policy.cache[page] == t, name
-            assert list(policy.cache.values()) == sorted(policy.cache.values()), name
-            if victim is not None:
-                assert not was_resident and was_full, name
-                assert victim not in policy.cache, name
-            else:
-                assert was_resident or not was_full, name
+        # built alone, so no expert is shared with a run served earlier;
+        # belady, which serve does not take, is checked under simulate
+        over = trace if name == "belady" else None
+        policy = make_policies((name,), k, over, seed=seed, epsilon=0.1)[name]
+        policy._steps = _Invariants(policy)
+        if over is None:
+            serve_all(policy, requests, trace.predictions)
+        else:
+            simulate(requests, [policy])
+        assert policy._steps.distinct == set(requests), name
         costs[name] = policy.cost
     # belady is the offline optimum: no policy evicts less on the same trace
     assert all(costs["belady"] <= cost for cost in costs.values())
@@ -659,43 +701,47 @@ def _served(run, trace):
 
 
 def _assert_same_victims(trace, k, seed=0):
-    # three sequences agree: serve-driven, the victims simulate hands on
-    # (each policy built alone, then all six from one builder call in both
-    # name orders, so shared experts feed two combiners) and the reference
-    def build(names):
-        return make_policies(names, k, trace, seed=seed, epsilon=0.1)
+    # three sequences agree: serve-driven (built without the trace; belady
+    # has no such run), the victims simulate hands on (each policy built
+    # alone, then all six from one builder call in both name orders, so
+    # shared experts feed two combiners) and the reference
+    def build(names, over=trace):
+        return make_policies(names, k, over, seed=seed, epsilon=0.1)
 
     expected = {}
     for name in POLICY_NAMES:
         reference = ref_policy(name, k, trace.arrivals, seed=seed, epsilon=0.1)
         expected[name] = serve_all(reference, trace.requests, trace.predictions)
-        assert _served(build((name,))[name], trace) == expected[name], name
+        if name != "belady":
+            assert _served(build((name,), None)[name], trace) == expected[name], name
     for names in [(name,) for name in POLICY_NAMES] + [POLICY_NAMES, POLICY_NAMES[::-1]]:
         runs = build(names)
         victims = _simulated(runs.values(), trace)
         for name in names:
             assert victims[runs[name]] == expected[name], name
-    # combiners over other expert pairs
-    arrivals = trace.arrivals
+    # combiners over other expert pairs; each is served online with a keyless
+    # blind_oracle fed the true arrivals in place of belady, which evicts the
+    # same pages (test_blind_oracle_equals_belady_on_true_arrivals)
+    arrivals, exact = trace.arrivals, trace.renoised(trace.arrivals)
     pairs = {
         "ftl(belady, marker)": (
-            lambda: FtlCombiner(Belady(k, trace), Marker(k, random.Random(seed))),
+            lambda belady: FtlCombiner(belady, Marker(k, random.Random(seed))),
             RefFtl(RefBelady(k, arrivals), RefMarker(k, random.Random(seed)), k),
         ),
         "mw(lru, belady)": (
-            lambda: MwCombiner(LRU(k), Belady(k, trace), 0.1, random.Random(seed)),
+            lambda belady: MwCombiner(LRU(k), belady, 0.1, random.Random(seed)),
             RefMw(RefLRU(k), RefBelady(k, arrivals), k, 0.1, random.Random(seed)),
         ),
         "ftl(lru, lru)": (
-            lambda: FtlCombiner(LRU(k), LRU(k)), RefFtl(RefLRU(k), RefLRU(k), k)
+            lambda _: FtlCombiner(LRU(k), LRU(k)), RefFtl(RefLRU(k), RefLRU(k), k)
         ),
     }
-    built = {name: make() for name, (make, _) in pairs.items()}
+    built = {name: make(Belady(k, trace)) for name, (make, _) in pairs.items()}
     victims = _simulated(built.values(), trace)
     for name, (make, reference) in pairs.items():
         reference_victims = serve_all(reference, trace.requests, trace.predictions)
         assert victims[built[name]] == reference_victims, name
-        assert _served(make(), trace) == reference_victims, name
+        assert _served(make(BlindOracle(k)), exact) == reference_victims, name
 
 
 @st.composite
@@ -788,7 +834,7 @@ def _scan_heavy_trace(k, seed):
 
 @pytest.mark.parametrize("k", [1, 2, 8, 64])
 def test_belady_victims_match_the_reference_with_many_never_again_pages(k, monkeypatch):
-    # both drivers evict what RefBelady evicts, over many victims never
+    # simulate evicts what RefBelady evicts, over many victims never
     # requested again, many that are, and key heaps rebuilt after hits
     rebuilt = []
 
@@ -800,7 +846,6 @@ def test_belady_victims_match_the_reference_with_many_never_again_pages(k, monke
     for seed in range(2):
         trace = _scan_heavy_trace(k, seed)
         expected = serve_all(RefBelady(k, trace.arrivals), trace.requests, trace.predictions)
-        assert _served(Belady(k, trace), trace) == expected
         batch = Belady(k, trace)
         assert _simulated([batch], trace)[batch] == expected
         last = {page: t for t, page in enumerate(trace.requests, start=1)}
@@ -836,13 +881,15 @@ def _assert_inclusion(trace, k):
     lru, belady and blind_oracle evict by a priority that does not depend on
     k, so they are stack algorithms (Mattson et al. 1970); no reference
     implementation is needed.  Inclusion makes cost non-increasing in k: a
-    miss at k+1 is a miss at k, and k+1 fills one slot more for free.
+    miss at k+1 is a miss at k, and k+1 fills one slot more for free.  Each
+    run is built without the trace and served online; belady is a keyless
+    blind_oracle fed the true arrivals, which evicts what belady evicts
+    (test_blind_oracle_equals_belady_on_true_arrivals).
     """
     for name in STACK_POLICIES:
-        small, large = (
-            make_policies((name,), size, trace)[name] for size in (k, k + 1)
-        )
-        for t, (page, prediction) in enumerate(zip(trace.requests, trace.predictions), 1):
+        kind, keys = ("blind_oracle", trace.arrivals) if name == "belady" else (name, trace.predictions)
+        small, large = (make_policies((kind,), size)[kind] for size in (k, k + 1))
+        for t, (page, prediction) in enumerate(zip(trace.requests, keys), 1):
             small.serve(t, page, prediction)
             large.serve(t, page, prediction)
             assert small.cache.keys() <= large.cache.keys(), (name, t)
@@ -892,5 +939,4 @@ def test_belady_uses_arrival_of_last_request():
     # b (never returns); b must go
     trace = _trace("abca")
     policy = Belady(2, trace)
-    evictions = serve_all(policy, trace.requests, trace.predictions)
-    assert evictions == [None, None, "b", None]
+    assert _simulated([policy], trace)[policy] == [None, None, "b", None]
