@@ -260,8 +260,9 @@ def _cell_costs(config: ExperimentConfig, traces: list[Trace], k: int, seed: int
 
 def _measure(trace: Trace) -> tuple[float, int]:
     """The trace's l1 loss and inversions; an exact trace has none to count."""
-    inversions = 0 if trace.exact else count_inversions_fast(trace)
-    return ell1_loss(trace.arrivals, trace.predictions), inversions
+    if trace.exact:
+        return 0.0, 0
+    return ell1_loss(trace.arrivals, trace.predictions), count_inversions_fast(trace)
 
 
 def _seed_traces(config: ExperimentConfig):

@@ -108,13 +108,19 @@ class _Combiner(Policy):
     def serve(self, t, page, prediction):
         """Serve request t to both experts (once if they are one run), then to self.
 
-        t must first be this run's next request, by ``Policy.serve``'s rule.
+        t must first be this run's next request, by ``Policy.serve``'s rule,
+        and the run open.
         """
         if t != (next_t := next(reversed(self.cache.values()), 0) + 1):
             raise ValueError(f"the {self.name} run's next request is {next_t}, not {t}")
         a, b = self.experts
-        victim_a = a.serve(t, page, prediction)
-        victim_b = victim_a if b is a else b.serve(t, page, prediction)
+        try:
+            victim_a = a.serve(t, page, prediction)
+            victim_b = victim_a if b is a else b.serve(t, page, prediction)
+        except ValueError:
+            if self._steps.gi_frame is None:  # closed, and so are its experts
+                raise ValueError(f"the {self.name} run is closed") from None
+            raise
         return self._steps.send((t, page, victim_a, victim_b))
 
     def _switch(self, excess: int) -> bool:

@@ -73,9 +73,10 @@ class Policy:
     def serve(self, t: int, page: PageId, prediction: float) -> PageId | None:
         """Serve request t alone; returns the evicted page on a full-cache miss.
 
-        Only a run built without a trace is served (``simulate`` serves the
-        others), and only at its next request t: a keyless run's key count
-        + 1, else its cache's newest entry + 1, or 1 when the cache is empty.
+        Only an open run built without a trace is served (``simulate`` serves
+        the others), and only at its next request t: a keyless run's key
+        count + 1, else its cache's newest entry + 1, or 1 when the cache is
+        empty.  A keyless run appends the prediction to its keys once served.
         """
         keys = self.keys
         if keys is None:
@@ -86,9 +87,13 @@ class Policy:
             raise ValueError(f"the {self.name} run holds a trace's keys: simulate serves it")
         if t != next_t:
             raise ValueError(f"the {self.name} run's next request is {next_t}, not {t}")
+        try:
+            evicted = self._steps.send((t, page, prediction))
+        except StopIteration:  # the body is closed
+            raise ValueError(f"the {self.name} run is closed") from None
         if keys is not None:
             keys.append(prediction)
-        return self._steps.send((t, page, prediction))
+        return evicted
 
     def close(self) -> None:
         """End the run and its experts' runs; their state stays readable.

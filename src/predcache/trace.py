@@ -26,6 +26,7 @@ TRACE_HEADER = "t,page,h"
 # Predictions are clamped into [0, _MAX_PREDICTION] so noise models can never
 # emit inf/nan.
 _MAX_PREDICTION = 1e30
+_TWOPI = 2.0 * math.pi  # random.TWOPI, which gauss scales its first draw by
 
 
 def next_arrivals(requests: Sequence[PageId]) -> list[int]:
@@ -257,7 +258,8 @@ def perturb_predictions(arrivals: Sequence[int], noise: NoiseSpec, seed: int) ->
     ``perfect`` returns the arrivals exactly; every other kind perturbs them
     with the seeded generator, one draw sequence in request order.  The draws
     are those of ``random.Random.uniform`` (inlined as ``a + (b - a) *
-    random()``), ``gauss`` and ``lognormvariate``, which the golden CSVs pin.
+    random()``), ``gauss`` (inlined, one pair of draws per two requests) and
+    ``lognormvariate``, which the golden CSVs pin.
     """
     noise.validate()
     rng = random.Random(seed)
@@ -268,8 +270,15 @@ def perturb_predictions(arrivals: Sequence[int], noise: NoiseSpec, seed: int) ->
         low, span = -noise.width, noise.width - -noise.width
         out = [y + (low + span * random_()) for y in arrivals]
     elif kind == "additive_gaussian":
-        gauss, sigma = rng.gauss, noise.sigma
-        out = [y + gauss(0.0, sigma) for y in arrivals]
+        # gauss(0.0, sigma), inlined: a pair of draws gives one request its
+        # cos value and the next its sin value, which gauss keeps for its next
+        # call; a 0 pads an odd count, whose last pair's sin value is dropped
+        cos, sin, log, sqrt = math.cos, math.sin, math.log, math.sqrt
+        sigma, out, ys = noise.sigma, [], iter([*arrivals, 0])
+        for y, y2 in zip(ys, ys):
+            x2pi, g2rad = random_() * _TWOPI, sqrt(-2.0 * log(1.0 - random_()))
+            out += (y + (0.0 + cos(x2pi) * g2rad * sigma), y2 + (0.0 + sin(x2pi) * g2rad * sigma))
+        del out[len(arrivals):]
     elif kind == "lognormal_scale":
         lognormvariate, sigma = rng.lognormvariate, noise.sigma
         out = []

@@ -41,7 +41,7 @@ from predcache.cli import (
     render_csv,
     run_experiment,
 )
-from predcache.metrics import BOUNDS, count_inversions_fast
+from predcache.metrics import BOUNDS, count_inversions_fast, ell1_loss
 from oracles import serve_all
 
 WORKLOAD = {"kind": "uniform", "universe": 12, "length": 150}
@@ -974,6 +974,25 @@ def test_each_golden_trace_is_counted_once(tmp_path, monkeypatch, name, calls):
     monkeypatch.chdir(GOLDEN)
     assert main(["--config", f"{name}.yaml", "--out", str(tmp_path / "out.csv")]) == 0
     assert len(counted) == calls
+
+
+@pytest.mark.parametrize(
+    "name,calls", [("file", 1), ("sweep", 2), ("file_noise", 2), ("exact_late", 2)]
+)
+def test_each_golden_trace_is_measured_once_unless_exact(tmp_path, monkeypatch, name, calls):
+    # a (noise, seed) trace's l1 loss is summed once for all its k, the
+    # file's own predictions once for all seeds, and an exact trace's (0.0)
+    # never; an adversary row reads its eta off the adversary's result
+    measured = []
+
+    def loss(arrivals, predictions):
+        measured.append(len(predictions))
+        return ell1_loss(arrivals, predictions)
+
+    monkeypatch.setattr(predcache.cli, "ell1_loss", loss)
+    monkeypatch.chdir(GOLDEN)
+    assert main(["--config", f"{name}.yaml", "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(measured) == calls
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ NAMES = sorted(path.stem for path in GOLDEN.glob("*.yaml"))
 NOISE_IDS = {
     "perfect": "perfect",
     "additive_uniform": "additive_uniform-w{width:g}",
+    "additive_gaussian": "additive_gaussian-s{sigma:g}",
     "constant_shift": "constant_shift-c{shift:g}",
     "lognormal_scale": "lognormal_scale-s{sigma:g}",
     "random_replace": "random_replace-p{prob:g}-r{limit:g}",

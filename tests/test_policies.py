@@ -279,9 +279,13 @@ def test_simulate_refuses_keys_that_are_not_one_per_request():
 
 
 def _snapshot(run):
-    """A run's and its experts' costs, caches, keys and RNG states, in order."""
+    """A run's and its experts' costs, caches, keys and RNG states, in order.
+
+    The keys are copied, so a later append to a keyless run's list shows.
+    """
     return [
-        (served.cost, list(served.cache.items()), served.keys,
+        (served.cost, list(served.cache.items()),
+         None if served.keys is None else list(served.keys),
          served.rng.getstate() if hasattr(served, "rng") else None)
         for served in (run, *run.experts)
     ]
@@ -410,6 +414,26 @@ def test_serve_refuses_a_combiners_request_its_shared_expert_has_served():
         runs = make_policies(names, 4, seed=0, epsilon=0.1)
         _served(runs[names[1]], trace)
         assert runs[names[1]].cost == run_policy(names[1], trace, 4, epsilon=0.1).cost > 0
+
+
+def test_serve_refuses_a_closed_run():
+    # a closed body takes no request, at the next t as at any other: the
+    # refusal names the run and comes before a keyless run appends its key
+    lru = LRU(2)
+    simulate(["a", "b", "c"], [lru])  # closed, with 4 as its next request
+    before = _snapshot(lru)
+    with pytest.raises(ValueError, match="^the lru run is closed$"):
+        lru.serve(4, "d", 0.0)
+    assert _snapshot(lru) == before
+    for name in ("blind_oracle", "marker", "ftl", "mw"):
+        run = make_policies((name,), 2, seed=0, epsilon=0.1)[name]
+        run.serve(1, "a", 3.0)
+        run.close()
+        before = _snapshot(run)
+        with pytest.raises(ValueError, match=f"^the {name} run is closed$"):
+            run.serve(2, "b", 5.0)
+        assert _snapshot(run) == before, name
+    assert run.experts[0].keys == [3.0]  # mw's blind_oracle
 
 
 def test_simulated_runs_are_freed_without_the_cycle_collector():

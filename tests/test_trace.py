@@ -119,9 +119,12 @@ def test_invalid_workload_specs_rejected(spec):
 
 
 # every kind; universes that are and are not powers of two, working sets that
-# do not divide the universe, and cycle 0 (the whole universe)
+# do not divide the universe, cycle 0 (the whole universe), and odd lengths,
+# whose last request takes the first value of a pair of Gaussian draws
 _DRAW_WORKLOADS = [
     WorkloadSpec("uniform", universe=37, length=500),
+    WorkloadSpec("uniform", universe=37, length=499),
+    WorkloadSpec("uniform", universe=37, length=1),
     WorkloadSpec("uniform", universe=1024, length=500),
     WorkloadSpec("zipf", universe=50, length=500, alpha=1.3),
     WorkloadSpec("cyclic", universe=20, length=500, cycle=7),
@@ -143,6 +146,7 @@ def test_workload_draws_match_the_random_api(spec):
         NoiseSpec("perfect"),
         NoiseSpec("additive_uniform", width=8.0),
         NoiseSpec("additive_uniform", width=0.3),  # rounds differently if reassociated
+        NoiseSpec("additive_gaussian", sigma=0.0),
         NoiseSpec("additive_gaussian", sigma=50.0),
         NoiseSpec("lognormal_scale", sigma=0.7),
         NoiseSpec("constant_shift", shift=3.5),
