@@ -12,12 +12,9 @@ each shared expert is served once.  Each cell is the median of REPEATS
 runs, each timed between two runs of the benchmark's calibration loop
 (``bench/calibration.py``) and scaled to a host on which that loop takes
 its reference time, so cells measured minutes apart on a host whose speed
-drifts stay comparable.  The k=8 / k=512 column is the k=8 rate over the k=512 rate: how much a
-policy slows down as the cache grows.  The ``online`` column drives the same
-policy at k=8 through ``serve``, one call per request, built without the
-trace as the adversary builds it (not defined for ``belady``, which needs
-the trace, or for ``all``, whose experts are shared).  Prints a markdown
-table.
+drifts stay comparable.  The k=8 / k=512 column is the k=8 rate over the
+k=512 rate: how much a policy slows down as the cache grows.  Prints a
+markdown table.
 
 A second table gives ``count_inversions_fast`` in ms, timed the same way, and
 the trace's inversion count.  Its rows: the same trace; a trace shaped like
@@ -127,23 +124,14 @@ def main() -> None:
     def batch(names, k, cell):
         simulate(cell.requests, build(names, k, cell).values())
 
-    def online(name, cell):
-        serve = build((name,), KS[0], None)[name].serve
-        for t, (page, h) in enumerate(zip(cell.requests, cell.predictions), start=1):
-            serve(t, page, h)
-
-    print("| policy | trace | " + " | ".join(f"k={k}" for k in KS) + " | k=8 / k=512 | online, k=8 |")
-    print("|---" * (len(KS) + 4) + "|")
+    print("| policy | trace | " + " | ".join(f"k={k}" for k in KS) + " | k=8 / k=512 |")
+    print("|---" * (len(KS) + 3) + "|")
     rows = [(name, (name,)) for name in POLICY_NAMES] + [("all", POLICY_NAMES)]
     for label, cells in shapes:
         for name, names in rows:
             rates = [cells[k].n / _timed_s(lambda: batch(names, k, cells[k])) for k in KS]
             rendered = " | ".join(f"{rate / 1000:.0f}k" for rate in rates)
-            served = "n/a"
-            if name not in ("belady", "all"):
-                cell = cells[KS[0]]
-                served = f"{cell.n / _timed_s(lambda: online(name, cell)) / 1000:.0f}k"
-            print(f"| {name} | {label} | {rendered} | {rates[0] / rates[-1]:.2f} | {served} |")
+            print(f"| {name} | {label} | {rendered} | {rates[0] / rates[-1]:.2f} |")
     print()
     inversion_table(trace)
 

@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .errors import ConfigError, NondeterministicPolicyError
 from .metrics import BoundRecord, ell1_loss
 from .combine import make_policies
-from .policies import PageId, Policy, simulate
+from .policies import PageId, Policy, send, simulate
 from .trace import Trace
 
 
@@ -88,10 +88,11 @@ def _fallback_page(p_pages: list[PageId], instance: Policy) -> PageId:
 def run_adversary(policy: str, config: AdversaryConfig) -> AdversaryResult:
     """Drive a named deterministic policy through the phase construction.
 
-    ``policy`` is one of ``ADVERSARY_POLICIES``.  Its run is served online,
-    each request as it is issued, and closed once the trace is built.  One
-    ``simulate`` over that trace then serves Belady, for opt, and a batch
-    run of the policy, which must end with the online run's cost and cache.
+    ``policy`` is one of ``ADVERSARY_POLICIES``.  Its run is served online
+    by ``send``, each request as it is issued, and closed once the trace is
+    built.  One ``simulate`` over that trace then serves Belady, for opt, and
+    a batch run of the policy, which must end with the online run's cost and
+    cache.
     """
     config.validate()
     if policy not in ADVERSARY_POLICIES:
@@ -111,7 +112,7 @@ def run_adversary(policy: str, config: AdversaryConfig) -> AdversaryResult:
         requests.append(page)
         predictions.append(h)
         last_prediction[page] = h
-        evictions.append(instance.serve(len(requests), page, h))
+        evictions.append(send(instance, len(requests), page, h))
 
     plen = config.phase_length
     try:

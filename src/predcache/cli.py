@@ -31,10 +31,10 @@ from .trace import NoiseSpec, Trace, WorkloadSpec, parse_trace, perturb_predicti
 from .trace import synthesize_traces
 
 # The benchmark's tracer (bench/tracing.py) patches run_policy, run_ftl,
-# run_mw and synthesize on this module; the sweep calls none of them.  The
-# run wrappers are gone, so the first three are None: the tracer only needs
-# the names to exist.  All four go once the tracer wraps what the sweep
-# calls (ROADMAP item 1).
+# run_mw and synthesize on this module, and Policy.serve; the sweep calls
+# none of them.  The run wrappers and the method are gone, so the first three
+# and Policy.serve are None: the tracer only needs the names to exist.  All
+# five go once the tracer wraps what the sweep calls (ROADMAP item 1).
 from .trace import synthesize  # noqa: F401
 
 run_policy = run_ftl = run_mw = None

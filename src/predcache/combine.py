@@ -4,7 +4,7 @@ A combiner watches two expert policies and keeps its own cache.  It reads
 only which page each expert evicts, so ``simulate`` serves every expert over
 the whole trace first and hands the combiner the experts' victim lists; an
 expert shared by several combiners of one call (or also a standalone run)
-is served once.  Online, a combiner's ``serve`` serves its own experts
+is served once.  Online, ``policies.send`` serves a combiner's experts
 first.  On a full-cache miss the combiner evicts its least recent page that
 the followed expert does not hold, so its cache drifts toward that expert's
 cache lazily, one miss at a time.
@@ -31,7 +31,7 @@ the switch rule's decisions there in order, and adds the followed expert's
 evictions to the cost.  A switch replays the stretch into the own cache and
 the other expert's heap, and the per-request body serves on until that heap
 has no live item again; a stretch that reaches the end of the trace copies
-the followed expert's final cache.  ``serve`` sends every request to the
+the followed expert's final cache.  ``send`` sends every request to the
 body.
 """
 
@@ -104,24 +104,6 @@ class _Combiner(Policy):
         self.experts = (expert_a, expert_b)
         self._outside: tuple[list, list] = ([], [])
         super().__init__(expert_a.k)
-
-    def serve(self, t, page, prediction):
-        """Serve request t to both experts (once if they are one run), then to self.
-
-        t must first be this run's next request, by ``Policy.serve``'s rule,
-        and the run open.
-        """
-        if t != (next_t := next(reversed(self.cache.values()), 0) + 1):
-            raise ValueError(f"the {self.name} run's next request is {next_t}, not {t}")
-        a, b = self.experts
-        try:
-            victim_a = a.serve(t, page, prediction)
-            victim_b = victim_a if b is a else b.serve(t, page, prediction)
-        except ValueError:
-            if self._steps.gi_frame is None:  # closed, and so are its experts
-                raise ValueError(f"the {self.name} run is closed") from None
-            raise
-        return self._steps.send((t, page, victim_a, victim_b))
 
     def _switch(self, excess: int) -> bool:
         raise NotImplementedError
@@ -304,7 +286,7 @@ def make_policies(
     combination) wraps ``blind_oracle`` and ``lru``, ``mw`` (the randomized
     one) ``blind_oracle`` and ``marker``.  ``belady`` keys each request by
     the trace's true arrivals, so it needs the trace; ``blind_oracle`` by
-    its predictions.  Only runs built without a trace are driven by ``serve``.
+    its predictions.  Only runs built without a trace are driven by ``send``.
     ``marker`` is seeded ``Random(seed)``; ``mw``'s generator by the third
     63-bit draw of ``Random(seed)``, and ``MwCombiner`` checks its epsilon.
 

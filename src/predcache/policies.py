@@ -11,8 +11,9 @@ request.  A combiner (``combine``) is served in stretches: while its
 potential Phi, the number of own pages outside the followed expert's cache,
 is 0, it evicts what that expert evicts and is served from the experts'
 victim lists; its body serves the requests from a switch until Phi is 0
-again.  ``serve`` drives a body one request at a time, for callers that pick
-each request online (the adversary); it takes only a run built without a trace.
+again.  ``send`` drives a run one request at a time, for the one caller that
+picks each request online (the adversary); it takes only a run built without
+a trace.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class Policy:
 
     ``_steps`` is the body: sent ``(t, page, key)``, it serves request t and
     yields the evicted page or None.  The key is ``keys[t - 1]`` (None without
-    keys) under ``simulate`` and the prediction under ``serve``, which a
+    keys) under ``simulate`` and the prediction under ``send``, which a
     keyless run appends to ``keys``; a combiner is sent its experts' victims.
     ``_start`` makes a running body, primed, from the run's current state;
     ``__init__`` replaces the method by one, so a subclass sets what its
@@ -55,6 +56,7 @@ class Policy:
     keys: Sequence[float] | None = None
     requests: Sequence[PageId] | None = None
     victims: list[PageId | None] | None = None
+    serve = None  # a name the benchmark's tracer patches (see cli)
 
     def __init__(self, k: int):
         if k < 1:
@@ -69,31 +71,6 @@ class Policy:
         steps = type(self)._steps(self)
         next(steps)
         return steps
-
-    def serve(self, t: int, page: PageId, prediction: float) -> PageId | None:
-        """Serve request t alone; returns the evicted page on a full-cache miss.
-
-        Only an open run built without a trace is served (``simulate`` serves
-        the others), and only at its next request t: a keyless run's key
-        count + 1, else its cache's newest entry + 1, or 1 when the cache is
-        empty.  A keyless run appends the prediction to its keys once served.
-        """
-        keys = self.keys
-        if keys is None:
-            next_t = next(reversed(self.cache.values()), 0) + 1
-        elif type(keys) is list:
-            next_t = len(keys) + 1
-        else:
-            raise ValueError(f"the {self.name} run holds a trace's keys: simulate serves it")
-        if t != next_t:
-            raise ValueError(f"the {self.name} run's next request is {next_t}, not {t}")
-        try:
-            evicted = self._steps.send((t, page, prediction))
-        except StopIteration:  # the body is closed
-            raise ValueError(f"the {self.name} run is closed") from None
-        if keys is not None:
-            keys.append(prediction)
-        return evicted
 
     def close(self) -> None:
         """End the run and its experts' runs; their state stays readable.
@@ -153,14 +130,13 @@ class BlindOracle(Policy):
     """Evict the page whose stored prediction is furthest in the future.
 
     Request t's key is ``keys[t - 1]``: the trace's predictions under
-    ``simulate``, or the list ``serve`` appends each prediction to for a run
-    built without a trace.  A
-    page keeps the prediction of its own last request, compared at face
-    value once it points into the past; ties go to the least recent.  A
-    request pushes ``(-key, t, page)`` onto ``_heap`` while it holds under
-    2k items; the item goes stale once its page is requested again or
-    evicted.  A full-cache miss that finds the heap at 2k (after a skipped
-    push) rebuilds it from the cache and ``keys``.
+    ``simulate``, or the list ``send`` appends each prediction to for a run
+    built without a trace.  A page keeps the prediction of its own last
+    request, compared at face value once it points into the past; ties go to
+    the least recent.  A request pushes ``(-key, t, page)`` onto ``_heap``
+    while it holds under 2k items; the item goes stale once its page is
+    requested again or evicted.  A full-cache miss that finds the heap at 2k
+    (after a skipped push) rebuilds it from the cache and ``keys``.
     """
 
     name = "blind_oracle"
@@ -195,9 +171,9 @@ class Belady(Policy):
     """Offline optimal: evict the page actually requested furthest in the future.
 
     Built over a trace, it reads the trace's requests and, as its keys, the
-    true arrivals; only ``simulate`` serves it.  Request t's key y is its page's
-    next request, and for y <= n the page requested at y is
-    ``requests[y - 1]``: ``_heap`` holds the int -y, pushed and rebuilt as
+    true arrivals; only ``simulate`` serves it, never ``send``.  Request t's
+    key y is its page's next request, and for y <= n the page requested at y
+    is ``requests[y - 1]``: ``_heap`` holds the int -y, pushed and rebuilt as
     ``BlindOracle``'s items are.  An item is live exactly when y > t and
     that page is resident (no request of it lies between its last one and
     y).  A page leaves the cache only as the top item or from ``_never``, so
@@ -328,3 +304,22 @@ def simulate(requests: Sequence[PageId], policies: Iterable[Policy]) -> None:
     for run in runs:
         run.victims = run._serve_trace(requests, run in read)
         run.close()
+
+
+def send(run: Policy, t: int, page: PageId, key: float) -> PageId | None:
+    """Serve request t alone to a run and its experts; the run's victim or None.
+
+    The experts are served first, a run that is both experts once; a keyless
+    ``blind_oracle`` appends the key to its keys once served.  It checks
+    nothing: it takes only an open run built without a trace, sent requests
+    1, 2, ... in order, as the adversary builds and sends them.
+    """
+    if run.experts:
+        a, b = run.experts
+        victim_a = send(a, t, page, key)
+        victim_b = victim_a if b is a else send(b, t, page, key)
+        return run._steps.send((t, page, victim_a, victim_b))
+    evicted = run._steps.send((t, page, key))
+    if run.keys is not None:
+        run.keys.append(key)
+    return evicted

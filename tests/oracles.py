@@ -10,9 +10,10 @@ builders written with ``random.Random``'s own ``randrange``, ``uniform``,
 ``gauss`` and ``lognormvariate``.  It also holds ``request_runs``, the
 Hypothesis strategy for request lists, ``potential``, a combiner's Phi,
 and ``check_potential``, the combiners' cost argument checked request by
-request.  ``run_policy`` alone calls the package: it is the tests'
-shorthand for one run built by ``make_policies`` and served by
-``simulate``.
+request.  ``run_policy``, ``send_all`` and ``check_potential`` alone call
+the package: the first is the tests' shorthand for one run built by
+``make_policies`` and served by ``simulate``, the others drive a package
+run online by ``send``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from functools import lru_cache
 from hypothesis import strategies as st
 
 from predcache import make_policies, simulate
+from predcache.policies import send
 
 
 def scan_next_arrivals(requests: list[str]) -> list[int]:
@@ -165,9 +167,18 @@ def run_policy(name, trace, k, seed=0, epsilon=None):
 
 
 def serve_all(policy, requests, predictions) -> list:
-    """Serve requests 1..n in order; each request's victim, None where it evicts nothing."""
+    """Serve a reference policy requests 1..n in order; each request's victim,
+    None where it evicts nothing."""
     return [
         policy.serve(t, page, h)
+        for t, (page, h) in enumerate(zip(requests, predictions), start=1)
+    ]
+
+
+def send_all(run, requests, predictions) -> list:
+    """``serve_all`` for a package run, each request sent by ``send``."""
+    return [
+        send(run, t, page, h)
         for t, (page, h) in enumerate(zip(requests, predictions), start=1)
     ]
 
@@ -339,7 +350,7 @@ def check_potential(combiner, requests, predictions):
     for t, (page, h) in enumerate(zip(requests, predictions), start=1):
         before, cost = combiner.followed, combiner.cost
         expert_costs = [expert.cost for expert in combiner.experts]
-        combiner.serve(t, page, h)
+        send(combiner, t, page, h)
         followed = combiner.followed
         expert = combiner.experts[followed]
         evicted = expert.cost - expert_costs[followed]

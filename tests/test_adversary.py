@@ -16,7 +16,8 @@ from predcache import (
     run_adversary,
 )
 from predcache.adversary import _fallback_page
-from oracles import run_policy, serve_all
+from predcache.policies import send
+from oracles import run_policy, send_all
 
 
 def _attack_with(monkeypatch, make_run):
@@ -251,7 +252,7 @@ def test_fallback_requests_an_absent_p_page(monkeypatch):
     assert step3_pages <= {"P1", "P2", "P3"}
     assert all(p.alg_cost >= 3 for p in result.phases)
     # the hoarder's victim rule was the one served: replayed, it never evicts Q0
-    victims = serve_all(_Q0Hoarder(3), result.trace.requests, result.trace.predictions)
+    victims = send_all(_Q0Hoarder(3), result.trace.requests, result.trace.predictions)
     assert "Q0" in result.trace.requests and "Q0" not in victims
 
 
@@ -264,7 +265,7 @@ def test_a_named_policy_reaches_the_fallback_after_a_q0_hit(policy, phase):
     q0 = phase * config.phase_length + config.k + 1  # Q0's request index
     assert trace.requests[q0 - 1] == "Q0"
     run = make_policies((policy,), config.k)[policy]
-    victims = serve_all(run, trace.requests[:q0], trace.predictions[:q0])
+    victims = send_all(run, trace.requests[:q0], trace.predictions[:q0])
     assert victims[-1] is None and len(run.cache) == config.k  # a hit
     absent = [page for page in ("P1", "P2", "P3") if page not in run.cache]
     assert trace.requests[q0] == absent[0] != "P1"
@@ -273,7 +274,7 @@ def test_a_named_policy_reaches_the_fallback_after_a_q0_hit(policy, phase):
 def test_fallback_page_helper_defaults_to_first():
     policy = LRU(3)
     for t, page in enumerate(["P1", "P2", "P3"], start=1):
-        policy.serve(t, page, 0.0)
+        send(policy, t, page, 0.0)
     assert _fallback_page(["P1", "P2", "P3"], policy) == "P1"
-    policy.serve(4, "Q0", 0.0)  # evicts P1
+    send(policy, 4, "Q0", 0.0)  # evicts P1
     assert _fallback_page(["P1", "P2", "P3"], policy) == "P1"

@@ -42,7 +42,7 @@ from predcache.cli import (
     run_experiment,
 )
 from predcache.metrics import BOUNDS, count_inversions_fast, ell1_loss
-from oracles import serve_all
+from oracles import send_all
 
 WORKLOAD = {"kind": "uniform", "universe": 12, "length": 150}
 GOLDEN = Path(__file__).parent / "golden"
@@ -427,7 +427,7 @@ def test_exact_cells_serve_alike_in_any_noise_order(noises, policies):
                         run = make_policies(
                             (row.policy,), k, seed=seed, epsilon=config.epsilon
                         )[row.policy]
-                        serve_all(run, trace.requests, trace.predictions)
+                        send_all(run, trace.requests, trace.predictions)
                         cost = run.cost
                     assert (row.cost, row.opt) == (cost, belady.cost)
                     recorded = {b.removesuffix("(vacuous)") for b in row.bounds_passed}

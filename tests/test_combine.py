@@ -26,7 +26,8 @@ from predcache import (
     simulate,
     synthesize,
 )
-from oracles import check_potential, potential, request_runs, run_policy, serve_all
+from predcache.policies import send
+from oracles import check_potential, potential, request_runs, run_policy, send_all
 
 
 def _trace(requests, predictions=None):
@@ -66,7 +67,7 @@ def test_leader_follows_strict_minimum_and_ties_keep_incumbent():
     ftl = FtlCombiner(a, b)
     steps = []
     for t, (page, h) in enumerate(zip("xyzxyxy", [1.0, 9.0, 1.0, 9.0, 9.0, 1.0, 1.0]), start=1):
-        ftl.serve(t, page, h)
+        send(ftl, t, page, h)
         steps.append((a.cost, b.cost, ftl.followed))
     assert steps == [
         (0, 0, 0),
@@ -84,13 +85,13 @@ def test_ftl_evicts_outside_leader_cache():
     # incumbent.  Predictions a=10, b=3, c=9.
     leader, other = BlindOracle(2), LRU(2)
     ftl = FtlCombiner(leader, other)
-    assert serve_all(ftl, "ab", [10.0, 3.0]) == [None, None]
+    assert send_all(ftl, "ab", [10.0, 3.0]) == [None, None]
     # own {a, b}, leader evicts a for c: own's least recent page a is outside
-    assert ftl.serve(3, "c", 9.0) == "a"
+    assert send(ftl, 3, "c", 9.0) == "a"
     assert ftl.followed == 0 and list(leader.cache) == ["b", "c"]
     # own [b, c], leader evicts c for d: the least recent b is still held by
     # the leader, so it is passed over for c
-    assert ftl.serve(4, "d", 1.0) == "c"
+    assert send(ftl, 4, "d", 1.0) == "c"
     assert ftl.followed == 0 and list(leader.cache) == ["b", "d"]
     assert other.cost == leader.cost == 2 and list(other.cache) == ["c", "d"]
 
@@ -115,11 +116,11 @@ def test_identical_experts_reproduce_the_expert_exactly():
     alone = run_policy("lru", trace, k=5)
     a, b = combined.experts
     assert combined.cost == alone.cost == a.cost == b.cost
-    victims = serve_all(LRU(5), trace.requests, trace.predictions)
-    assert serve_all(FtlCombiner(LRU(5), LRU(5)), trace.requests, trace.predictions) == victims
+    victims = send_all(LRU(5), trace.requests, trace.predictions)
+    assert send_all(FtlCombiner(LRU(5), LRU(5)), trace.requests, trace.predictions) == victims
     # one instance as both experts is served once per request
     shared = LRU(5)
-    assert serve_all(FtlCombiner(shared, shared), trace.requests, trace.predictions) == victims
+    assert send_all(FtlCombiner(shared, shared), trace.requests, trace.predictions) == victims
     assert shared.cost == combined.cost
 
 
@@ -172,7 +173,7 @@ def test_mw_weights_step_by_step():
     combiner = MwCombiner(bo, lru, 0.1, random.Random(0))
     steps = []
     for t, (page, h) in enumerate(zip("abcb", [5.0, 9.0, 1.0, 1.0]), start=1):
-        combiner.serve(t, page, h)
+        send(combiner, t, page, h)
         steps.append((bo.cost, lru.cost, combiner.followed, combiner.excess))
         assert combiner.excess == _excess(combiner)
     assert steps == [(0, 0, 1, 0), (0, 0, 1, 0), (1, 1, 1, 0), (2, 1, 1, -1)]
@@ -203,7 +204,7 @@ def test_mw_weights_positive_nonincreasing_and_probabilities_normalized():
     combiner = MwCombiner(BlindOracle(4), LRU(4), 0.1, random.Random(5))
     assert combiner.excess == 0
     for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
-        combiner.serve(t, page, h)
+        send(combiner, t, page, h)
         assert combiner.excess == _excess(combiner)
 
 
@@ -239,7 +240,7 @@ def test_mw_draws_only_when_the_followed_expert_alone_evicts():
     for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
         before = (bo.cost, lru.cost)
         followed, draws = combiner.followed, rng.draws
-        combiner.serve(t, page, h)
+        send(combiner, t, page, h)
         evicted = [bo.cost - before[0], lru.cost - before[1]]
         if evicted[followed] and not evicted[1 - followed]:
             kinds["followed alone"] += 1
@@ -279,7 +280,7 @@ def test_mw_identical_experts_reproduce_the_expert():
     combiner = MwCombiner(LRU(4), LRU(4), 0.1, random.Random(3))
     evictions = []
     for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
-        if combiner.serve(t, page, h) is not None:
+        if send(combiner, t, page, h) is not None:
             evictions.append(t)
     alone = run_policy("lru", trace, 4)
     assert len(evictions) == alone.cost
@@ -297,7 +298,7 @@ def test_mw_deterministic_for_fixed_seed():
 
     def victims(seed):
         mw = make_policies(("mw",), 5, seed=seed, epsilon=0.1)["mw"]
-        return serve_all(mw, trace.requests, trace.predictions)
+        return send_all(mw, trace.requests, trace.predictions)
 
     assert victims(17) == victims(17)
     assert victims(17) != victims(18)
@@ -367,10 +368,10 @@ def _state(run):
 
 
 def _assert_simulate_matches_serve(trace, k, seed):
-    """ftl and mw alike under simulate and serve; each online run's switches.
+    """ftl and mw alike under simulate and send; each online run's switches.
 
     A pair combiner over each run makes simulate keep its victims.  The
-    online run is built without the trace, as serve requires.  A switch
+    online run is built without the trace, as send requires.  A switch
     taken at phi = 0 is listed as (request, first request of its stretch),
     the stretch being the requests since phi last became 0; one taken at
     phi > 0 is served by the body under both drivers and is not listed.
@@ -387,7 +388,7 @@ def _assert_simulate_matches_serve(trace, k, seed):
         stretch = 1
         for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
             followed, phi = online.followed, potential(online)
-            victims.append(online.serve(t, page, h))
+            victims.append(send(online, t, page, h))
             if online.followed != followed and phi == 0:
                 switches[name].append((t, stretch))
             if potential(online):
@@ -516,7 +517,7 @@ def test_simulate_hands_back_to_stretches_once_phi_is_0(requests, noise_seed, k,
         expected = []
         for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
             followed, phi = online.followed, potential(online)
-            online.serve(t, page, h)
+            send(online, t, page, h)
             if phi or online.followed != followed:
                 expected.append(t)
         assert sent == expected, name
@@ -622,7 +623,7 @@ def test_exact_predictions_make_blind_oracle_the_belady_run():
         run = runs[name]
         alone = make_policies((name,), 4, seed=3, epsilon=0.1)[name]
         assert type((*alone.experts, alone)[0]) is BlindOracle, name
-        victims = serve_all(alone, trace.requests, trace.predictions)
+        victims = send_all(alone, trace.requests, trace.predictions)
         assert run.cost == alone.cost, name
         if name == "blind_oracle":
             assert run.victims == victims

@@ -28,6 +28,7 @@ from predcache import (
     simulate,
     synthesize,
 )
+from predcache.policies import send
 from oracles import (
     RefBelady,
     RefBlindOracle,
@@ -40,6 +41,7 @@ from oracles import (
     ref_policy,
     request_runs,
     run_policy,
+    send_all,
     serve_all,
 )
 
@@ -52,30 +54,30 @@ def _trace(requests, predictions=None):
     return Trace(list(requests), predictions)
 
 
-# ---------------------------------------------------------------- serve contract
+# ---------------------------------------------------------------- cost model
 
 
 def test_hit_keeps_cache_and_updates_entry():
     p = BlindOracle(2)
-    assert serve_all(p, "ab", [10.0, 20.0]) == [None, None]
-    assert p.serve(3, "a", 30.0) is None
+    assert send_all(p, "ab", [10.0, 20.0]) == [None, None]
+    assert send(p, 3, "a", 30.0) is None
     # the hit moves a to the most recent end with its new last request
     assert list(p.cache.items()) == [("b", 2), ("a", 3)]
     # and a's prediction is now 30, beyond b's 20 (with the old 10, b would go)
-    assert p.serve(4, "c", 1.0) == "a"
+    assert send(p, 4, "c", 1.0) == "a"
 
 
 def test_cold_fill_does_not_evict():
     p = LRU(2)
-    p.serve(1, "a", 1.0)
-    assert p.serve(2, "b", 2.0) is None
+    send(p, 1, "a", 1.0)
+    assert send(p, 2, "b", 2.0) is None
     assert list(p.cache.items()) == [("a", 1), ("b", 2)]
 
 
 def test_full_miss_evicts_exactly_one():
     p = LRU(2)
-    serve_all(p, "ab", [1.0, 2.0])
-    victim = p.serve(3, "c", 3.0)
+    send_all(p, "ab", [1.0, 2.0])
+    victim = send(p, 3, "c", 3.0)
     assert victim in {"a", "b"}
     assert len(p.cache) == 2
     assert victim not in p.cache
@@ -92,18 +94,18 @@ def test_capacity_must_be_positive():
 
 def test_blind_oracle_evicts_furthest_prediction():
     p = BlindOracle(2)
-    serve_all(p, "ab", [10.0, 5.0])
-    assert p.serve(3, "c", 1.0) == "a"
+    send_all(p, "ab", [10.0, 5.0])
+    assert send(p, 3, "c", 1.0) == "a"
 
 
 def test_blind_oracle_breaks_ties_by_least_recent():
     p = BlindOracle(2)
-    serve_all(p, "ab", [5.0, 5.0])
-    assert p.serve(3, "c", 1.0) == "a"
+    send_all(p, "ab", [5.0, 5.0])
+    assert send(p, 3, "c", 1.0) == "a"
 
     p = BlindOracle(3)
-    serve_all(p, "abc", [3.0, 7.0, 7.0])
-    assert p.serve(4, "d", 1.0) == "b"
+    send_all(p, "abc", [3.0, 7.0, 7.0])
+    assert send(p, 4, "d", 1.0) == "b"
 
 
 def test_repeated_request_index_returns_the_stored_answer():
@@ -111,8 +113,8 @@ def test_repeated_request_index_returns_the_stored_answer():
     # serves, the second is answered with the victim it yielded
     p = LRU(1)
     ftl = FtlCombiner(p, p)
-    ftl.serve(1, "a", 0.0)
-    assert ftl.serve(2, "b", 0.0) == "a"
+    send(ftl, 1, "a", 0.0)
+    assert send(ftl, 2, "b", 0.0) == "a"
     assert p.cost == 1
     assert p.cache == {"b": 2}
     assert ftl.cost == 1
@@ -123,7 +125,7 @@ def test_every_policy_answers_a_repeated_index_from_its_store(name):
     # each policy as both experts of one combiner, under either driver: it
     # serves every index once and both reads get its one victim, so its
     # victims, caches, costs and RNG draws are those of the policy alone,
-    # simulated.  serve takes only a run built without the trace (belady
+    # simulated.  send takes only a run built without the trace (belady
     # has no such run)
     trace = synthesize(
         WorkloadSpec("uniform", universe=6, length=200),
@@ -145,11 +147,11 @@ def test_every_policy_answers_a_repeated_index_from_its_store(name):
     victims = _simulated([alone], trace)[alone]
     assert alone.cost > 0
     served = list(enumerate(trace.requests, start=1))
-    for drive in ("serve", "simulate")[name == "belady":]:
-        policy = build(None if drive == "serve" else trace)
+    for drive in ("send", "simulate")[name == "belady":]:
+        policy = build(None if drive == "send" else trace)
         pair = FtlCombiner(policy, policy)
         recorders = _record([pair])
-        if drive == "serve":
+        if drive == "send":
             _served(pair, trace)
             assert recorders[policy].victims == victims, drive
             assert [sent[2:] for sent in recorders[pair].sent] == list(zip(victims, victims))
@@ -159,7 +161,7 @@ def test_every_policy_answers_a_repeated_index_from_its_store(name):
         # every body is sent every index once, except that simulate serves a
         # combiner's body only from its switches (the pair never switches)
         for run, recorder in recorders.items():
-            if drive == "serve" or not run.experts:
+            if drive == "send" or not run.experts:
                 assert [sent[:2] for sent in recorder.sent] == served, (drive, run.name)
         assert state(policy) == state(alone), drive
         assert pair.cost == alone.cost, drive
@@ -244,7 +246,7 @@ def test_simulate_serves_a_run_once_and_only_over_its_requests():
 
 
 def test_simulate_refuses_a_run_driven_by_serve():
-    # lru served a b c by serve would serve a b c a b c on from that cache at
+    # lru sent a b c by send would serve a b c a b c on from that cache at
     # cost 7, where a fresh run pays 4, as one simulated over no requests
     # does.  Each run has served a b c online, itself or (ftl) through its
     # lru expert; the refused call serves nothing
@@ -256,7 +258,7 @@ def test_simulate_refuses_a_run_driven_by_serve():
     ftl = make_policies(("ftl",), 2, trace)["ftl"]
     lru, keyless = LRU(2), BlindOracle(2)
     for run in (lru, keyless, ftl.experts[1]):
-        serve_all(run, "abc", trace.predictions)
+        send_all(run, "abc", trace.predictions)
     for run in (lru, keyless, ftl):
         costs = [served.cost for served in (run, *run.experts)]
         with pytest.raises(ValueError, match="served already"):
@@ -281,7 +283,8 @@ def test_simulate_refuses_keys_that_are_not_one_per_request():
 def _snapshot(run):
     """A run's and its experts' costs, caches, keys and RNG states, in order.
 
-    The keys are copied, so a later append to a keyless run's list shows.
+    The keys are copied to a list, so a trace's keys compare equal to those
+    a keyless run appended.
     """
     return [
         (served.cost, list(served.cache.items()),
@@ -291,56 +294,12 @@ def _snapshot(run):
     ]
 
 
-def test_serve_refuses_a_request_the_run_has_served():
-    # a request at or below the last one served would be served twice
-    lru = LRU(2)
-    lru.serve(1, "a", 0.0)
-    for t, page in ((1, "b"), (1, "c"), (0, "d")):
-        with pytest.raises(ValueError, match=f"the lru run's next request is 2, not {t}"):
-            lru.serve(t, page, 0.0)
-    assert (lru.cost, lru.cache) == (0, {"a": 1})
-    assert lru.serve(2, "b", 0.0) is None
-    keyless = BlindOracle(2)  # its keys end at the last request it served
-    serve_all(keyless, "ab", [1.0, 2.0])
-    with pytest.raises(ValueError, match="the blind_oracle run's next request is 3, not 2"):
-        keyless.serve(2, "c", 3.0)
-    assert keyless.keys == [1.0, 2.0] and keyless.serve(3, "c", 3.0) == "b"
-
-
-def test_serve_refuses_a_gap_in_a_keyless_runs_requests():
-    # a run built without keys appends the prediction of its next request;
-    # a later t would leave that key behind for the request it skipped
-    run = BlindOracle(2)
-    run.serve(1, "a", 5.0)
-    with pytest.raises(ValueError, match="the blind_oracle run's next request is 2, not 3"):
-        run.serve(3, "b", 9.0)
-    assert run.keys == [5.0] and run.cache == {"a": 1}
-    assert run.serve(2, "b", 1.0) is None and run.keys == [5.0, 1.0]
-    assert run.serve(3, "c", 0.0) == "a"  # b is keyed 1.0, a 5.0
-
-
-def test_serve_refuses_any_t_but_1_on_a_run_that_has_served_none():
-    # request 1 comes first: a t <= 0 would be served before it, and a
-    # later t skips requests
-    trace = Trace(list("abcab"), [9.0, 2.0, 3.0, 4.0, 5.0])
-    for make in (lambda: BlindOracle(2), lambda: LRU(2)):
-        run = make()
-        for t in (0, -1, 2):
-            with pytest.raises(ValueError, match=f"the {run.name} run's next request is 1, not {t}"):
-                run.serve(t, "a", 1.0)
-        assert not run.cache and run.cost == 0 and run.keys in (None, [])
-        assert serve_all(run, trace.requests, trace.predictions) == serve_all(
-            make(), trace.requests, trace.predictions
-        )
-
-
-def test_serve_takes_only_the_runs_next_request():
-    # request 1 comes first, then each request once, in order: a t at or
-    # below the last one served would be served twice, and a later t would
-    # skip a request (a keyless blind_oracle would key the next request by
-    # the prediction sent for it).  The refusal names the run served, a
-    # combiner's before any expert, and changes no run.  These are the
-    # shapes make_policies builds without a trace, the ones serve takes
+def test_send_drives_each_online_shape_as_simulate_does():
+    # the shapes make_policies builds without a trace, the ones send takes,
+    # sent each request in order: each evicts what the run built over the
+    # trace evicts under simulate, and ends with its costs, ordered caches,
+    # keys (a keyless blind_oracle's are the predictions it was sent) and
+    # RNG states, its experts' included
     trace = synthesize(
         WorkloadSpec("uniform", universe=8, length=300),
         NoiseSpec("additive_uniform", width=6.0),
@@ -348,92 +307,11 @@ def test_serve_takes_only_the_runs_next_request():
     )
     for name in ("lru", "marker", "blind_oracle", "ftl", "mw"):
         run = make_policies((name,), 3, seed=3, epsilon=0.1)[name]
-        victims = []
-        for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
-            if t in (1, 2, 150):
-                before = _snapshot(run)
-                for wrong in (t - 1, t + 1, t + 3, -1):
-                    with pytest.raises(
-                        ValueError, match=f"^the {name} run's next request is {t}, not {wrong}$"
-                    ):
-                        run.serve(wrong, page, h)
-                    assert _snapshot(run) == before, (name, t, wrong)
-            victims.append(run.serve(t, page, h))
-        # served on, it is the run simulate serves over the trace
+        victims = send_all(run, trace.requests, trace.predictions)
         batch = make_policies((name,), 3, trace, seed=3, epsilon=0.1)[name]
         assert _simulated([batch], trace)[batch] == victims, name
-        assert [state[:2] + state[3:] for state in _snapshot(batch)] == [
-            state[:2] + state[3:] for state in _snapshot(run)
-        ], name
+        assert _snapshot(batch) == _snapshot(run), name
         assert run.cost > 0, name
-
-
-def test_serve_refuses_a_run_that_holds_a_traces_keys():
-    # simulate serves a run built over a trace: belady, blind_oracle (the
-    # belady run when the trace is exact) and a combiner over blind_oracle.
-    # A combiner's refusal comes from its blind_oracle expert, served first
-    noisy = Trace(list("abcab"), [9.0, 2.0, 3.0, 4.0, 5.0])
-    exact = _trace("abcab")
-    for trace in (noisy, exact):
-        for name in ("belady", "blind_oracle", "ftl", "mw"):
-            run = make_policies((name,), 2, trace, epsilon=0.1)[name]
-            keyed = (*run.experts, run)[0]
-            before = _snapshot(run)
-            with pytest.raises(
-                ValueError, match=f"^the {keyed.name} run holds a trace's keys: simulate serves it$"
-            ):
-                run.serve(1, trace.requests[0], trace.predictions[0])
-            assert _snapshot(run) == before, name
-            simulate(trace.requests, [run])
-            assert run.cost == run_policy(name, trace, 2, epsilon=0.1).cost > 0, name
-
-
-def test_serve_refuses_a_combiners_request_its_shared_expert_has_served():
-    # runs of one call share an expert: after the standalone row serves t,
-    # the combiner would serve that expert at t again and miss its eviction.
-    # The combiner takes t, then each expert checks it as it is served: the
-    # combiner is unchanged, and so is each expert from the one refusing on.
-    # An expert served before it has taken t (mw's blind_oracle, when its
-    # marker refuses), so serve the combiner alone
-    trace = synthesize(
-        WorkloadSpec("uniform", universe=30, length=400),
-        NoiseSpec("additive_uniform", width=4.0),
-        seed=0,
-    )
-    first = (1, trace.requests[0], trace.predictions[0])
-    for names in (("blind_oracle", "ftl"), ("blind_oracle", "mw"), ("marker", "mw")):
-        runs = make_policies(names, 4, seed=0, epsilon=0.1)
-        alone, combiner = (runs[name] for name in names)
-        alone.serve(*first)
-        before = _snapshot(combiner)
-        with pytest.raises(ValueError, match=f"the {names[0]} run's next request is 2, not 1"):
-            combiner.serve(*first)
-        after, refusing = _snapshot(combiner), 1 + combiner.experts.index(alone)
-        assert after[0] == before[0] and after[refusing:] == before[refusing:], names
-        # served through the combiner alone, the shared run is served once
-        runs = make_policies(names, 4, seed=0, epsilon=0.1)
-        _served(runs[names[1]], trace)
-        assert runs[names[1]].cost == run_policy(names[1], trace, 4, epsilon=0.1).cost > 0
-
-
-def test_serve_refuses_a_closed_run():
-    # a closed body takes no request, at the next t as at any other: the
-    # refusal names the run and comes before a keyless run appends its key
-    lru = LRU(2)
-    simulate(["a", "b", "c"], [lru])  # closed, with 4 as its next request
-    before = _snapshot(lru)
-    with pytest.raises(ValueError, match="^the lru run is closed$"):
-        lru.serve(4, "d", 0.0)
-    assert _snapshot(lru) == before
-    for name in ("blind_oracle", "marker", "ftl", "mw"):
-        run = make_policies((name,), 2, seed=0, epsilon=0.1)[name]
-        run.serve(1, "a", 3.0)
-        run.close()
-        before = _snapshot(run)
-        with pytest.raises(ValueError, match=f"^the {name} run is closed$"):
-            run.serve(2, "b", 5.0)
-        assert _snapshot(run) == before, name
-    assert run.experts[0].keys == [3.0]  # mw's blind_oracle
 
 
 def test_simulated_runs_are_freed_without_the_cycle_collector():
@@ -454,14 +332,14 @@ def test_simulated_runs_are_freed_without_the_cycle_collector():
 
 def test_lru_evicts_least_recent():
     p = LRU(2)
-    serve_all(p, "ab", [0.0, 0.0])
-    assert p.serve(3, "c", 0.0) == "a"
+    send_all(p, "ab", [0.0, 0.0])
+    assert send(p, 3, "c", 0.0) == "a"
 
     p = LRU(3)
-    assert serve_all(p, "abcad", [0.0] * 5)[-1] == "b"
+    assert send_all(p, "abcad", [0.0] * 5)[-1] == "b"
 
     p = LRU(2)
-    assert serve_all(p, "abac", [0.0] * 4)[-1] == "b"
+    assert send_all(p, "abac", [0.0] * 4)[-1] == "b"
 
 
 def test_belady_runs():
@@ -507,7 +385,7 @@ def test_blind_oracle_equals_belady_on_true_arrivals(trace, k):
     # why an exact cell's blind_oracle is its belady run, with no inversions
     assert trace.predictions == trace.arrivals
     belady = Belady(k, trace)
-    assert serve_all(BlindOracle(k), trace.requests, trace.predictions) == _simulated(
+    assert send_all(BlindOracle(k), trace.requests, trace.predictions) == _simulated(
         [belady], trace
     )[belady]
     assert count_inversions_fast(trace) == 0
@@ -521,7 +399,7 @@ def test_marker_phase_reset_draws_from_previous_phase():
     seen = set()
     for seed in range(20):
         p = Marker(2, random.Random(seed))
-        evicted = serve_all(p, "abc", [0.0] * 3)
+        evicted = send_all(p, "abc", [0.0] * 3)
         assert evicted[:2] == [None, None]
         assert evicted[2] in {"a", "b"}
         seen.add(evicted[2])
@@ -536,22 +414,22 @@ def test_marker_single_unmarked_page_is_forced():
         p = Marker(3, random.Random(seed))
         # d opens a phase and evicts one of a, b, c; a hit marks the first
         # survivor, so exactly one page is left unmarked
-        victim = serve_all(p, "abcd", [0.0] * 4)[-1]
+        victim = send_all(p, "abcd", [0.0] * 4)[-1]
         first, last = [page for page in "abc" if page != victim]
-        p.serve(5, first, 0.0)
+        send(p, 5, first, 0.0)
         assert p.unmarked == [last]
-        assert p.serve(6, "e", 0.0) == last
+        assert send(p, 6, "e", 0.0) == last
 
 
 def test_marker_requested_page_ends_marked():
     p = Marker(3, random.Random(1))
-    serve_all(p, "abcb", [0.0] * 4)
+    send_all(p, "abcb", [0.0] * 4)
     assert "b" in p.cache and p.unmarked == []
     for seed in range(10):
         p = Marker(3, random.Random(seed))
-        serve_all(p, "abcd", [0.0] * 4)  # new phase: two of a, b, c unmarked
+        send_all(p, "abcd", [0.0] * 4)  # new phase: two of a, b, c unmarked
         page = p.unmarked[1]
-        p.serve(5, page, 0.0)
+        send(p, 5, page, 0.0)
         assert page in p.cache and page not in p.unmarked
         assert len(p.unmarked) == 1
 
@@ -563,7 +441,7 @@ def test_marker_deterministic_for_fixed_seed():
     assert a.cost == b.cost
 
     def victims(seed):
-        return serve_all(Marker(4, random.Random(seed)), trace.requests, trace.predictions)
+        return send_all(Marker(4, random.Random(seed)), trace.requests, trace.predictions)
 
     assert victims(42) == victims(42)
     assert victims(42) != victims(43)
@@ -592,7 +470,7 @@ def test_cost_equals_eviction_count():
         seed=5,
     )
     policy = BlindOracle(4)
-    victims = serve_all(policy, trace.requests, trace.predictions)
+    victims = send_all(policy, trace.requests, trace.predictions)
     assert policy.cost == sum(v is not None for v in victims)
     assert run_policy("blind_oracle", trace, k=4).cost == policy.cost
 
@@ -631,12 +509,12 @@ def test_capacity_and_eviction_invariants(requests, k, seed):
     costs = {}
     for name in POLICY_NAMES:
         # built alone, so no expert is shared with a run served earlier;
-        # belady, which serve does not take, is checked under simulate
+        # belady, which send does not take, is checked under simulate
         over = trace if name == "belady" else None
         policy = make_policies((name,), k, over, seed=seed, epsilon=0.1)[name]
         policy._steps = _Invariants(policy)
         if over is None:
-            serve_all(policy, requests, trace.predictions)
+            send_all(policy, requests, trace.predictions)
         else:
             simulate(requests, [policy])
         assert policy._steps.distinct == set(requests), name
@@ -715,17 +593,17 @@ def _simulated(runs, trace):
 
 
 def _served(run, trace):
-    """The run's victims when ``serve`` drives it one request at a time."""
+    """The run's victims when ``send`` drives it one request at a time."""
     victims = []
     for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
-        victims.append(run.serve(t, page, h))
+        victims.append(send(run, t, page, h))
         for served in (run, *run.experts):
             _assert_heaps_bounded(served)
     return victims
 
 
 def _assert_same_victims(trace, k, seed=0):
-    # three sequences agree: serve-driven (built without the trace; belady
+    # three sequences agree: sent online (built without the trace; belady
     # has no such run), the victims simulate hands on (each policy built
     # alone, then all six from one builder call in both name orders, so
     # shared experts feed two combiners) and the reference
@@ -879,7 +757,7 @@ def test_belady_victims_match_the_reference_with_many_never_again_pages(k, monke
 
 
 def test_a_keyless_blind_oracle_reads_back_the_keys_it_was_sent():
-    # driven by serve without keys, blind_oracle appends each key it is sent
+    # driven by send without keys, blind_oracle appends each key it is sent
     # and rebuilds its full heap from them
     for k in (1, 3, 8):
         trace = _hit_heavy_trace(k, seed=k)
@@ -887,7 +765,7 @@ def test_a_keyless_blind_oracle_reads_back_the_keys_it_was_sent():
         run = BlindOracle(k)
         victims = []
         for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
-            victims.append(run.serve(t, page, h))
+            victims.append(send(run, t, page, h))
             _assert_heaps_bounded(run)
             assert run.keys == list(trace.predictions[:t])
         assert victims == reference, k
@@ -914,8 +792,8 @@ def _assert_inclusion(trace, k):
         kind, keys = ("blind_oracle", trace.arrivals) if name == "belady" else (name, trace.predictions)
         small, large = (make_policies((kind,), size)[kind] for size in (k, k + 1))
         for t, (page, prediction) in enumerate(zip(trace.requests, keys), 1):
-            small.serve(t, page, prediction)
-            large.serve(t, page, prediction)
+            send(small, t, page, prediction)
+            send(large, t, page, prediction)
             assert small.cache.keys() <= large.cache.keys(), (name, t)
         assert small.cost >= large.cost, name
 
