@@ -85,6 +85,9 @@ class ExperimentConfig(NamedTuple):
             raise ConfigError("at least one cache size k is required")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        # random.Random(-s) draws what Random(s) draws, so a negative seed repeats one
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {list(self.seeds)}")
         for k in self.ks:
             if k < 1:
                 raise ConfigError("cache sizes must be >= 1")

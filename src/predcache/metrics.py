@@ -2,13 +2,12 @@
 
 The two error measures are the l1 loss (sum of |prediction - true arrival|)
 and the inversion count: ordered pairs (i, j) whose true arrivals satisfy
-y_i < y_j while the predictions order the other way, h_i >= h_j.  The l1 loss
-is always at least half the inversion count, which ``check_bounds`` verifies
-alongside the cost bounds of the individual policies and combiners.  The
+y_i < y_j while the predictions order the other way, h_i >= h_j.  The
 inversions are counted over a ``Trace``, whose arrivals are its requests'
-next arrivals: by insertion into a sorted list in arrival order, in
-O(n log n + I) for I inversions (Knuth, TAOCP vol. 3, 5.2.1), and by a
-blocked bitset over the same order when I is large.
+next arrivals.  ``check_bounds`` checks ``lemma1``, that the l1 loss is at
+least half the inversion count, alongside the cost bounds of the policies
+and combiners; ``lemma1`` can fail when a prediction ties with the n + 1
+group of pages never requested again (ROADMAP item 12).
 """
 
 from __future__ import annotations
@@ -53,17 +52,17 @@ def count_inversions_fast(trace: Trace) -> int:
     requested again), so one pass puts each prediction in its arrival's slot
     and the n + 1 group in a tail.  In slot order each prediction is
     inserted into a sorted list, whose items >= it are its inversions and
-    what the insert's memmove shifts (Knuth, TAOCP vol. 3, 5.2.1).  The tail
-    is counted against the finished list, so its tied pairs never count.
+    what the insert's memmove shifts (Knuth, TAOCP vol. 3, 5.2.1).
 
-    Past ``_INSERTION_BUDGET`` inversions per element the count starts over
-    on the same order, the tail descending.  There an earlier element pairs
-    with a later one exactly when its prediction is >=, which also counts
-    each pair within the tail, so C(g, 2) for its g elements is subtracted.
-    Ranked by prediction, ties ranking higher the earlier they come, the
-    positions listed by rank form a permutation whose inversions are exactly
-    those pairs: each position adds the set bits above it in its block's
-    bitset and the counts of later blocks, then sets its bit."""
+    Past ``_INSERTION_BUDGET`` inversions per element the slots are counted
+    again.  Ranked by prediction, ties ranking higher the earlier they come,
+    the slots listed by rank form a permutation whose inversions are exactly
+    the pairs whose earlier prediction is >=: each slot adds the set bits
+    above it in its block's bitset and the counts of later blocks, then sets
+    its bit.  The rank order also lists the predictions sorted.
+
+    Either way the tail comes last: a tail page pairs with every slot whose
+    prediction is >= its own, and with no other tail page, its arrival tied."""
     n = trace.n
     last = n + 1
     slots: list[float | None] = [None] * last
@@ -89,25 +88,23 @@ def count_inversions_fast(trace: Trace) -> int:
             break
         insert(i, h)
         size += 1
-    else:
-        return total + len(tail) * size - sum(map(bisect_left, repeat(done), tail))
-    del done, insert  # free the list before the bitset's n new ints
-    ordered = [h for h in slots if h is not None]
-    del slots
-    tail.sort(reverse=True)
-    ordered += tail
-    total = -(len(tail) * (len(tail) - 1) // 2)
-    by_rank = sorted(range(n - 1, -1, -1), key=ordered.__getitem__)
-    shift, mask = _BLOCK_BITS, (1 << _BLOCK_BITS) - 1
-    words = [0] * ((n >> shift) + 1)
-    counts = [0] * len(words)
-    for position in by_rank:
-        block, bit = position >> shift, position & mask
-        word = words[block]
-        total += (word >> bit).bit_count() + sum(counts[block + 1:])
-        words[block] = word | (1 << bit)
-        counts[block] += 1
-    return total
+    if total > budget:
+        del done, insert  # free the list before the bitset's new ints
+        ordered = [h for h in slots if h is not None]
+        del slots
+        by_rank = sorted(range(len(ordered) - 1, -1, -1), key=ordered.__getitem__)
+        done = list(map(ordered.__getitem__, by_rank))  # while the sort left them cached
+        shift, mask = _BLOCK_BITS, (1 << _BLOCK_BITS) - 1
+        words = [0] * ((len(ordered) >> shift) + 1)
+        counts = [0] * len(words)
+        total = 0
+        for position in by_rank:
+            block, bit = position >> shift, position & mask
+            word = words[block]
+            total += (word >> bit).bit_count() + sum(counts[block + 1:])
+            words[block] = word | (1 << bit)
+            counts[block] += 1
+    return total + len(tail) * len(done) - sum(map(bisect_left, repeat(done), tail))
 
 
 # One entry per checked inequality, lhs <= rhs + additive, in record order.

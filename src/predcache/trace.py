@@ -142,13 +142,13 @@ class WorkloadSpec(NamedTuple):
             raise ConfigError(f"unknown workload kind {self.kind!r}")
         _refuse_unread(self, "workload", WORKLOAD_PARAMS[self.kind])
         if self.universe < 1:
-            raise ConfigError("universe_size must be >= 1")
+            raise ConfigError("universe must be >= 1")
         if self.length < 1:
             raise ConfigError("length must be >= 1")
         if not self.alpha > 0:
             raise ConfigError("zipf requires alpha > 0")
         if not 1 <= (self.cycle or self.universe) <= self.universe:
-            raise ConfigError("cycle size must be in 1..universe_size")
+            raise ConfigError("cycle must be in 1..universe")
         if self.kind == "phased" and self.phase_len < 1:
             raise ConfigError("phased requires phase_len >= 1")
 

@@ -103,6 +103,7 @@ def test_malformed_config_mappings(data):
         dict(ks=()),
         dict(ks=(0,)),
         dict(noises=()),
+        dict(seeds=(-1,)),
     ],
 )
 def test_config_validation(kwargs):
@@ -677,6 +678,15 @@ def test_an_empty_k_list_is_a_configuration_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_negative_seed_flag_is_a_configuration_error(tmp_path, capsys):
+    # random.Random(-3) draws what Random(3) draws, so its cells would repeat seed 3's
+    out = tmp_path / "res.csv"
+    flags = ["--trace", _trace_file(tmp_path), "--policy", "lru", "--seed", "-3"]
+    assert main([*flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "configuration error: seeds must be >= 0, got [-3]\n"
+    assert not out.exists()
+
+
 def test_main_configuration_error_exit_code(tmp_path):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("policies: [nope]\nk: [2]\n", encoding="utf-8")
@@ -750,6 +760,7 @@ def test_main_fatal_bound_exit_code(tmp_path, monkeypatch):
         {"workload": {"kind": "uniform", "universe": 8, "length": 20, 1: "x", "foo": "y"}},
         {"noise": {"kind": [1]}},
         {"workload": {"kind": {"a": 1}, "universe": 8, "length": 20}},
+        {"seeds": [3, -3]},
     ],
     ids=["k_text", "k_fraction", "seed_text", "epsilon_text", "noise_width_text",
          "adversary_k_text", "fatal_bound_unknown", "adversary_without_its_policies",
@@ -760,7 +771,7 @@ def test_main_fatal_bound_exit_code(tmp_path, monkeypatch):
          "noise_shift_beyond_float", "noise_width_beyond_float", "epsilon_beyond_float",
          "zipf_alpha_beyond_float", "seeds_count_beyond_a_list", "keys_of_mixed_types",
          "workload_keys_of_mixed_types", "noise_kind_not_a_string",
-         "workload_kind_not_a_string"],
+         "workload_kind_not_a_string", "seed_negative"],
 )
 def test_main_rejects_malformed_input(tmp_path, capsys, overrides):
     data = {

@@ -84,6 +84,8 @@ def test_fast_matches_naive_on_examples():
         ("aaa", [3.0, 3.0, 4.0]),  # arrivals 2, 3, 4
         ("abc", [1.0, 2.0, 3.0]),  # tied arrivals contribute nothing
         ("a", [9.0]),
+        # arrivals 6, 7, 7, 7, 7, 7: 5 inversions, the tail tying every slot
+        ("abcdea", [7.0] * 6),
         # n = 300: equal predictions, reversed predictions, equal arrivals
         ("a" * 300, [5.0] * 300),
         ("a" * 300, [float(301 - v) for v in range(1, 301)]),

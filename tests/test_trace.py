@@ -102,20 +102,24 @@ def test_phased_workload_stays_in_working_set():
         assert set(requests[phase * 10 : (phase + 1) * 10]) <= allowed
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        WorkloadSpec("uniform", universe=0, length=5),
-        WorkloadSpec("uniform", universe=5, length=0),
-        WorkloadSpec("zipf", universe=5, length=5, alpha=0.0),
-        WorkloadSpec("cyclic", universe=5, length=5, cycle=9),
-        WorkloadSpec("phased", universe=5, length=5, cycle=2, phase_len=0),
-        WorkloadSpec("nope", universe=5, length=5),
-    ],
-)
+# each invalid spec, and the field its message names
+INVALID_WORKLOADS = {
+    WorkloadSpec("uniform", universe=0, length=5): "universe",
+    WorkloadSpec("uniform", universe=5, length=0): "length",
+    WorkloadSpec("zipf", universe=5, length=5, alpha=0.0): "alpha",
+    WorkloadSpec("cyclic", universe=5, length=5, cycle=9): "cycle",
+    WorkloadSpec("phased", universe=5, length=5, cycle=2, phase_len=0): "phase_len",
+    WorkloadSpec("nope", universe=5, length=5): "kind",
+}
+
+
+@pytest.mark.parametrize("spec", INVALID_WORKLOADS)
 def test_invalid_workload_specs_rejected(spec):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as error:
         generate_workload(spec, seed=1)
+    # a config key, never one that the config refuses
+    message = str(error.value)
+    assert INVALID_WORKLOADS[spec] in message and "universe_size" not in message
 
 
 # every kind; universes that are and are not powers of two, working sets that
