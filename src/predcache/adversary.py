@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .errors import ConfigError, NondeterministicPolicyError
 from .metrics import BoundRecord, ell1_loss
 from .combine import make_policies
-from .policies import PageId, Policy, send, simulate
+from .policies import PageId, Policy, online, simulate
 from .trace import Trace
 
 
@@ -88,10 +88,10 @@ def _fallback_page(p_pages: list[PageId], instance: Policy) -> PageId:
 def run_adversary(policy: str, config: AdversaryConfig) -> AdversaryResult:
     """Drive a named deterministic policy through the phase construction.
 
-    ``policy`` is one of ``ADVERSARY_POLICIES``.  Its run is served online
-    by ``send``, each request as it is issued, and closed once the trace is
-    built.  One ``simulate`` over that trace then serves Belady, for opt, and
-    a batch run of the policy, which must end with the online run's cost and
+    ``policy`` is one of ``ADVERSARY_POLICIES``.  Its run is served by the
+    function ``online`` returns, each request as it is issued.  One
+    ``simulate`` over the finished trace then serves Belady, for opt, and a
+    batch run of the policy, which must end with the online run's cost and
     cache.
     """
     config.validate()
@@ -101,6 +101,7 @@ def run_adversary(policy: str, config: AdversaryConfig) -> AdversaryResult:
         )
     k, j = config.k, config.j
     instance = make_policies((policy,), k)[policy]
+    serve = online(instance)
     p_pages = [f"P{i}" for i in range(1, k + 1)]
     q_page = "Q0"
     requests: list[PageId] = []
@@ -112,20 +113,17 @@ def run_adversary(policy: str, config: AdversaryConfig) -> AdversaryResult:
         requests.append(page)
         predictions.append(h)
         last_prediction[page] = h
-        evictions.append(send(instance, len(requests), page, h))
+        evictions.append(serve(len(requests), page, h))
 
     plen = config.phase_length
-    try:
-        for _ in range(config.num_phases):
-            for page in (*p_pages, q_page):
-                issue(page, float(len(requests) + 1 + plen))
-            for _ in range(j):
-                target = evictions[-1]
-                if target is None:
-                    target = _fallback_page(p_pages, instance)
-                issue(target, last_prediction[target])
-    finally:
-        instance.close()
+    for _ in range(config.num_phases):
+        for page in (*p_pages, q_page):
+            issue(page, float(len(requests) + 1 + plen))
+        for _ in range(j):
+            target = evictions[-1]
+            if target is None:
+                target = _fallback_page(p_pages, instance)
+            issue(target, last_prediction[target])
 
     trace = Trace(requests, predictions)
     phases = []

@@ -171,6 +171,8 @@ def _listed(value) -> tuple:
 def _seeds(value) -> tuple[int, ...]:
     """The seeds of a list, or of a count n: 0..n-1."""
     if isinstance(value, int) and not isinstance(value, bool):
+        if value < 0:
+            raise ConfigError(f"a seeds count must be >= 0, got {value}")
         if value > sys.maxsize:
             bits = value.bit_length()
             raise ConfigError(f"a seeds count must be at most {sys.maxsize}, got a {bits}-bit int")

@@ -4,7 +4,7 @@ A combiner watches two expert policies and keeps its own cache.  It reads
 only which page each expert evicts, so ``simulate`` serves every expert over
 the whole trace first and hands the combiner the experts' victim lists; an
 expert shared by several combiners of one call (or also a standalone run)
-is served once.  Online, ``policies.send`` serves a combiner's experts
+is served once.  Online, ``policies.online`` serves a combiner's experts
 first.  On a full-cache miss the combiner evicts its least recent page that
 the followed expert does not hold, so its cache drifts toward that expert's
 cache lazily, one miss at a time.
@@ -31,7 +31,7 @@ the switch rule's decisions there in order, and adds the followed expert's
 evictions to the cost.  A switch replays the stretch into the own cache and
 the other expert's heap, and the per-request body serves on until that heap
 has no live item again; a stretch that reaches the end of the trace copies
-the followed expert's final cache.  ``send`` sends every request to the
+the followed expert's final cache.  ``online`` sends every request to the
 body.
 """
 
@@ -223,7 +223,6 @@ class _Combiner(Policy):
                     heappop(heap)
                 if not heap:
                     break
-            steps.close()
             start = item[0] + 1
         return kept
 
@@ -286,7 +285,7 @@ def make_policies(
     combination) wraps ``blind_oracle`` and ``lru``, ``mw`` (the randomized
     one) ``blind_oracle`` and ``marker``.  ``belady`` keys each request by
     the trace's true arrivals, so it needs the trace; ``blind_oracle`` by
-    its predictions.  Only runs built without a trace are driven by ``send``.
+    its predictions.  Only runs built without a trace are driven by ``online``.
     ``marker`` is seeded ``Random(seed)``; ``mw``'s generator by the third
     63-bit draw of ``Random(seed)``, and ``MwCombiner`` checks its epsilon.
 

@@ -11,9 +11,10 @@ request.  A combiner (``combine``) is served in stretches: while its
 potential Phi, the number of own pages outside the followed expert's cache,
 is 0, it evicts what that expert evicts and is served from the experts'
 victim lists; its body serves the requests from a switch until Phi is 0
-again.  ``send`` drives a run one request at a time, for the one caller that
-picks each request online (the adversary); it takes only a run built without
-a trace.
+again.  ``online`` starts a run's bodies for the one caller that picks each
+request online (the adversary), and returns the function that serves one
+request at a time; it takes only a fresh run built without a trace.  A run
+holds no body, so no run is ever closed: a body lives as long as its driver.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from bisect import bisect_left
 from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import count, repeat
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigError
 from .trace import PageId, Trace
@@ -42,13 +43,13 @@ class Policy:
 
     ``_steps`` is the body: sent ``(t, page, key)``, it serves request t and
     yields the evicted page or None.  The key is ``keys[t - 1]`` (None without
-    keys) under ``simulate`` and the prediction under ``send``, which a
+    keys) under ``simulate`` and the prediction under ``online``, which a
     keyless run appends to ``keys``; a combiner is sent its experts' victims.
-    ``_start`` makes a running body, primed, from the run's current state;
-    ``__init__`` replaces the method by one, so a subclass sets what its
-    body reads (an RNG, the keys, the experts) before calling
-    ``Policy.__init__``.  The body mutates the very objects it binds as
-    locals, so they stay readable between requests.
+    ``_start`` makes a running body, primed, from the run's current state.
+    A run holds none: each driver starts the bodies it sends to and drops
+    them, and a body refers to its run but not the reverse.  The body
+    mutates the very objects it binds as locals, so they stay readable
+    between requests.
     """
 
     name = "base"
@@ -64,23 +65,12 @@ class Policy:
         self.k = k
         self.cache: dict[PageId, int] = {}
         self.cost = 0
-        self._steps = self._start()
 
     def _start(self):
         """A running body, primed: it serves on from the run's state as it is."""
-        steps = type(self)._steps(self)
+        steps = self._steps()
         next(steps)
         return steps
-
-    def close(self) -> None:
-        """End the run and its experts' runs; their state stays readable.
-
-        A body refers to its run: until closed, a dropped run waits for the
-        cycle collector.
-        """
-        for expert in self.experts:
-            expert.close()
-        self._steps.close()
 
     def _steps(self):
         raise NotImplementedError
@@ -91,7 +81,7 @@ class Policy:
         Returns the victim of each request if ``keep``, else None.
         """
         keys = repeat(None) if self.keys is None else self.keys
-        served = map(self._steps.send, zip(count(1), requests, keys))
+        served = map(self._start().send, zip(count(1), requests, keys))
         if keep:
             return list(served)
         deque(served, maxlen=0)
@@ -130,7 +120,7 @@ class BlindOracle(Policy):
     """Evict the page whose stored prediction is furthest in the future.
 
     Request t's key is ``keys[t - 1]``: the trace's predictions under
-    ``simulate``, or the list ``send`` appends each prediction to for a run
+    ``simulate``, or the list ``online`` appends each prediction to for a run
     built without a trace.  A page keeps the prediction of its own last
     request, compared at face value once it points into the past; ties go to
     the least recent.  A request pushes ``(-key, t, page)`` onto ``_heap``
@@ -171,7 +161,7 @@ class Belady(Policy):
     """Offline optimal: evict the page actually requested furthest in the future.
 
     Built over a trace, it reads the trace's requests and, as its keys, the
-    true arrivals; only ``simulate`` serves it, never ``send``.  Request t's
+    true arrivals; only ``simulate`` serves it, never ``online``.  Request t's
     key y is its page's next request, and for y <= n the page requested at y
     is ``requests[y - 1]``: ``_heap`` holds the int -y, pushed and rebuilt as
     ``BlindOracle``'s items are.  An item is live exactly when y > t and
@@ -277,14 +267,12 @@ def simulate(requests: Sequence[PageId], policies: Iterable[Policy]) -> None:
     """Serve requests 1..n once to each distinct run and its experts.
 
     Each run is served by its ``_serve_trace`` after the experts it reads: a
-    ``map`` of its body's ``send`` over the requests and its ``keys``, or a
+    ``map`` of a body's ``send`` over the requests and its ``keys``, or a
     combiner's stretches over its experts' victims.  A run some combiner of
-    the call reads keeps its ``victims``.  A run is closed once served; a
-    call over no requests serves and closes none.  A run that has served a
-    request, by either driver, is a ValueError, as is a run whose keys are
-    not one per request (a ``blind_oracle`` built without a trace has
-    none) or that was built over other requests; a refused call serves
-    nothing.
+    the call reads keeps its ``victims``.  A run that has served a request,
+    by either driver, is a ValueError, as is a run whose keys are not one
+    per request (a ``blind_oracle`` built without a trace has none) or that
+    was built over other requests; a refused call serves nothing.
     """
     runs: dict[Policy, None] = {}  # each distinct run, after its experts
     for run in policies:
@@ -299,27 +287,39 @@ def simulate(requests: Sequence[PageId], policies: Iterable[Policy]) -> None:
         if run.requests is not None and run.requests != tuple(requests):
             raise ValueError(f"the {run.name} run was built over other requests")
     if not requests:
-        return  # nothing is served, so each run stays fresh and open
+        return  # nothing is served, so each run stays fresh
     read = {expert for run in runs for expert in run.experts}
     for run in runs:
         run.victims = run._serve_trace(requests, run in read)
-        run.close()
 
 
-def send(run: Policy, t: int, page: PageId, key: float) -> PageId | None:
-    """Serve request t alone to a run and its experts; the run's victim or None.
+def online(run: Policy) -> Callable[[int, PageId, float], PageId | None]:
+    """Start the bodies of a fresh run and its experts; the run's one-request server.
 
-    The experts are served first, a run that is both experts once; a keyless
-    ``blind_oracle`` appends the key to its keys once served.  It checks
-    nothing: it takes only an open run built without a trace, sent requests
-    1, 2, ... in order, as the adversary builds and sends them.
+    ``serve(t, page, key)`` serves request t to the experts first, a run
+    that is both experts once, then to the run, and returns the run's victim
+    or None; a keyless ``blind_oracle`` appends the key.  It checks nothing:
+    it takes requests 1, 2, ... in order, as the adversary sends them.  A run
+    or expert that has served a request, or that holds a trace's keys (a
+    trace-built ``blind_oracle``, any ``belady``), is a ValueError first.
     """
-    if run.experts:
-        a, b = run.experts
-        victim_a = send(a, t, page, key)
-        victim_b = victim_a if b is a else send(b, t, page, key)
-        return run._steps.send((t, page, victim_a, victim_b))
-    evicted = run._steps.send((t, page, key))
-    if run.keys is not None:
-        run.keys.append(key)
-    return evicted
+    runs: dict[Policy, None] = {}
+    _add_run(runs, run)
+    for each in runs:
+        if each.cache or isinstance(each.keys, tuple):
+            why = "was served already" if each.cache else "was built over a trace"
+            raise ValueError(f"the {each.name} run {why}")
+    step, keys = run._start().send, run.keys
+    if not run.experts:
+        if keys is None:
+            return lambda t, page, key: step((t, page, key))
+        return lambda t, page, key: keys.append(key) or step((t, page, key))
+    a, b = run.experts
+    serve_a = online(a)
+    serve_b = serve_a if b is a else online(b)
+
+    def serve(t, page, key):
+        victim_a = serve_a(t, page, key)
+        return step((t, page, victim_a, victim_a if b is a else serve_b(t, page, key)))
+
+    return serve

@@ -10,10 +10,10 @@ builders written with ``random.Random``'s own ``randrange``, ``uniform``,
 ``gauss`` and ``lognormvariate``.  It also holds ``request_runs``, the
 Hypothesis strategy for request lists, ``potential``, a combiner's Phi,
 and ``check_potential``, the combiners' cost argument checked request by
-request.  ``run_policy``, ``send_all`` and ``check_potential`` alone call
-the package: the first is the tests' shorthand for one run built by
-``make_policies`` and served by ``simulate``, the others drive a package
-run online by ``send``.
+request.  ``run_policy`` and ``check_potential`` alone call the package:
+the first is the tests' shorthand for one run built by ``make_policies``
+and served by ``simulate``, the other drives a package run online by
+``online``.  ``send_all`` drives the function ``online`` returns.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import lru_cache
 from hypothesis import strategies as st
 
 from predcache import make_policies, simulate
-from predcache.policies import send
+from predcache.policies import online
 
 
 def scan_next_arrivals(requests: list[str]) -> list[int]:
@@ -175,10 +175,10 @@ def serve_all(policy, requests, predictions) -> list:
     ]
 
 
-def send_all(run, requests, predictions) -> list:
-    """``serve_all`` for a package run, each request sent by ``send``."""
+def send_all(serve, requests, predictions) -> list:
+    """``serve_all`` for the server ``online`` returns for a package run."""
     return [
-        send(run, t, page, h)
+        serve(t, page, h)
         for t, (page, h) in enumerate(zip(requests, predictions), start=1)
     ]
 
@@ -345,12 +345,12 @@ def check_potential(combiner, requests, predictions):
     of the jumps and S the number of switches (Blum and Burch 2000).
     Returns (F, J, S).
     """
-    k = combiner.k
+    k, serve = combiner.k, online(combiner)
     phi = followed_evictions = jumps = switches = 0
     for t, (page, h) in enumerate(zip(requests, predictions), start=1):
         before, cost = combiner.followed, combiner.cost
         expert_costs = [expert.cost for expert in combiner.experts]
-        send(combiner, t, page, h)
+        serve(t, page, h)
         followed = combiner.followed
         expert = combiner.experts[followed]
         evicted = expert.cost - expert_costs[followed]

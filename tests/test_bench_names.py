@@ -55,7 +55,7 @@ def test_the_benchmarks_copies_of_package_tables_match(monkeypatch):
 
 
 def test_nothing_in_the_package_calls_the_serve_placeholder(monkeypatch, tmp_path):
-    # the sweep serves its runs by simulate and the adversary by send, so a
+    # the sweep serves its runs by simulate and the adversary by online, so a
     # serve that raises leaves the goldens and the adversary's runs as they are
     def refused(*args):
         raise AssertionError("Policy.serve was called")

@@ -1,4 +1,5 @@
 import csv
+import gc
 import math
 import os
 import random
@@ -6,6 +7,7 @@ import statistics
 import subprocess
 import sys
 import time
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -42,6 +44,7 @@ from predcache.cli import (
     run_experiment,
 )
 from predcache.metrics import BOUNDS, count_inversions_fast, ell1_loss
+from predcache.policies import online
 from oracles import send_all
 
 WORKLOAD = {"kind": "uniform", "universe": 12, "length": 150}
@@ -346,6 +349,35 @@ def test_runs_without_predictions_are_built_once_per_seed_and_k(monkeypatch):
     assert cells == len(noises) * seed_ks * len(POLICY_NAMES)
 
 
+def test_sweep_runs_are_freed_without_the_cycle_collector(monkeypatch):
+    # every run each cell builds, the combiners' experts included, is gone
+    # once run_experiment returns: a run holds no body, so no cycle keeps it
+    made = []
+
+    def recording(*args, **kwargs):
+        runs = make_policies(*args, **kwargs)
+        made.extend(weakref.ref(run) for run in runs.values())
+        return runs
+
+    monkeypatch.setattr(predcache.cli, "make_policies", recording)
+    config = config_from_mapping(
+        {
+            "policies": list(POLICY_NAMES),
+            "k": [4],
+            "seeds": [1, 2],
+            "workload": {"kind": "zipf", "universe": 30, "length": 300},
+            "noise": [{"kind": "perfect"}, {"kind": "additive_uniform", "width": 6.0}],
+        }
+    )
+    gc.disable()
+    try:
+        assert run_experiment(config)
+        assert len(made) == 2 * 2 * len(POLICY_NAMES)
+        assert all(ref() is None for ref in made)
+    finally:
+        gc.enable()
+
+
 def test_one_marker_run_serves_each_seed_and_k(monkeypatch):
     # the marker row and mw's expert are one run, seeded Random(seed): the
     # bodies of a (seed, k)'s Markers are sent each request once in all
@@ -428,7 +460,7 @@ def test_exact_cells_serve_alike_in_any_noise_order(noises, policies):
                         run = make_policies(
                             (row.policy,), k, seed=seed, epsilon=config.epsilon
                         )[row.policy]
-                        send_all(run, trace.requests, trace.predictions)
+                        send_all(online(run), trace.requests, trace.predictions)
                         cost = run.cost
                     assert (row.cost, row.opt) == (cost, belady.cost)
                     recorded = {b.removesuffix("(vacuous)") for b in row.bounds_passed}
@@ -761,6 +793,7 @@ def test_main_fatal_bound_exit_code(tmp_path, monkeypatch):
         {"noise": {"kind": [1]}},
         {"workload": {"kind": {"a": 1}, "universe": 8, "length": 20}},
         {"seeds": [3, -3]},
+        {"seeds": -2},
     ],
     ids=["k_text", "k_fraction", "seed_text", "epsilon_text", "noise_width_text",
          "adversary_k_text", "fatal_bound_unknown", "adversary_without_its_policies",
@@ -771,7 +804,7 @@ def test_main_fatal_bound_exit_code(tmp_path, monkeypatch):
          "noise_shift_beyond_float", "noise_width_beyond_float", "epsilon_beyond_float",
          "zipf_alpha_beyond_float", "seeds_count_beyond_a_list", "keys_of_mixed_types",
          "workload_keys_of_mixed_types", "noise_kind_not_a_string",
-         "workload_kind_not_a_string", "seed_negative"],
+         "workload_kind_not_a_string", "seed_negative", "seeds_count_negative"],
 )
 def test_main_rejects_malformed_input(tmp_path, capsys, overrides):
     data = {
@@ -790,6 +823,9 @@ def test_main_rejects_malformed_input(tmp_path, capsys, overrides):
     assert err.startswith("configuration error: ")
     assert "Traceback" not in err
     assert not (tmp_path / "res.csv").exists()
+    # a negative seeds count is named as one, not read as no seeds
+    if overrides == {"seeds": -2}:
+        assert err == "configuration error: a seeds count must be >= 0, got -2\n"
 
 
 # one parameter per kind that the kind does not read, set off its default

@@ -26,7 +26,7 @@ from predcache import (
     simulate,
     synthesize,
 )
-from predcache.policies import send
+from predcache.policies import online
 from oracles import check_potential, potential, request_runs, run_policy, send_all
 
 
@@ -65,9 +65,9 @@ def test_leader_follows_strict_minimum_and_ties_keep_incumbent():
     # 1 9 1 9 9 1 1; each step lists (lru cost, blind_oracle cost, followed)
     a, b = LRU(2), BlindOracle(2)
     ftl = FtlCombiner(a, b)
-    steps = []
+    serve, steps = online(ftl), []
     for t, (page, h) in enumerate(zip("xyzxyxy", [1.0, 9.0, 1.0, 9.0, 9.0, 1.0, 1.0]), start=1):
-        send(ftl, t, page, h)
+        serve(t, page, h)
         steps.append((a.cost, b.cost, ftl.followed))
     assert steps == [
         (0, 0, 0),
@@ -85,13 +85,14 @@ def test_ftl_evicts_outside_leader_cache():
     # incumbent.  Predictions a=10, b=3, c=9.
     leader, other = BlindOracle(2), LRU(2)
     ftl = FtlCombiner(leader, other)
-    assert send_all(ftl, "ab", [10.0, 3.0]) == [None, None]
+    serve = online(ftl)
+    assert send_all(serve, "ab", [10.0, 3.0]) == [None, None]
     # own {a, b}, leader evicts a for c: own's least recent page a is outside
-    assert send(ftl, 3, "c", 9.0) == "a"
+    assert serve(3, "c", 9.0) == "a"
     assert ftl.followed == 0 and list(leader.cache) == ["b", "c"]
     # own [b, c], leader evicts c for d: the least recent b is still held by
     # the leader, so it is passed over for c
-    assert send(ftl, 4, "d", 1.0) == "c"
+    assert serve(4, "d", 1.0) == "c"
     assert ftl.followed == 0 and list(leader.cache) == ["b", "d"]
     assert other.cost == leader.cost == 2 and list(other.cache) == ["c", "d"]
 
@@ -116,11 +117,13 @@ def test_identical_experts_reproduce_the_expert_exactly():
     alone = run_policy("lru", trace, k=5)
     a, b = combined.experts
     assert combined.cost == alone.cost == a.cost == b.cost
-    victims = send_all(LRU(5), trace.requests, trace.predictions)
-    assert send_all(FtlCombiner(LRU(5), LRU(5)), trace.requests, trace.predictions) == victims
+    victims = send_all(online(LRU(5)), trace.requests, trace.predictions)
+    pair = FtlCombiner(LRU(5), LRU(5))
+    assert send_all(online(pair), trace.requests, trace.predictions) == victims
     # one instance as both experts is served once per request
     shared = LRU(5)
-    assert send_all(FtlCombiner(shared, shared), trace.requests, trace.predictions) == victims
+    pair = FtlCombiner(shared, shared)
+    assert send_all(online(pair), trace.requests, trace.predictions) == victims
     assert shared.cost == combined.cost
 
 
@@ -171,9 +174,9 @@ def test_mw_weights_step_by_step():
     # lru cost, followed, excess).
     bo, lru = BlindOracle(2), LRU(2)
     combiner = MwCombiner(bo, lru, 0.1, random.Random(0))
-    steps = []
+    serve, steps = online(combiner), []
     for t, (page, h) in enumerate(zip("abcb", [5.0, 9.0, 1.0, 1.0]), start=1):
-        send(combiner, t, page, h)
+        serve(t, page, h)
         steps.append((bo.cost, lru.cost, combiner.followed, combiner.excess))
         assert combiner.excess == _excess(combiner)
     assert steps == [(0, 0, 1, 0), (0, 0, 1, 0), (1, 1, 1, 0), (2, 1, 1, -1)]
@@ -203,8 +206,9 @@ def test_mw_weights_positive_nonincreasing_and_probabilities_normalized():
     )
     combiner = MwCombiner(BlindOracle(4), LRU(4), 0.1, random.Random(5))
     assert combiner.excess == 0
+    serve = online(combiner)
     for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
-        send(combiner, t, page, h)
+        serve(t, page, h)
         assert combiner.excess == _excess(combiner)
 
 
@@ -236,11 +240,11 @@ def test_mw_draws_only_when_the_followed_expert_alone_evicts():
     combiner = MwCombiner(bo, lru, 0.2, rng)
     assert rng.draws == 1
     kinds = {"followed alone": 0, "other alone": 0, "both": 0}
-    switches = 0
+    serve, switches = online(combiner), 0
     for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
         before = (bo.cost, lru.cost)
         followed, draws = combiner.followed, rng.draws
-        send(combiner, t, page, h)
+        serve(t, page, h)
         evicted = [bo.cost - before[0], lru.cost - before[1]]
         if evicted[followed] and not evicted[1 - followed]:
             kinds["followed alone"] += 1
@@ -278,9 +282,9 @@ def test_mw_identical_experts_reproduce_the_expert():
         WorkloadSpec("zipf", universe=30, length=800, alpha=1.1), NoiseSpec("perfect"), seed=10
     )
     combiner = MwCombiner(LRU(4), LRU(4), 0.1, random.Random(3))
-    evictions = []
+    serve, evictions = online(combiner), []
     for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
-        if send(combiner, t, page, h) is not None:
+        if serve(t, page, h) is not None:
             evictions.append(t)
     alone = run_policy("lru", trace, 4)
     assert len(evictions) == alone.cost
@@ -298,7 +302,7 @@ def test_mw_deterministic_for_fixed_seed():
 
     def victims(seed):
         mw = make_policies(("mw",), 5, seed=seed, epsilon=0.1)["mw"]
-        return send_all(mw, trace.requests, trace.predictions)
+        return send_all(online(mw), trace.requests, trace.predictions)
 
     assert victims(17) == victims(17)
     assert victims(17) != victims(18)
@@ -368,10 +372,10 @@ def _state(run):
 
 
 def _assert_simulate_matches_serve(trace, k, seed):
-    """ftl and mw alike under simulate and send; each online run's switches.
+    """ftl and mw alike under simulate and online; each online run's switches.
 
-    A pair combiner over each run makes simulate keep its victims.  The
-    online run is built without the trace, as send requires.  A switch
+    A pair combiner over each run makes simulate keep its victims.  The run
+    served online is built without the trace, as ``online`` requires.  A switch
     taken at phi = 0 is listed as (request, first request of its stretch),
     the stretch being the requests since phi last became 0; one taken at
     phi > 0 is served by the body under both drivers and is not listed.
@@ -381,22 +385,22 @@ def _assert_simulate_matches_serve(trace, k, seed):
 
     switches = {}
     for name in ("ftl", "mw"):
-        batch, online = build(name, trace), build(name, None)
+        batch, run = build(name, trace), build(name, None)
         reader = FtlCombiner(batch, batch)
         simulate(trace.requests, [reader])
         victims, switches[name] = [], []
-        stretch = 1
+        stretch, serve = 1, online(run)
         for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
-            followed, phi = online.followed, potential(online)
-            victims.append(send(online, t, page, h))
-            if online.followed != followed and phi == 0:
+            followed, phi = run.followed, potential(run)
+            victims.append(serve(t, page, h))
+            if run.followed != followed and phi == 0:
                 switches[name].append((t, stretch))
-            if potential(online):
+            if potential(run):
                 stretch = None
             elif stretch is None:
                 stretch = t + 1
         assert batch.victims == victims, name
-        assert _state(batch) == _state(online), name
+        assert _state(batch) == _state(run), name
         assert reader.cost == batch.cost, name
         assert list(reader.cache.items()) == list(batch.cache.items()), name
     return switches
@@ -507,18 +511,18 @@ def test_simulate_hands_back_to_stretches_once_phi_is_0(requests, noise_seed, k,
     # phi > 0 after request t-1, or switched at t
     trace = _garbage_trace(requests, noise_seed)
     for name in ("ftl", "mw"):
-        batch, online = (
+        batch, run = (
             make_policies((name,), k, over, seed=seed, epsilon=0.24)[name]
             for over in (trace, None)
         )
         sent = []
         _recording_start(batch, sent)
         simulate(trace.requests, [batch])
-        expected = []
+        serve, expected = online(run), []
         for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
-            followed, phi = online.followed, potential(online)
-            send(online, t, page, h)
-            if phi or online.followed != followed:
+            followed, phi = run.followed, potential(run)
+            serve(t, page, h)
+            if phi or run.followed != followed:
                 expected.append(t)
         assert sent == expected, name
 
@@ -623,7 +627,7 @@ def test_exact_predictions_make_blind_oracle_the_belady_run():
         run = runs[name]
         alone = make_policies((name,), 4, seed=3, epsilon=0.1)[name]
         assert type((*alone.experts, alone)[0]) is BlindOracle, name
-        victims = send_all(alone, trace.requests, trace.predictions)
+        victims = send_all(online(alone), trace.requests, trace.predictions)
         assert run.cost == alone.cost, name
         if name == "blind_oracle":
             assert run.victims == victims

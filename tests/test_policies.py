@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 from heapq import heapify
 from itertools import count
 
@@ -19,6 +20,7 @@ from predcache import (
     MwCombiner,
     NoiseSpec,
     POLICY_NAMES,
+    Policy,
     Trace,
     WorkloadSpec,
     count_inversions_fast,
@@ -28,7 +30,7 @@ from predcache import (
     simulate,
     synthesize,
 )
-from predcache.policies import send
+from predcache.policies import online
 from oracles import (
     RefBelady,
     RefBlindOracle,
@@ -38,6 +40,7 @@ from oracles import (
     RefMw,
     brute_force_opt,
     count_inversions_fenwick,
+    potential,
     ref_policy,
     request_runs,
     run_policy,
@@ -59,25 +62,28 @@ def _trace(requests, predictions=None):
 
 def test_hit_keeps_cache_and_updates_entry():
     p = BlindOracle(2)
-    assert send_all(p, "ab", [10.0, 20.0]) == [None, None]
-    assert send(p, 3, "a", 30.0) is None
+    serve = online(p)
+    assert send_all(serve, "ab", [10.0, 20.0]) == [None, None]
+    assert serve(3, "a", 30.0) is None
     # the hit moves a to the most recent end with its new last request
     assert list(p.cache.items()) == [("b", 2), ("a", 3)]
     # and a's prediction is now 30, beyond b's 20 (with the old 10, b would go)
-    assert send(p, 4, "c", 1.0) == "a"
+    assert serve(4, "c", 1.0) == "a"
 
 
 def test_cold_fill_does_not_evict():
     p = LRU(2)
-    send(p, 1, "a", 1.0)
-    assert send(p, 2, "b", 2.0) is None
+    serve = online(p)
+    serve(1, "a", 1.0)
+    assert serve(2, "b", 2.0) is None
     assert list(p.cache.items()) == [("a", 1), ("b", 2)]
 
 
 def test_full_miss_evicts_exactly_one():
     p = LRU(2)
-    send_all(p, "ab", [1.0, 2.0])
-    victim = send(p, 3, "c", 3.0)
+    serve = online(p)
+    send_all(serve, "ab", [1.0, 2.0])
+    victim = serve(3, "c", 3.0)
     assert victim in {"a", "b"}
     assert len(p.cache) == 2
     assert victim not in p.cache
@@ -93,19 +99,19 @@ def test_capacity_must_be_positive():
 
 
 def test_blind_oracle_evicts_furthest_prediction():
-    p = BlindOracle(2)
-    send_all(p, "ab", [10.0, 5.0])
-    assert send(p, 3, "c", 1.0) == "a"
+    serve = online(BlindOracle(2))
+    send_all(serve, "ab", [10.0, 5.0])
+    assert serve(3, "c", 1.0) == "a"
 
 
 def test_blind_oracle_breaks_ties_by_least_recent():
-    p = BlindOracle(2)
-    send_all(p, "ab", [5.0, 5.0])
-    assert send(p, 3, "c", 1.0) == "a"
+    serve = online(BlindOracle(2))
+    send_all(serve, "ab", [5.0, 5.0])
+    assert serve(3, "c", 1.0) == "a"
 
-    p = BlindOracle(3)
-    send_all(p, "abc", [3.0, 7.0, 7.0])
-    assert send(p, 4, "d", 1.0) == "b"
+    serve = online(BlindOracle(3))
+    send_all(serve, "abc", [3.0, 7.0, 7.0])
+    assert serve(4, "d", 1.0) == "b"
 
 
 def test_repeated_request_index_returns_the_stored_answer():
@@ -113,8 +119,9 @@ def test_repeated_request_index_returns_the_stored_answer():
     # serves, the second is answered with the victim it yielded
     p = LRU(1)
     ftl = FtlCombiner(p, p)
-    send(ftl, 1, "a", 0.0)
-    assert send(ftl, 2, "b", 0.0) == "a"
+    serve = online(ftl)
+    serve(1, "a", 0.0)
+    assert serve(2, "b", 0.0) == "a"
     assert p.cost == 1
     assert p.cache == {"b": 2}
     assert ftl.cost == 1
@@ -125,7 +132,7 @@ def test_every_policy_answers_a_repeated_index_from_its_store(name):
     # each policy as both experts of one combiner, under either driver: it
     # serves every index once and both reads get its one victim, so its
     # victims, caches, costs and RNG draws are those of the policy alone,
-    # simulated.  send takes only a run built without the trace (belady
+    # simulated.  online takes only a run built without the trace (belady
     # has no such run)
     trace = synthesize(
         WorkloadSpec("uniform", universe=6, length=200),
@@ -147,11 +154,11 @@ def test_every_policy_answers_a_repeated_index_from_its_store(name):
     victims = _simulated([alone], trace)[alone]
     assert alone.cost > 0
     served = list(enumerate(trace.requests, start=1))
-    for drive in ("send", "simulate")[name == "belady":]:
-        policy = build(None if drive == "send" else trace)
+    for drive in ("online", "simulate")[name == "belady":]:
+        policy = build(None if drive == "online" else trace)
         pair = FtlCombiner(policy, policy)
         recorders = _record([pair])
-        if drive == "send":
+        if drive == "online":
             _served(pair, trace)
             assert recorders[policy].victims == victims, drive
             assert [sent[2:] for sent in recorders[pair].sent] == list(zip(victims, victims))
@@ -161,7 +168,7 @@ def test_every_policy_answers_a_repeated_index_from_its_store(name):
         # every body is sent every index once, except that simulate serves a
         # combiner's body only from its switches (the pair never switches)
         for run, recorder in recorders.items():
-            if drive == "send" or not run.experts:
+            if drive == "online" or not run.experts:
                 assert [sent[:2] for sent in recorder.sent] == served, (drive, run.name)
         assert state(policy) == state(alone), drive
         assert pair.cost == alone.cost, drive
@@ -246,7 +253,7 @@ def test_simulate_serves_a_run_once_and_only_over_its_requests():
 
 
 def test_simulate_refuses_a_run_driven_by_serve():
-    # lru sent a b c by send would serve a b c a b c on from that cache at
+    # lru sent a b c online would serve a b c a b c on from that cache at
     # cost 7, where a fresh run pays 4, as one simulated over no requests
     # does.  Each run has served a b c online, itself or (ftl) through its
     # lru expert; the refused call serves nothing
@@ -258,7 +265,7 @@ def test_simulate_refuses_a_run_driven_by_serve():
     ftl = make_policies(("ftl",), 2, trace)["ftl"]
     lru, keyless = LRU(2), BlindOracle(2)
     for run in (lru, keyless, ftl.experts[1]):
-        send_all(run, "abc", trace.predictions)
+        send_all(online(run), "abc", trace.predictions)
     for run in (lru, keyless, ftl):
         costs = [served.cost for served in (run, *run.experts)]
         with pytest.raises(ValueError, match="served already"):
@@ -295,7 +302,7 @@ def _snapshot(run):
 
 
 def test_send_drives_each_online_shape_as_simulate_does():
-    # the shapes make_policies builds without a trace, the ones send takes,
+    # the shapes make_policies builds without a trace, the ones online takes,
     # sent each request in order: each evicts what the run built over the
     # trace evicts under simulate, and ends with its costs, ordered caches,
     # keys (a keyless blind_oracle's are the predictions it was sent) and
@@ -307,7 +314,7 @@ def test_send_drives_each_online_shape_as_simulate_does():
     )
     for name in ("lru", "marker", "blind_oracle", "ftl", "mw"):
         run = make_policies((name,), 3, seed=3, epsilon=0.1)[name]
-        victims = send_all(run, trace.requests, trace.predictions)
+        victims = send_all(online(run), trace.requests, trace.predictions)
         batch = make_policies((name,), 3, trace, seed=3, epsilon=0.1)[name]
         assert _simulated([batch], trace)[batch] == victims, name
         assert _snapshot(batch) == _snapshot(run), name
@@ -315,31 +322,90 @@ def test_send_drives_each_online_shape_as_simulate_does():
 
 
 def test_simulated_runs_are_freed_without_the_cycle_collector():
-    # a body refers to its run; simulate closes every run, so dropping the
-    # runs frees them by reference counting alone
+    # a run holds no body, so dropping the runs frees them by reference
+    # counting alone
     trace = _trace("abcabdabeab")
     runs = make_policies(POLICY_NAMES, 2, trace, seed=1, epsilon=0.1)
     refs = [weakref.ref(run) for run in (*runs.values(), *runs["mw"].experts)]
     gc.disable()
     try:
         simulate(trace.requests, runs.values())
-        assert all(ref().cache and ref()._steps.gi_frame is None for ref in refs)
+        assert all(ref().cache for ref in refs)
         del runs
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
 
 
+def test_online_refuses_a_served_run_and_a_run_over_a_trace():
+    # online takes a fresh run built without a trace.  Each refusal names
+    # the run and comes before any body starts: every cost, cache, key list
+    # and RNG, the experts' included, is as it was
+    trace = _trace("abcabdab", [5.0, 2.0, 7.0, 1.0, 9.0, 3.0, 4.0, 8.0])
+    served = LRU(2)
+    simulate(trace.requests, [served])
+    runs = make_policies(("belady", "blind_oracle", "ftl"), 2, trace)
+    for run, message in (
+        (served, "the lru run was served already"),
+        (runs["blind_oracle"], "the blind_oracle run was built over a trace"),
+        (runs["ftl"], "the blind_oracle run was built over a trace"),
+        (runs["belady"], "the belady run was built over a trace"),
+    ):
+        before = _snapshot(run)
+        with pytest.raises(ValueError, match=message):
+            online(run)
+        assert _snapshot(run) == before, run.name
+
+
+def test_only_a_driver_starts_a_body(monkeypatch):
+    # building a run starts no body.  simulate starts one per run it serves
+    # through its body, and one per switch a combiner takes at phi = 0 (its
+    # stretches serve the rest); online starts one per distinct run
+    trace = synthesize(
+        WorkloadSpec("uniform", universe=6, length=300),
+        NoiseSpec("random_replace", prob=1.0, limit=600.0),
+        seed=2,
+    )
+    switches = {}  # each combiner's switches at phi = 0, counted online
+    for name in ("ftl", "mw"):
+        run = make_policies((name,), 3, seed=2, epsilon=0.2)[name]
+        serve, switches[name] = online(run), 0
+        for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
+            followed, phi = run.followed, potential(run)
+            serve(t, page, h)
+            switches[name] += phi == 0 and run.followed != followed
+    assert min(switches.values()) > 4
+    started = Counter()
+    start = Policy._start
+
+    def spied(self):
+        started[self] += 1
+        return start(self)
+
+    monkeypatch.setattr(Policy, "_start", spied)
+    runs = make_policies(POLICY_NAMES, 3, trace, seed=2, epsilon=0.2)
+    assert not started
+    simulate(trace.requests, runs.values())
+    assert dict(started) == {run: switches.get(name, 1) for name, run in runs.items()}
+    shared = LRU(3)
+    online_names = ("lru", "marker", "blind_oracle", "ftl", "mw")
+    for run in (
+        *make_policies(online_names, 3, seed=2, epsilon=0.2).values(),
+        FtlCombiner(shared, shared),
+    ):
+        started.clear()
+        online(run)
+        assert dict(started) == dict.fromkeys((run, *run.experts), 1), run.name
+
+
 def test_lru_evicts_least_recent():
-    p = LRU(2)
-    send_all(p, "ab", [0.0, 0.0])
-    assert send(p, 3, "c", 0.0) == "a"
+    serve = online(LRU(2))
+    send_all(serve, "ab", [0.0, 0.0])
+    assert serve(3, "c", 0.0) == "a"
 
-    p = LRU(3)
-    assert send_all(p, "abcad", [0.0] * 5)[-1] == "b"
+    assert send_all(online(LRU(3)), "abcad", [0.0] * 5)[-1] == "b"
 
-    p = LRU(2)
-    assert send_all(p, "abac", [0.0] * 4)[-1] == "b"
+    assert send_all(online(LRU(2)), "abac", [0.0] * 4)[-1] == "b"
 
 
 def test_belady_runs():
@@ -385,7 +451,7 @@ def test_blind_oracle_equals_belady_on_true_arrivals(trace, k):
     # why an exact cell's blind_oracle is its belady run, with no inversions
     assert trace.predictions == trace.arrivals
     belady = Belady(k, trace)
-    assert send_all(BlindOracle(k), trace.requests, trace.predictions) == _simulated(
+    assert send_all(online(BlindOracle(k)), trace.requests, trace.predictions) == _simulated(
         [belady], trace
     )[belady]
     assert count_inversions_fast(trace) == 0
@@ -399,7 +465,7 @@ def test_marker_phase_reset_draws_from_previous_phase():
     seen = set()
     for seed in range(20):
         p = Marker(2, random.Random(seed))
-        evicted = send_all(p, "abc", [0.0] * 3)
+        evicted = send_all(online(p), "abc", [0.0] * 3)
         assert evicted[:2] == [None, None]
         assert evicted[2] in {"a", "b"}
         seen.add(evicted[2])
@@ -414,22 +480,24 @@ def test_marker_single_unmarked_page_is_forced():
         p = Marker(3, random.Random(seed))
         # d opens a phase and evicts one of a, b, c; a hit marks the first
         # survivor, so exactly one page is left unmarked
-        victim = send_all(p, "abcd", [0.0] * 4)[-1]
+        serve = online(p)
+        victim = send_all(serve, "abcd", [0.0] * 4)[-1]
         first, last = [page for page in "abc" if page != victim]
-        send(p, 5, first, 0.0)
+        serve(5, first, 0.0)
         assert p.unmarked == [last]
-        assert send(p, 6, "e", 0.0) == last
+        assert serve(6, "e", 0.0) == last
 
 
 def test_marker_requested_page_ends_marked():
     p = Marker(3, random.Random(1))
-    send_all(p, "abcb", [0.0] * 4)
+    send_all(online(p), "abcb", [0.0] * 4)
     assert "b" in p.cache and p.unmarked == []
     for seed in range(10):
         p = Marker(3, random.Random(seed))
-        send_all(p, "abcd", [0.0] * 4)  # new phase: two of a, b, c unmarked
+        serve = online(p)
+        send_all(serve, "abcd", [0.0] * 4)  # new phase: two of a, b, c unmarked
         page = p.unmarked[1]
-        send(p, 5, page, 0.0)
+        serve(5, page, 0.0)
         assert page in p.cache and page not in p.unmarked
         assert len(p.unmarked) == 1
 
@@ -441,7 +509,7 @@ def test_marker_deterministic_for_fixed_seed():
     assert a.cost == b.cost
 
     def victims(seed):
-        return send_all(Marker(4, random.Random(seed)), trace.requests, trace.predictions)
+        return send_all(online(Marker(4, random.Random(seed))), trace.requests, trace.predictions)
 
     assert victims(42) == victims(42)
     assert victims(42) != victims(43)
@@ -470,16 +538,24 @@ def test_cost_equals_eviction_count():
         seed=5,
     )
     policy = BlindOracle(4)
-    victims = send_all(policy, trace.requests, trace.predictions)
+    victims = send_all(online(policy), trace.requests, trace.predictions)
     assert policy.cost == sum(v is not None for v in victims)
     assert run_policy("blind_oracle", trace, k=4).cost == policy.cost
 
 
 class _Invariants:
-    """Stands in for a run's body: checks the cache after each request it serves."""
+    """Stands in for each body its run starts: checks the cache after each request.
+
+    ``started`` stands in for the run's ``_start``, so the checks watch
+    either driver.
+    """
 
     def __init__(self, run):
-        self.steps, self.run, self.distinct = run._steps, run, set()
+        self.start, self.run, self.distinct = run._start, run, set()
+
+    def started(self):
+        self.steps = self.start()
+        return self
 
     def send(self, item):
         t, page = item[:2]
@@ -498,9 +574,6 @@ class _Invariants:
             assert was_resident or not was_full, name
         return victim
 
-    def close(self):
-        self.steps.close()
-
 
 @settings(max_examples=100, deadline=None)
 @given(pages, st.integers(1, 3), st.integers(0, 5))
@@ -509,15 +582,16 @@ def test_capacity_and_eviction_invariants(requests, k, seed):
     costs = {}
     for name in POLICY_NAMES:
         # built alone, so no expert is shared with a run served earlier;
-        # belady, which send does not take, is checked under simulate
+        # belady, which online does not take, is checked under simulate
         over = trace if name == "belady" else None
         policy = make_policies((name,), k, over, seed=seed, epsilon=0.1)[name]
-        policy._steps = _Invariants(policy)
+        checks = _Invariants(policy)
+        policy._start = checks.started
         if over is None:
-            send_all(policy, requests, trace.predictions)
+            send_all(online(policy), requests, trace.predictions)
         else:
             simulate(requests, [policy])
-        assert policy._steps.distinct == set(requests), name
+        assert checks.distinct == set(requests), name
         costs[name] = policy.cost
     # belady is the offline optimum: no policy evicts less on the same trace
     assert all(costs["belady"] <= cost for cost in costs.values())
@@ -527,16 +601,22 @@ def test_capacity_and_eviction_invariants(requests, k, seed):
 
 
 class _Recorder:
-    """Stands in for a run's body: forwards each send, recording it and its victim.
+    """Stands in for each body its run starts: forwards each send, recording it and its victim.
 
+    ``started`` stands in for the run's ``_start``, so it records under
+    either driver.
     After every send it checks the run's heaps (the key heap of blind_oracle
     and belady, the combiners' outside heaps): rebuilt once past 2k, they
     never hold more.
     """
 
     def __init__(self, run):
-        self.steps, self.run = run._steps, run
+        self.start, self.run = run._start, run
         self.sent, self.victims = [], []
+
+    def started(self):
+        self.steps = self.start()
+        return self
 
     def send(self, item):
         victim = self.steps.send(item)
@@ -545,9 +625,6 @@ class _Recorder:
         _assert_heaps_bounded(self.run)
         return victim
 
-    def close(self):
-        self.steps.close()
-
 
 def _assert_heaps_bounded(run):
     for heap in (*getattr(run, "_outside", ()), getattr(run, "_heap", ())):
@@ -555,12 +632,13 @@ def _assert_heaps_bounded(run):
 
 
 def _record(runs):
-    """Put a _Recorder in place of the body of every run and expert; run -> recorder."""
+    """Put a _Recorder in place of the bodies of every run and expert; run -> recorder."""
     recorders = {}
 
     def wrap(run):
         if run not in recorders:
-            recorders[run] = run._steps = _Recorder(run)
+            recorders[run] = _Recorder(run)
+            run._start = recorders[run].started
             for expert in run.experts:
                 wrap(expert)
 
@@ -593,10 +671,10 @@ def _simulated(runs, trace):
 
 
 def _served(run, trace):
-    """The run's victims when ``send`` drives it one request at a time."""
-    victims = []
+    """The run's victims when ``online`` drives it one request at a time."""
+    serve, victims = online(run), []
     for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
-        victims.append(send(run, t, page, h))
+        victims.append(serve(t, page, h))
         for served in (run, *run.experts):
             _assert_heaps_bounded(served)
     return victims
@@ -757,15 +835,15 @@ def test_belady_victims_match_the_reference_with_many_never_again_pages(k, monke
 
 
 def test_a_keyless_blind_oracle_reads_back_the_keys_it_was_sent():
-    # driven by send without keys, blind_oracle appends each key it is sent
+    # driven online without keys, blind_oracle appends each key it is sent
     # and rebuilds its full heap from them
     for k in (1, 3, 8):
         trace = _hit_heavy_trace(k, seed=k)
         reference = serve_all(RefBlindOracle(k), trace.requests, trace.predictions)
         run = BlindOracle(k)
-        victims = []
+        serve, victims = online(run), []
         for t, (page, h) in enumerate(zip(trace.requests, trace.predictions), start=1):
-            victims.append(send(run, t, page, h))
+            victims.append(serve(t, page, h))
             _assert_heaps_bounded(run)
             assert run.keys == list(trace.predictions[:t])
         assert victims == reference, k
@@ -791,9 +869,10 @@ def _assert_inclusion(trace, k):
     for name in STACK_POLICIES:
         kind, keys = ("blind_oracle", trace.arrivals) if name == "belady" else (name, trace.predictions)
         small, large = (make_policies((kind,), size)[kind] for size in (k, k + 1))
+        serve_small, serve_large = online(small), online(large)
         for t, (page, prediction) in enumerate(zip(trace.requests, keys), 1):
-            send(small, t, page, prediction)
-            send(large, t, page, prediction)
+            serve_small(t, page, prediction)
+            serve_large(t, page, prediction)
             assert small.cache.keys() <= large.cache.keys(), (name, t)
         assert small.cost >= large.cost, name
 
